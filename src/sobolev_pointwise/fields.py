@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -685,11 +684,10 @@ def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -
     return line.deriv(order, t)
 
 
-def sample(f: AnalyticField, grid: GridSpec, transform=None) -> SampledField:
+def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
     """Rasterize `f` on `grid` node by node via the exact scalar path.
 
-    Read-back at a node reproduces `evaluate` bit for bit.  `transform`
-    is an optional per-value map (e.g. abs) applied after evaluation.
+    Read-back at a node reproduces `evaluate` bit for bit.
     """
     if grid.dim != f.dim:
         raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
@@ -699,9 +697,6 @@ def sample(f: AnalyticField, grid: GridSpec, transform=None) -> SampledField:
     vals = np.empty(len(flat))
     for i in range(len(flat)):
         vals[i] = f.value(flat[i])
-    if transform is not None:
-        for i in range(len(vals)):
-            vals[i] = float(transform(vals[i]))
     return SampledField(grid, vals.reshape(grid.points))
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "ball_volume",
     "lens_volume",
     "segment_ratio_constant",
-    "LensGeometry",
     "MaximalConfig",
     "default_radii",
     "ladder_configs",
@@ -104,29 +103,6 @@ def segment_ratio_constant(dim: int, method: str = "auto") -> float:
     about 2.5575 in the plane, and exactly 16/5 in 3-space.
     """
     return ball_volume(dim, 1.0) / lens_volume(dim, 1.0, 1.0, method=method)
-
-
-@dataclass(frozen=True)
-class LensGeometry:
-    """Two balls of equal radius with centers a fixed distance apart."""
-
-    dim: int
-    radius: float
-    distance: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("dimension must be at least 1")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
-        if self.distance < 0:
-            raise ConfigError("center distance must be nonnegative")
-
-    def ball_volume(self) -> float:
-        return ball_volume(self.dim, self.radius)
-
-    def lens_volume(self, method: str = "auto") -> float:
-        return lens_volume(self.dim, self.radius, self.distance, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +199,30 @@ def _ball_offsets(spacings: tuple[float, ...], radius: float):
     return combos
 
 
+def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets) -> np.ndarray:
+    """Number of grid nodes in each clipped lattice ball.
+
+    The count at node (i, j) is the sum over offsets (q, w) of the
+    lead-axis in-range indicators prod_k 1[0 <= i_k + q_k < n_k] times
+    the clipped last-axis run length min(j + w, n - 1) - max(j - w, 0) + 1.
+    The run lengths are laid out on the offset lattice, then each lead
+    axis is contracted with its in-range indicator matrix.  Every term
+    is a small integer, so the float counts are exact.
+    """
+    n_last = shape[-1]
+    j = np.arange(n_last)
+    counts = np.zeros([2 * c + 1 for c in pad_cells[:-1]] + [n_last])
+    for q, width in offsets:
+        cell = tuple(qi + c for qi, c in zip(q, pad_cells))
+        counts[cell] = np.minimum(j + width, n_last - 1) - np.maximum(j - width, 0) + 1
+    for c, n in zip(pad_cells[:-1], shape[:-1]):
+        shifted = np.arange(-c, c + 1)[:, None] + np.arange(n)
+        in_range = ((shifted >= 0) & (shifted < n)).astype(float)
+        # contracts this axis's offsets and appends its node axis
+        counts = np.tensordot(counts, in_range, axes=([0], [0]))
+    return np.moveaxis(counts, 0, -1)
+
+
 def ball_average(u: SampledField, radius: float) -> np.ndarray:
     """Counting-measure average of u over lattice balls of the given radius.
 
@@ -235,26 +235,21 @@ def ball_average(u: SampledField, radius: float) -> np.ndarray:
         raise ConfigError("ball radius must be positive")
     values = u.values
     spacings = u.grid.spacing
-    nd = values.ndim
     pad_cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
     padded = np.pad(values, [(c, c) for c in pad_cells])
-    ones = np.pad(np.ones_like(values), [(c, c) for c in pad_cells])
     csum = np.concatenate(
         [np.zeros(padded.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
-    cones = np.concatenate(
-        [np.zeros(ones.shape[:-1] + (1,)), np.cumsum(ones, axis=-1)], axis=-1)
     shape = values.shape
     r_last = pad_cells[-1]
+    offsets = _ball_offsets(spacings, radius)
     sums = np.zeros(shape)
-    counts = np.zeros(shape)
-    for q, width in _ball_offsets(spacings, radius):
+    for q, width in offsets:
         lead = tuple(slice(c + qi, c + qi + n)
                      for qi, c, n in zip(q, pad_cells[:-1], shape[:-1]))
         hi = lead + (slice(r_last + width + 1, r_last + width + 1 + shape[-1]),)
         lo = lead + (slice(r_last - width, r_last - width + shape[-1]),)
         sums += csum[hi] - csum[lo]
-        counts += cones[hi] - cones[lo]
-    return sums / counts
+    return sums / _ball_counts(shape, pad_cells, offsets)
 
 
 def local_maximal_function(u: SampledField, config: MaximalConfig) -> SampledField:

@@ -40,7 +40,7 @@ from .maximal import (
     ball_average,
     default_radii,
     ladder_configs,
-    local_maximal_function,
+    mean_maximal_gradient,
     segment_ratio_constant,
 )
 from .mollify import Mollifier, convolve, default_epsilons, lp_norm
@@ -136,6 +136,34 @@ class Domain:
             ok &= ~in_hole
         return ok
 
+    def contains_segments(self, x, y) -> np.ndarray:
+        """Whether each open segment from x[i] to y[i] misses the hole.
+
+        Endpoints are taken to lie in the domain.  The outer box is
+        convex, so only the hole can cut a segment; a slab test finds,
+        per axis, the parameters t in (0, 1) at which the segment lies
+        strictly between the hole's walls, and the segment meets the
+        open hole exactly when these intervals overlap.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if self.hole is None:
+            return np.ones(len(x), dtype=bool)
+        hlo = np.asarray(self.hole.lo)
+        hhi = np.asarray(self.hole.hi)
+        step = y - x
+        moving = step != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = (hlo - x) / step
+            t_hi = (hhi - x) / step
+        # an axis the segment does not move along admits every t or none
+        inside = (x > hlo) & (x < hhi)
+        enter = np.where(moving, np.minimum(t_lo, t_hi), np.where(inside, -np.inf, np.inf))
+        leave = np.where(moving, np.maximum(t_lo, t_hi), np.where(inside, np.inf, -np.inf))
+        t_enter = np.maximum(enter.max(axis=1), 0.0)
+        t_leave = np.minimum(leave.min(axis=1), 1.0)
+        return t_enter >= t_leave
+
     def to_dict(self) -> dict:
         out = {"outer": {"lo": list(self.outer.lo), "hi": list(self.outer.hi)}}
         if self.hole is not None:
@@ -155,13 +183,19 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class PairSampler:
-    """Seeded rejection sampler for point pairs in a domain.
+    """Seeded sampler for point pairs in a domain.
 
-    Pairs are kept when both endpoints lie in the domain (shrunk by a
-    caller-supplied per-pair margin), the separation falls in
-    [min_sep, max_sep], and `segment_samples` interior points of the
-    connecting segment all belong to the domain.  Identical settings
-    always reproduce the same pairs.
+    Each proposal draws x uniformly in the outer box and sets
+    y = x + r u, with u a normalized standard Gaussian (a uniform
+    direction) and r of density proportional to r^(n-1) on
+    [min_sep, max_sep], drawn by inverse CDF, so that (x, y) is uniform
+    on {x in box, min_sep <= |y - x| <= max_sep}.  A pair is kept when
+    its computed separation is in that band, both endpoints lie in the
+    domain shrunk by a caller-supplied margin that depends only on the
+    separation, and the connecting segment misses the hole.  Kept pairs
+    thus follow the law of independent uniform endpoints kept by the
+    same tests.  `attempts` counts proposals; identical settings always
+    reproduce the same pairs.
     """
 
     domain: Domain
@@ -169,7 +203,6 @@ class PairSampler:
     seed: int
     min_sep: float
     max_sep: float
-    segment_samples: int = 64
     max_attempts: int = 1_000_000
 
     def __post_init__(self):
@@ -177,14 +210,14 @@ class PairSampler:
             raise ConfigError("need at least one pair")
         if not 0 < self.min_sep <= self.max_sep:
             raise ConfigError("separations must satisfy 0 < min_sep <= max_sep")
-        if self.segment_samples < 0:
-            raise ConfigError("segment_samples must be nonnegative")
 
     def draw(self, margin_of=None) -> PairBatch:
         rng = np.random.default_rng(self.seed)
         lo = np.asarray(self.domain.outer.lo)
         hi = np.asarray(self.domain.outer.hi)
         dim = self.domain.dim
+        band_lo = self.min_sep ** dim
+        band_hi = self.max_sep ** dim
         xs, ys, ds = [], [], []
         found = 0
         attempts = 0
@@ -195,26 +228,22 @@ class PairSampler:
                     f"{attempts} attempts; the margins or separations leave "
                     "too little room")
             x = rng.uniform(lo, hi, size=(_SAMPLE_BATCH, dim))
-            y = rng.uniform(lo, hi, size=(_SAMPLE_BATCH, dim))
+            u = rng.standard_normal((_SAMPLE_BATCH, dim))
+            r = (band_lo + rng.random(_SAMPLE_BATCH) * (band_hi - band_lo)) ** (1.0 / dim)
             attempts += _SAMPLE_BATCH
+            norm = np.linalg.norm(u, axis=1)
+            keep = norm > 0
+            x = x[keep]
+            y = x + (r[keep] / norm[keep])[:, None] * u[keep]
+            # separation rounding can leave the band at its edges
             d = np.linalg.norm(y - x, axis=1)
             keep = (d >= self.min_sep) & (d <= self.max_sep)
             x, y, d = x[keep], y[keep], d[keep]
-            if x.size == 0:
-                continue
             margin = np.zeros(len(d)) if margin_of is None else np.asarray(
                 margin_of(d), dtype=float)
-            keep = self.domain.contains(x, margin) & self.domain.contains(y, margin)
-            x, y, d, margin = x[keep], y[keep], d[keep], margin[keep]
-            if x.size == 0:
-                continue
-            if self.segment_samples > 0:
-                keep = np.ones(len(d), dtype=bool)
-                for t in np.linspace(0.0, 1.0, self.segment_samples + 2)[1:-1]:
-                    keep &= self.domain.contains(x + t * (y - x), 0.0)
-                x, y, d = x[keep], y[keep], d[keep]
-            if x.size == 0:
-                continue
+            keep = (self.domain.contains(x, margin) & self.domain.contains(y, margin)
+                    & self.domain.contains_segments(x, y))
+            x, y, d = x[keep], y[keep], d[keep]
             xs.append(x)
             ys.append(y)
             ds.append(d)
@@ -231,7 +260,6 @@ class PairSampler:
             "seed": self.seed,
             "min_sep": self.min_sep,
             "max_sep": self.max_sep,
-            "segment_samples": self.segment_samples,
         }
 
 
@@ -251,6 +279,7 @@ class InequalityReport:
     params: dict
     n_pairs: int
     n_violations: int
+    n_nonfinite: int
     max_ratio: float
     quantiles: dict
     slack: float
@@ -270,6 +299,7 @@ class InequalityReport:
             "params": self.params,
             "n_pairs": self.n_pairs,
             "n_violations": self.n_violations,
+            "n_nonfinite": self.n_nonfinite,
             "max_ratio": self.max_ratio,
             "quantiles": self.quantiles,
             "slack": self.slack,
@@ -299,22 +329,37 @@ class InequalityReport:
                 handle.write(",".join(row) + "\n")
 
 
+def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ratios lhs / rhs that fail closed, and the non-finite mask.
+
+    Ratios: lhs / rhs where rhs > 0; exactly 0 when both sides vanish;
+    +inf when rhs vanishes but lhs does not, and +inf when either side
+    is not finite, so that a NaN or infinity can never pass.
+    """
+    nonfinite = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    ratio = np.zeros_like(lhs)
+    pos = rhs > 0
+    with np.errstate(invalid="ignore"):
+        ratio[pos] = lhs[pos] / rhs[pos]
+    ratio[~pos & (lhs > 0)] = math.inf
+    ratio[nonfinite] = math.inf
+    return ratio, nonfinite
+
+
 def build_report(params: dict, x: np.ndarray, y: np.ndarray,
                  lhs: np.ndarray, rhs: np.ndarray, slack: float) -> InequalityReport:
     """Assemble a report from per-pair arrays.
 
-    Ratios: lhs / rhs where rhs > 0; exactly 0 when both sides vanish;
-    +inf when rhs vanishes but lhs does not (always a violation, and
-    reported distinctly in the violation records).
+    Ratios follow `_ratios`: an infinite ratio (vanishing right side
+    under a nonzero left side, or a non-finite side) is always a
+    violation and is reported distinctly in the violation records;
+    `n_nonfinite` counts the pairs with a non-finite side.
     """
     if len(x) == 0:
         raise EmptyScanError("no pairs to report on")
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    ratio = np.zeros_like(lhs)
-    pos = rhs > 0
-    ratio[pos] = lhs[pos] / rhs[pos]
-    ratio[~pos & (lhs > 0)] = math.inf
+    ratio, nonfinite = _ratios(lhs, rhs)
     mask = ratio > 1.0 + slack
     violations = []
     for i in np.flatnonzero(mask):
@@ -332,6 +377,7 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
         params=params,
         n_pairs=int(len(x)),
         n_violations=int(mask.sum()),
+        n_nonfinite=int(nonfinite.sum()),
         max_ratio=float(np.max(ratio)),
         quantiles={"p50": float(q50), "p90": float(q90), "p99": float(q99)},
         slack=float(slack),
@@ -348,15 +394,17 @@ def report_schema() -> dict:
         "title": "Inequality scan report",
         "description": (
             "Ratio statistics of a pointwise inequality scan.  Ratios may be "
-            "Infinity when the right-hand side vanishes; files use the "
-            "non-strict JSON Infinity token for them."),
+            "Infinity when the right-hand side vanishes or either side is not "
+            "finite, and violation records may then hold NaN sides; files use "
+            "the non-strict JSON Infinity and NaN tokens for them."),
         "type": "object",
-        "required": ["params", "n_pairs", "n_violations", "max_ratio",
-                     "quantiles", "slack", "violations"],
+        "required": ["params", "n_pairs", "n_violations", "n_nonfinite",
+                     "max_ratio", "quantiles", "slack", "violations"],
         "properties": {
             "params": {"type": "object"},
             "n_pairs": {"type": "integer", "minimum": 0},
             "n_violations": {"type": "integer", "minimum": 0},
+            "n_nonfinite": {"type": "integer", "minimum": 0},
             "max_ratio": number,
             "quantiles": {
                 "type": "object",
@@ -615,10 +663,7 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     ax = ladder.coefficient_at(idx, pairs.x)
     ay = ladder.coefficient_at(idx, pairs.y)
     rhs_main = pairs.dist ** order * (ax + ay)
-    main_ratio = np.zeros(len(lhs_main))
-    pos = rhs_main > 0
-    main_ratio[pos] = lhs_main[pos] / rhs_main[pos]
-    main_ratio[~pos & (lhs_main > 0)] = math.inf
+    main_ratio, _ = _ratios(lhs_main, rhs_main)
 
     g = SampledField(grid, float(order) ** order * ladder.top.values)
     h = (pairs.y - pairs.x) / order
@@ -671,10 +716,8 @@ def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec,
     if config is None:
         d = delta if delta is not None else min(grid.extent) / 4.0
         config = MaximalConfig(delta=d, radii=default_radii(d, max(grid.spacing)))
-    g = gradient_magnitude_field(f, grid, order, directions)
-    m_field = local_maximal_function(g, config)
-    a_values = segment_ratio_constant(grid.dim) * m_field.values
-    coeff = SampledField(grid, float(order) ** order * a_values)
+    a = mean_maximal_gradient(f, grid, config, order, directions)
+    coeff = SampledField(grid, float(order) ** order * a.values)
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 
 

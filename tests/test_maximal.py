@@ -24,6 +24,34 @@ from sobolev_pointwise import (
     sample,
     segment_ratio_constant,
 )
+from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_offsets
+
+
+def _cumsum_ball_average(u, radius):
+    """Ball average with node counts from cumulative sums of a padded
+    field of ones, run by run; the closed-form counts must match it bit
+    for bit."""
+    values = u.values
+    spacings = u.grid.spacing
+    pad_cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
+    padded = np.pad(values, [(c, c) for c in pad_cells])
+    ones = np.pad(np.ones_like(values), [(c, c) for c in pad_cells])
+    csum = np.concatenate(
+        [np.zeros(padded.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
+    cones = np.concatenate(
+        [np.zeros(ones.shape[:-1] + (1,)), np.cumsum(ones, axis=-1)], axis=-1)
+    shape = values.shape
+    r_last = pad_cells[-1]
+    sums = np.zeros(shape)
+    counts = np.zeros(shape)
+    for q, width in _ball_offsets(spacings, radius):
+        lead = tuple(slice(c + qi, c + qi + n)
+                     for qi, c, n in zip(q, pad_cells[:-1], shape[:-1]))
+        hi = lead + (slice(r_last + width + 1, r_last + width + 1 + shape[-1]),)
+        lo = lead + (slice(r_last - width, r_last - width + shape[-1]),)
+        sums += csum[hi] - csum[lo]
+        counts += cones[hi] - cones[lo]
+    return sums / counts
 
 
 def _brute_ball_average(u, radius):
@@ -116,6 +144,19 @@ class TestBallAverage:
             fast = ball_average(u, radius)
             slow = _brute_ball_average(u, radius)
             np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec.cube(-1.0, 1.0, 41, 1),
+        GridSpec.cube(-1.0, 1.0, 17, 2),
+        GridSpec((-1.0, -0.5), (1.0, 1.5), (13, 21)),
+        GridSpec.cube(-1.0, 1.0, 11, 3),
+        GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), (7, 9, 11)),
+    ])
+    def test_bit_identical_to_cumsum_counts(self, grid, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        for radius in np.geomspace(min(grid.spacing), 0.9, 7):
+            np.testing.assert_array_equal(ball_average(u, radius),
+                                          _cumsum_ball_average(u, radius))
 
     def test_constant_field_is_fixed_point(self, grid_2d):
         u = SampledField(grid_2d, np.full(grid_2d.points, 3.5))

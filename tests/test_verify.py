@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sobolev_pointwise import (
     Box,
@@ -33,6 +35,9 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
+from sobolev_pointwise.verify import _CoefficientLadder, _resolve_deltas
+
+SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
 
 def _domain(grid):
@@ -96,9 +101,99 @@ class TestPairSampler:
         grid = GridSpec.cube(-1.0, 1.0, 51, 2)
         domain = Domain(Box.of_grid(grid), hole=Box((-0.3, -0.3), (0.3, 0.3)))
         batch = PairSampler(domain, 32, seed, 0.05, 0.3).draw()
-        for pts in (batch.x, batch.y):
+        for t in np.linspace(0.0, 1.0, 257):
+            pts = batch.x + t * (batch.y - batch.x)
             inside_hole = np.all(np.abs(pts) < 0.3, axis=1)
             assert not inside_hole.any()
+
+    def test_three_dimensional_request_beyond_old_budget(self):
+        # 30k pairs at the ladder's margins took more than the 1M attempts
+        # that uniform-endpoint proposals were allowed
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        f = SinusoidField((2.0, 1.5, 3.0))
+        report = main_inequality_scan(f, 2, grid, PairSampler(_domain(grid), 30_000, 1,
+                                                               0.05, 0.4))
+        assert report.n_pairs == 30_000
+        assert report.passed
+        assert report.n_nonfinite == 0
+
+
+def _reference_pairs(domain, count, seed, min_sep, max_sep, margin_of):
+    """Independent uniform endpoints in the outer box, kept by the
+    sampler's tests, with the hole checked at 256 segment points."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.asarray(domain.outer.lo), np.asarray(domain.outer.hi)
+    xs, ys = [], []
+    found = 0
+    while found < count:
+        x = rng.uniform(lo, hi, size=(200_000, domain.dim))
+        y = rng.uniform(lo, hi, size=(200_000, domain.dim))
+        d = np.linalg.norm(y - x, axis=1)
+        keep = (d >= min_sep) & (d <= max_sep)
+        x, y, d = x[keep], y[keep], d[keep]
+        margin = margin_of(d)
+        keep = domain.contains(x, margin) & domain.contains(y, margin)
+        for t in np.linspace(0.0, 1.0, 258)[1:-1]:
+            keep &= domain.contains(x + t * (y - x), 0.0)
+        xs.append(x[keep])
+        ys.append(y[keep])
+        found += int(keep.sum())
+    return np.concatenate(xs)[:count], np.concatenate(ys)[:count]
+
+
+class TestSamplerLaw:
+    @pytest.mark.parametrize("dim, hole", [(1, False), (2, False), (2, True), (3, False)])
+    def test_matches_independent_uniform_endpoints(self, dim, hole):
+        grid = GridSpec.cube(-1.0, 1.0, {1: 201, 2: 41, 3: 21}[dim], dim)
+        outer = Box.of_grid(grid)
+        domain = Domain(outer, Box((-0.3,) * dim, (0.2,) * dim) if hole else None)
+        min_sep, max_sep, count = 0.05, 0.4, 4000
+        sampler = PairSampler(domain, count, 11, min_sep, max_sep)
+        deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
+        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, deltas, None,
+                                    boundary)
+        batch = sampler.draw(ladder.margin_of)
+        ref_x, ref_y = _reference_pairs(domain, count, 12, min_sep, max_sep,
+                                        ladder.margin_of)
+        samples = [(batch.dist, np.linalg.norm(ref_y - ref_x, axis=1))]
+        samples += [(batch.x[:, k], ref_x[:, k]) for k in range(dim)]
+        samples += [(batch.y[:, k], ref_y[:, k]) for k in range(dim)]
+        for new, ref in samples:
+            assert stats.ks_2samp(new, ref).pvalue > 1e-3
+
+
+class TestSegmentGeometry:
+    HOLE = Box((-0.3, -0.3), (0.3, 0.3))
+
+    def _clear(self, x, y):
+        return Domain(Box((-1.0, -1.0), (1.0, 1.0)), hole=self.HOLE).contains_segments(
+            np.array([x]), np.array([y]))[0]
+
+    def test_corner_clip_between_old_sample_points_is_rejected(self):
+        # x0 + x1 = 0.599 enters the hole only for x0 in (0.299, 0.3),
+        # a t-interval of width 0.0017 that falls between t = 32/65 and
+        # 33/65, so 64 interior sample points all lie outside the hole
+        x, y = np.array([0.0, 0.599]), np.array([0.599, 0.0])
+        ts = np.linspace(0.0, 1.0, 66)[1:-1]
+        old_points = x + ts[:, None] * (y - x)
+        assert not np.any(np.all(np.abs(old_points) < 0.3, axis=1))
+        assert not self._clear(x, y)
+
+    @pytest.mark.parametrize("x, y, clear", [
+        ((-0.5, 0.0), (0.5, 0.0), False),    # through the middle
+        ((-0.5, 0.3), (0.5, 0.3), True),     # along the closed top wall
+        ((0.0, 0.6), (0.6, 0.0), True),      # touches the corner only
+        ((0.0, 0.5), (0.0, 0.29), False),    # one moving axis, ends inside
+        ((0.4, -0.5), (0.4, 0.5), True),     # beside the hole
+        ((-0.5, -0.5), (-0.35, -0.35), True),  # stops short of the hole
+    ])
+    def test_slab_cases(self, x, y, clear):
+        assert self._clear(np.array(x), np.array(y)) == clear
+
+    def test_box_without_hole_is_convex(self):
+        domain = Domain(Box((-1.0, -1.0), (1.0, 1.0)))
+        x = np.array([[-0.9, -0.9], [0.0, 0.0]])
+        assert domain.contains_segments(x, -x).all()
 
 
 class TestReports:
@@ -156,6 +251,33 @@ class TestReports:
     def test_same_inputs_give_identical_json(self):
         assert self._report().to_json() == self._report().to_json()
 
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan),
+                                          (math.nan, math.nan), (math.inf, 1.0),
+                                          (1.0, math.inf)])
+    def test_nonfinite_side_is_a_violation(self, lhs, rhs):
+        x = np.array([[0.0], [0.1]])
+        y = np.array([[0.5], [0.6]])
+        r = build_report({}, x, y, np.array([lhs, 0.1]), np.array([rhs, 1.0]), 0.05)
+        assert not r.passed
+        assert r.n_violations == 1 and r.n_nonfinite == 1
+        assert math.isinf(r.max_ratio)
+        assert r.to_dict()["n_nonfinite"] == 1
+
+    def test_node_discard_counts_nonfinite_main_ratios(self, grid_1d, monkeypatch):
+        from sobolev_pointwise import verify
+
+        def nan_remainder(f, x, y, order):
+            return np.full(len(x), math.nan)
+
+        monkeypatch.setattr(verify, "_remainder_batch", nan_remainder)
+        sampler = PairSampler(_domain(grid_1d), 20, 5, 0.05, 0.4)
+        report = node_discard_check(SinusoidField((2.0,)), 2, grid_1d, sampler)
+        assert report.params["main_violations"] == 20
+        assert math.isinf(report.params["main_max_ratio"])
+
+    def test_schema_file_matches_report_schema(self):
+        assert json.loads(SCHEMA_FILE.read_text()) == report_schema()
+
 
 class TestScans:
     def test_lemma1_on_smooth_field(self, grid_1d):
@@ -199,8 +321,6 @@ class TestScans:
         assert math.isinf(report.max_ratio)
 
     def test_hatl_scan_accepts_fractional_smoothness(self, grid_1d):
-        from sobolev_pointwise.verify import _CoefficientLadder, _resolve_deltas
-
         sampler = PairSampler(_domain(grid_1d), 150, 8, 0.05, 0.4)
         deltas, boundary = _resolve_deltas(sampler, grid_1d, None, 4)
         ladder = _CoefficientLadder(SinusoidField((2.0,)), grid_1d, 2, deltas,
