@@ -18,12 +18,12 @@ from sobolev_pointwise import (
     PairSampler,
     SampledField,
     SinusoidField,
+    all_node_coefficient,
     hatl_scan,
     node_discard_check,
     quasinorm_upper,
     triebel_scan,
 )
-from sobolev_pointwise.verify import _CoefficientLadder, _resolve_deltas
 
 field = SinusoidField((2.5,))
 order = 2
@@ -35,9 +35,7 @@ sampler = PairSampler(domain, 2000, 5, 0.05, 0.4)
 # order^order.  Summed over all l + 1 interpolation nodes it dominates
 # the rescaled defect.
 
-deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
-ladder = _CoefficientLadder(field, grid, order, deltas, None, boundary)
-g = SampledField(grid, float(order) ** order * ladder.top.values)
+g = all_node_coefficient(field, order, grid, sampler)
 report = triebel_scan(field, order, float(order), g, sampler)
 print(f"all-node coefficient scan: max ratio {report.max_ratio:.4f}, "
       f"violations {report.n_violations}")

@@ -68,6 +68,7 @@ from .fields import (
 from .maximal import (
     MaximalConfig,
     ball_average,
+    ball_averages,
     ball_volume,
     default_radii,
     ladder_configs,
@@ -90,6 +91,7 @@ from .verify import (
     Domain,
     InequalityReport,
     PairSampler,
+    all_node_coefficient,
     build_report,
     hatl_scan,
     identity_suite,
@@ -128,7 +130,9 @@ __all__ = [
     "SinusoidField",
     "UnsupportedOrderError",
     "YoungReport",
+    "all_node_coefficient",
     "ball_average",
+    "ball_averages",
     "ball_volume",
     "binomial",
     "build_report",

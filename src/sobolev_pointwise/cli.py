@@ -36,8 +36,7 @@ from .verify import (
     Box,
     Domain,
     PairSampler,
-    _CoefficientLadder,
-    _resolve_deltas,
+    all_node_coefficient,
     hatl_scan,
     identity_suite,
     main_inequality_scan,
@@ -245,9 +244,7 @@ def _cmd_verify(cfg: dict) -> int:
                                     slack=float(cfg["slack"]))
     elif scan == "hatl":
         s = float(cfg["s"]) if cfg["s"] is not None else float(order)
-        deltas, boundary = _resolve_deltas(sampler, grid, config, 4)
-        ladder = _CoefficientLadder(field, grid, order, deltas, None, boundary)
-        g = SampledField(grid, float(order) ** order * ladder.top.values)
+        g = all_node_coefficient(field, order, grid, sampler, config)
         report = hatl_scan(field, order, s, g, sampler, slack=float(cfg["slack"]))
     else:
         raise ConfigError(f"unknown scan {cfg['scan']!r} "
@@ -328,9 +325,7 @@ def _cmd_triebel(cfg: dict) -> int:
     if str(cfg["g"]) == "zero":
         g = SampledField(grid, np.zeros(grid.points))
     elif str(cfg["g"]) == "auto":
-        deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
-        ladder = _CoefficientLadder(field, grid, order, deltas, None, boundary)
-        g = SampledField(grid, float(order) ** order * ladder.top.values)
+        g = all_node_coefficient(field, order, grid, sampler)
     else:
         raise ConfigError(f"unknown coefficient choice {cfg['g']!r} (use auto or zero)")
     report = triebel_scan(field, order, s, g, sampler, slack=float(cfg["slack"]))

@@ -6,13 +6,16 @@ out by two such balls centered at x and y.  Averaging a nonnegative grid
 field over lattice balls of several radii and taking the largest average
 gives a discrete local Hardy-Littlewood maximal function; scaled by the
 lens ratio it yields the coefficient fields used by the inequality scans.
+`ball_averages` averages a whole radius ladder in one pass: one
+cumulative sum along the last grid axis, one run sum per run half-width,
+and one sum per distinct lattice ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "default_radii",
     "ladder_configs",
     "ball_average",
+    "ball_averages",
     "local_maximal_function",
     "mean_maximal_gradient",
 ]
@@ -212,9 +216,9 @@ def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets) -> np.nd
     n_last = shape[-1]
     j = np.arange(n_last)
     counts = np.zeros([2 * c + 1 for c in pad_cells[:-1]] + [n_last])
-    for q, width in offsets:
-        cell = tuple(qi + c for qi, c in zip(q, pad_cells))
-        counts[cell] = np.minimum(j + width, n_last - 1) - np.maximum(j - width, 0) + 1
+    cells = np.array([q for q, _ in offsets]).reshape(len(offsets), -1) + pad_cells[:-1]
+    width = np.array([w for _, w in offsets])[:, None]
+    counts[tuple(cells.T)] = np.minimum(j + width, n_last - 1) - np.maximum(j - width, 0) + 1
     for c, n in zip(pad_cells[:-1], shape[:-1]):
         shifted = np.arange(-c, c + 1)[:, None] + np.arange(n)
         in_range = ((shifted >= 0) & (shifted < n)).astype(float)
@@ -223,47 +227,71 @@ def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets) -> np.nd
     return np.moveaxis(counts, 0, -1)
 
 
-def ball_average(u: SampledField, radius: float) -> np.ndarray:
-    """Counting-measure average of u over lattice balls of the given radius.
+def ball_averages(u: SampledField, radii) -> list[np.ndarray]:
+    """Counting-measure averages of u over lattice balls, one per radius.
 
-    Every grid node within Euclidean distance `radius` of the center
+    Every grid node within Euclidean distance r of the center
     contributes with equal weight; near the grid boundary the ball is
-    clipped to the grid.  Exact cumulative sums over contiguous runs
-    keep the result deterministic.
+    clipped to the grid.  The field is padded once, at the largest
+    radius, and summed cumulatively along its last axis, so a ball is a
+    sum of last-axis runs.  Each run half-width's run sum is formed once
+    and added, at every lead-axis offset that uses it, into every ball
+    holding it (a summed-area table shared by the whole ladder, after
+    Crow 1984).  A ball's additions always go widths ascending, then in
+    `_ball_offsets` order, so its average does not depend on the other
+    radii of the call.  Radii with the same lattice ball share one
+    array: never update a result in place.
     """
-    if radius <= 0:
-        raise ConfigError("ball radius must be positive")
+    radii = [float(r) for r in radii]
+    if not radii or min(radii) <= 0:
+        raise ConfigError("ball radii must be given and positive")
     values = u.values
     spacings = u.grid.spacing
-    pad_cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
-    padded = np.pad(values, [(c, c) for c in pad_cells])
-    csum = np.concatenate(
-        [np.zeros(padded.shape[:-1] + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
     shape = values.shape
-    r_last = pad_cells[-1]
-    offsets = _ball_offsets(spacings, radius)
-    sums = np.zeros(shape)
-    for q, width in offsets:
-        lead = tuple(slice(c + qi, c + qi + n)
-                     for qi, c, n in zip(q, pad_cells[:-1], shape[:-1]))
-        hi = lead + (slice(r_last + width + 1, r_last + width + 1 + shape[-1]),)
-        lo = lead + (slice(r_last - width, r_last - width + shape[-1]),)
-        sums += csum[hi] - csum[lo]
-    return sums / _ball_counts(shape, pad_cells, offsets)
+    pad_cells = [int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings]
+    balls: dict[tuple, int] = {}
+    which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
+    uses: dict[int, list] = {}
+    for b, offsets in enumerate(balls):
+        for q, width in offsets:
+            uses.setdefault(width, []).append((b, q))
+    padded = np.pad(values, [(c, c) for c in pad_cells])
+    csum = np.zeros(padded.shape[:-1] + (padded.shape[-1] + 1,))
+    np.cumsum(padded, axis=-1, out=csum[..., 1:])
+    del padded
+    c_last = pad_cells[-1]
+    # one reused run-sum buffer: keeping every width's run sum would hold
+    # a padded grid per width, several times the balls themselves
+    run = np.empty(csum.shape[:-1] + shape[-1:])
+    sums = [np.zeros(shape) for _ in balls]
+    for width in sorted(uses):
+        np.subtract(csum[..., c_last + width + 1:c_last + width + 1 + shape[-1]],
+                    csum[..., c_last - width:c_last - width + shape[-1]], out=run)
+        for b, q in uses[width]:
+            sums[b] += run[tuple(slice(c + qi, c + qi + n)
+                                 for qi, c, n in zip(q, pad_cells, shape))]
+    del csum, run
+    for total, offsets in zip(sums, balls):
+        total /= _ball_counts(shape, pad_cells, offsets)
+    return [sums[b] for b in which]
+
+
+def ball_average(u: SampledField, radius: float) -> np.ndarray:
+    """Counting-measure average of u over lattice balls of one radius:
+    `ball_averages` for that radius alone."""
+    return ball_averages(u, (radius,))[0]
 
 
 def local_maximal_function(u: SampledField, config: MaximalConfig) -> SampledField:
-    """Largest ball average of a nonnegative grid field over the radius ladder."""
+    """Largest ball average of a nonnegative grid field over the radius
+    ladder, with every radius averaged in one `ball_averages` call."""
     if np.any(u.values < 0):
         raise ValueError("the maximal function expects a nonnegative field")
     spacing_max = max(u.grid.spacing)
     if max(config.radii) < spacing_max:
         raise ConfigError(
             "every radius is below the grid spacing; the ladder resolves nothing")
-    out = None
-    for r in config.radii:
-        avg = ball_average(u, r)
-        out = avg if out is None else np.maximum(out, avg)
+    out = reduce(np.maximum, ball_averages(u, config.radii))
     margin = u.valid_margin
     if margin is not None:
         extra = [int(math.ceil(max(config.radii) / sp)) for sp in u.grid.spacing]

@@ -37,7 +37,7 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    ball_average,
+    ball_averages,
     default_radii,
     ladder_configs,
     mean_maximal_gradient,
@@ -51,6 +51,7 @@ __all__ = [
     "PairBatch",
     "PairSampler",
     "InequalityReport",
+    "all_node_coefficient",
     "build_report",
     "lemma1_scan",
     "main_inequality_scan",
@@ -439,7 +440,9 @@ class _CoefficientLadder:
 
     Radii come from one master set truncated per delta, so the fields
     are monotone in delta; each pair then uses the smallest ladder delta
-    at or above its separation.
+    at or above its separation.  One `ball_averages` call covers the
+    master radii, and each rung extends the previous rung's maximum by
+    its own new radii.
     """
 
     def __init__(self, f: AnalyticField, grid: GridSpec, order: int,
@@ -453,20 +456,22 @@ class _CoefficientLadder:
         g = gradient_magnitude_field(f, grid, order, directions)
         self.gradient = g
         scale = segment_ratio_constant(grid.dim)
-        cache: dict[float, np.ndarray] = {}
+        averages = ball_averages(g, self.configs[-1].radii)
         self.fields: list[SampledField] = []
+        best, done = averages[0], 1
         for cfg in self.configs:
-            best = None
-            for r in cfg.radii:
-                if r not in cache:
-                    cache[r] = ball_average(g, r)
-                avg = cache[r]
-                best = avg if best is None else np.maximum(best, avg)
+            for avg in averages[done:len(cfg.radii)]:
+                best = np.maximum(best, avg)
+            done = len(cfg.radii)
             self.fields.append(SampledField(grid, scale * best))
 
     @property
     def top(self) -> SampledField:
         return self.fields[-1]
+
+    def all_node(self) -> SampledField:
+        """The all-node coefficient order^order * a at the top delta."""
+        return SampledField(self.grid, float(self.order) ** self.order * self.top.values)
 
     def delta_index(self, dist: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.deltas, dist, side="left")
@@ -508,6 +513,21 @@ def _resolve_deltas(sampler: PairSampler, grid: GridSpec, config, delta_count: i
         if d > keep[-1] * (1.0 + 1e-12):
             keep.append(float(d))
     return np.asarray(keep), "reject"
+
+
+def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
+                         sampler: PairSampler, config=None) -> SampledField:
+    """Coefficient field g = order^order * a for the all-node sum bound.
+
+    `a` is the top field of the coefficient ladder that
+    `main_inequality_scan` builds for the same sampler and config, so g
+    is the field `node_discard_check` checks against, bit for bit.  Of a
+    `MaximalConfig` only `delta` and `boundary` are used: the radii come
+    from `ladder_configs` at that delta, as in `main_inequality_scan`,
+    not from `config.radii`.
+    """
+    deltas, boundary = _resolve_deltas(sampler, grid, config, 4)
+    return _CoefficientLadder(f, grid, order, deltas, None, boundary).all_node()
 
 
 def _remainder_batch(f: AnalyticField, x: np.ndarray, y: np.ndarray,
@@ -665,7 +685,7 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     rhs_main = pairs.dist ** order * (ax + ay)
     main_ratio, _ = _ratios(lhs_main, rhs_main)
 
-    g = SampledField(grid, float(order) ** order * ladder.top.values)
+    g = ladder.all_node()
     h = (pairs.y - pairs.x) / order
     hlen = np.linalg.norm(h, axis=1)
     node_values = [evaluate_batch(f, pairs.x + l * h) for l in range(order + 1)]

@@ -1,6 +1,7 @@
 """Ball and lens geometry, and the discrete maximal function."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobolev_pointwise import (
+    Box,
     ConfigError,
+    Domain,
     GaussianField,
     GridSpec,
     MaximalConfig,
+    PairSampler,
     SampledField,
     ball_average,
+    ball_averages,
     ball_volume,
     default_radii,
     ladder_configs,
@@ -24,16 +29,20 @@ from sobolev_pointwise import (
     sample,
     segment_ratio_constant,
 )
-from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_offsets
+from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
+from sobolev_pointwise.verify import _resolve_deltas
 
 
-def _cumsum_ball_average(u, radius):
-    """Ball average with node counts from cumulative sums of a padded
-    field of ones, run by run; the closed-form counts must match it bit
-    for bit."""
+def _pad_cells(spacings, radius):
+    return [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
+
+
+def _cumsum_ball_sums(u, radius):
+    """Ball sums added run by run in `_ball_offsets` order, and node
+    counts from cumulative sums of a padded field of ones."""
     values = u.values
     spacings = u.grid.spacing
-    pad_cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
+    pad_cells = _pad_cells(spacings, radius)
     padded = np.pad(values, [(c, c) for c in pad_cells])
     ones = np.pad(np.ones_like(values), [(c, c) for c in pad_cells])
     csum = np.concatenate(
@@ -51,7 +60,7 @@ def _cumsum_ball_average(u, radius):
         lo = lead + (slice(r_last - width, r_last - width + shape[-1]),)
         sums += csum[hi] - csum[lo]
         counts += cones[hi] - cones[lo]
-    return sums / counts
+    return sums, counts
 
 
 def _brute_ball_average(u, radius):
@@ -135,6 +144,15 @@ class TestSegmentConstant:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+GRIDS = [
+    GridSpec.cube(-1.0, 1.0, 41, 1),
+    GridSpec.cube(-1.0, 1.0, 17, 2),
+    GridSpec((-1.0, -0.5), (1.0, 1.5), (13, 21)),
+    GridSpec.cube(-1.0, 1.0, 11, 3),
+    GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), (7, 9, 11)),
+]
+
+
 class TestBallAverage:
     @pytest.mark.parametrize("dim, points", [(1, 41), (2, 17), (3, 9)])
     def test_matches_brute_force(self, dim, points, rng):
@@ -145,22 +163,78 @@ class TestBallAverage:
             slow = _brute_ball_average(u, radius)
             np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("grid", [
-        GridSpec.cube(-1.0, 1.0, 41, 1),
-        GridSpec.cube(-1.0, 1.0, 17, 2),
-        GridSpec((-1.0, -0.5), (1.0, 1.5), (13, 21)),
-        GridSpec.cube(-1.0, 1.0, 11, 3),
-        GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), (7, 9, 11)),
-    ])
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_bit_identical_to_cumsum_counts(self, grid, rng):
+        # ball_averages lays every ball's counts out at the ladder's
+        # largest padding; exact integers either way
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        radii = np.geomspace(min(grid.spacing), 0.9, 7)
+        for radius in radii:
+            _, counts = _cumsum_ball_sums(u, radius)
+            offsets = _ball_offsets(grid.spacing, radius)
+            for pad in (_pad_cells(grid.spacing, radius), _pad_cells(grid.spacing, radii[-1])):
+                np.testing.assert_array_equal(_ball_counts(grid.points, pad, offsets), counts)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_averages_match_cumsum_reference(self, grid, rng):
+        # runs are summed widths first, so only reassociation separates them
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
         for radius in np.geomspace(min(grid.spacing), 0.9, 7):
-            np.testing.assert_array_equal(ball_average(u, radius),
-                                          _cumsum_ball_average(u, radius))
+            sums, counts = _cumsum_ball_sums(u, radius)
+            np.testing.assert_allclose(ball_average(u, radius), sums / counts,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_constant_field_is_fixed_point(self, grid_2d):
         u = SampledField(grid_2d, np.full(grid_2d.points, 3.5))
         np.testing.assert_allclose(ball_average(u, 0.3), 3.5, rtol=0, atol=1e-13)
+
+
+class TestBallAverages:
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_each_radius_independent_of_the_others(self, grid, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        radii = [float(r) for r in np.geomspace(min(grid.spacing), 0.9, 7)]
+        together = ball_averages(u, radii)
+        for k, radius in enumerate(radii):
+            np.testing.assert_array_equal(together[k], ball_average(u, radius))
+        for subset in (radii[::2], radii[1:4], radii[::-1]):
+            for avg, radius in zip(ball_averages(u, subset), subset):
+                np.testing.assert_array_equal(avg, together[radii.index(radius)])
+
+    def test_radii_sharing_a_lattice_ball_share_the_average(self, rng):
+        grid = GridSpec.cube(-1.0, 1.0, 21, 2)
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        # 1.0 and 1.2 cells hold the same nodes; 1.5 cells adds the diagonals
+        same, other = 1.2 * grid.spacing[0], 1.5 * grid.spacing[0]
+        assert _ball_offsets(grid.spacing, 0.1) == _ball_offsets(grid.spacing, same)
+        a, b, c = ball_averages(u, (0.1, same, other))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_rejects_nonpositive_radius(self, grid_1d):
+        u = SampledField(grid_1d, np.ones(grid_1d.points))
+        with pytest.raises(ConfigError):
+            ball_averages(u, (0.1, 0.0))
+        with pytest.raises(ConfigError):
+            ball_average(u, -0.1)
+
+    def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
+        grid = GridSpec.cube(-1.0, 1.0, 201, 2)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
+        deltas, _ = _resolve_deltas(sampler, grid, None, 4)
+        radii = ladder_configs(deltas, max(grid.spacing))[-1].radii
+        assert len(radii) == 15
+        balls = len({tuple(_ball_offsets(grid.spacing, r)) for r in radii})
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ball_averages(u, radii)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one array per ball, the cumulative sum, one run sum and the counts
+        assert peak < (balls + 8) * u.values.nbytes
 
 
 class TestMaximalFunction:

@@ -1,5 +1,6 @@
 """Pair sampling, report assembly, and the inequality scan drivers."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -21,6 +22,8 @@ from sobolev_pointwise import (
     PowerField,
     SampledField,
     SinusoidField,
+    all_node_coefficient,
+    ball_average,
     build_report,
     hatl_scan,
     identity_suite,
@@ -279,6 +282,37 @@ class TestReports:
         assert json.loads(SCHEMA_FILE.read_text()) == report_schema()
 
 
+class TestCoefficientLadder:
+    @pytest.mark.parametrize("dim, points, order", [(1, 201, 2), (2, 41, 1), (3, 21, 2)])
+    def test_rungs_are_maxima_of_single_radius_averages(self, dim, points, order):
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        sampler = PairSampler(_domain(grid), 10, 0, 0.05, 0.4)
+        deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
+        ladder = _CoefficientLadder(SinusoidField((1.5,) * dim), grid, order, deltas,
+                                    None, boundary)
+        assert len(ladder.fields) == len(deltas) > 1
+        scale = segment_ratio_constant(dim)
+        prev = None
+        for cfg, fld in zip(ladder.configs, ladder.fields):
+            best = functools.reduce(np.maximum,
+                                    [ball_average(ladder.gradient, r) for r in cfg.radii])
+            np.testing.assert_array_equal(fld.values, scale * best)
+            if prev is not None:
+                assert np.all(fld.values >= prev)
+            prev = fld.values
+
+    def test_all_node_coefficient_is_the_node_discard_field(self, grid_1d):
+        f = SinusoidField((2.0,))
+        sampler = PairSampler(_domain(grid_1d), 150, 5, 0.05, 0.4)
+        report = node_discard_check(f, 2, grid_1d, sampler)
+        g = all_node_coefficient(f, 2, grid_1d, sampler)
+        h = (report.y - report.x) / 2
+        gsum = np.zeros(report.n_pairs)
+        for l in range(3):
+            gsum += g.at(report.x + l * h)
+        np.testing.assert_array_equal(report.rhs, np.linalg.norm(h, axis=1) ** 2 * gsum)
+
+
 class TestScans:
     def test_lemma1_on_smooth_field(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 300, 1, 0.05, 0.4)
@@ -322,10 +356,7 @@ class TestScans:
 
     def test_hatl_scan_accepts_fractional_smoothness(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 150, 8, 0.05, 0.4)
-        deltas, boundary = _resolve_deltas(sampler, grid_1d, None, 4)
-        ladder = _CoefficientLadder(SinusoidField((2.0,)), grid_1d, 2, deltas,
-                                    None, boundary)
-        g = SampledField(grid_1d, 4.0 * ladder.top.values)
+        g = all_node_coefficient(SinusoidField((2.0,)), 2, grid_1d, sampler)
         report = hatl_scan(SinusoidField((2.0,)), 2, 0.5, g, sampler)
         assert report.passed
 
