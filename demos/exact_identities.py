@@ -8,8 +8,6 @@ order, the Lagrange remainder computed by two unrelated routes, and the
 representation of the difference as an integral of a derivative.
 """
 
-import numpy as np
-
 from sobolev_pointwise import (
     GaussianField,
     NodeFamily,

@@ -8,8 +8,6 @@ ball centered one radius away.  This script tabulates the ingredients
 and cross-checks the two-dimensional value with plain Monte Carlo.
 """
 
-import math
-
 import numpy as np
 
 from sobolev_pointwise import ball_volume, lens_volume, segment_ratio_constant

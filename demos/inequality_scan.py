@@ -10,8 +10,6 @@ segment ratio constant.  A scan samples thousands of point pairs and
 reports the worst ratio of the two sides.
 """
 
-import numpy as np
-
 from sobolev_pointwise import (
     Box,
     Domain,

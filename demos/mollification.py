@@ -21,8 +21,6 @@ from sobolev_pointwise import (
     PairSampler,
     SampledField,
     SinusoidField,
-    convolve,
-    lp_norm,
     main_inequality_scan,
     mollified_scan,
     young_check,

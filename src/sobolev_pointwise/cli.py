@@ -225,27 +225,27 @@ def _cmd_identities(cfg: dict) -> int:
 def _cmd_verify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     sampler = _sampler(cfg, grid)
-    order = int(cfg["m"])
+    scan = str(cfg["scan"]).replace("-", "_")
+    order = 1 if scan == "lemma1" else int(cfg["m"])
+    slack = float(cfg["slack"])
     config = None
     if cfg["delta"] is not None:
+        if scan == "node_discard":
+            raise ConfigError("--delta does not apply to --scan node-discard")
         delta = float(cfg["delta"])
         config = MaximalConfig(
             delta=delta, radii=default_radii(delta, max(grid.spacing)),
             boundary=cfg["boundary"] or "reject")
-    scan = str(cfg["scan"]).replace("-", "_")
-    if scan == "lemma1":
-        report = main_inequality_scan(field, 1, grid, sampler, config,
-                                      slack=float(cfg["slack"]))
-    elif scan == "main":
-        report = main_inequality_scan(field, order, grid, sampler, config,
-                                      slack=float(cfg["slack"]))
+    elif cfg["boundary"] is not None:
+        raise ConfigError("--boundary needs --delta")
+    if scan in ("lemma1", "main"):
+        report = main_inequality_scan(field, order, grid, sampler, config, slack=slack)
     elif scan == "node_discard":
-        report = node_discard_check(field, order, grid, sampler,
-                                    slack=float(cfg["slack"]))
+        report = node_discard_check(field, order, grid, sampler, slack=slack)
     elif scan == "hatl":
         s = float(cfg["s"]) if cfg["s"] is not None else float(order)
         g = all_node_coefficient(field, order, grid, sampler, config)
-        report = hatl_scan(field, order, s, g, sampler, slack=float(cfg["slack"]))
+        report = hatl_scan(field, order, s, g, sampler, slack=slack)
     else:
         raise ConfigError(f"unknown scan {cfg['scan']!r} "
                           "(use lemma1, main, node-discard, or hatl)")
@@ -349,6 +349,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-difference identities and pointwise inequality scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def scan_options(p):
+        p.add_argument("--field")
+        p.add_argument("--grid")
+        p.add_argument("--dim", type=int)
+        p.add_argument("--m", type=int)
+        p.add_argument("--pairs", type=int)
+        p.add_argument("--min-sep", type=float, dest="min_sep")
+        p.add_argument("--max-sep", type=float, dest="max_sep")
+        p.add_argument("--slack", type=float)
+        p.add_argument("--domain")
+
     def common(p):
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--dump-config", action="store_true", dest="dump_config",
@@ -369,18 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an inequality scan")
     common(p)
+    scan_options(p)
     p.add_argument("--scan", choices=["lemma1", "main", "node-discard", "hatl"])
-    p.add_argument("--field")
-    p.add_argument("--grid")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--min-sep", type=float, dest="min_sep")
-    p.add_argument("--max-sep", type=float, dest="max_sep")
-    p.add_argument("--slack", type=float)
-    p.add_argument("--domain")
     p.add_argument("--boundary", choices=["reject", "clip"])
 
     p = sub.add_parser("geometry", help="ball and lens volumes, segment constant")
@@ -391,34 +394,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mollify", help="Young checks and mollified scans")
     common(p)
-    p.add_argument("--field")
-    p.add_argument("--grid")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--m", type=int)
+    scan_options(p)
     p.add_argument("--eps", help="comma list of mollifier scales")
     p.add_argument("--p", help="comma list of norm exponents (inf allowed)")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--min-sep", type=float, dest="min_sep")
-    p.add_argument("--max-sep", type=float, dest="max_sep")
-    p.add_argument("--slack", type=float)
-    p.add_argument("--domain")
     p.add_argument("--profile", choices=["bump", "gauss"])
 
     p = sub.add_parser("triebel", help="all-node-sum bound scan")
     common(p)
-    p.add_argument("--field")
-    p.add_argument("--grid")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--m", type=int)
+    scan_options(p)
     p.add_argument("--s", type=float)
     p.add_argument("--g", choices=["auto", "zero"],
                    help="coefficient field: auto builds m^m times the maximal "
                         "coefficient, zero is the negative control")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--min-sep", type=float, dest="min_sep")
-    p.add_argument("--max-sep", type=float, dest="max_sep")
-    p.add_argument("--slack", type=float)
-    p.add_argument("--domain")
     return parser
 
 

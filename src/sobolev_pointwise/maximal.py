@@ -161,8 +161,7 @@ def default_radii(delta: float, spacing: float, count: int = 8) -> tuple[float, 
     return tuple(out)
 
 
-def ladder_configs(deltas, spacing: float, count: int = 12,
-                   boundary: str = "reject") -> list[MaximalConfig]:
+def ladder_configs(deltas, spacing: float, count: int = 12) -> list[MaximalConfig]:
     """One `MaximalConfig` per delta, with radii drawn from a shared master set.
 
     Because every config's radii are the master radii truncated at its
@@ -184,7 +183,7 @@ def ladder_configs(deltas, spacing: float, count: int = 12,
     configs = []
     for d in deltas:
         radii = tuple(r for r in master_sorted if r <= d * _RADIUS_SLACK)
-        configs.append(MaximalConfig(delta=d, radii=radii, boundary=boundary))
+        configs.append(MaximalConfig(delta=d, radii=radii))
     return configs
 
 
@@ -300,14 +299,13 @@ def local_maximal_function(u: SampledField, config: MaximalConfig) -> SampledFie
 
 
 def mean_maximal_gradient(f: AnalyticField, grid: GridSpec, config: MaximalConfig,
-                          order: int = 1,
-                          directions: np.ndarray | None = None) -> SampledField:
+                          order: int = 1) -> SampledField:
     """Coefficient field C(n) * M^delta(|grad^order f|) on the grid.
 
     |grad^order f| is the directional magnitude from
     `gradient_magnitude_field`; C(n) is `segment_ratio_constant`.
     """
-    g = gradient_magnitude_field(f, grid, order, directions)
+    g = gradient_magnitude_field(f, grid, order)
     m_field = local_maximal_function(g, config)
     scale = segment_ratio_constant(grid.dim)
     return SampledField(grid, scale * m_field.values, valid_margin=m_field.valid_margin)

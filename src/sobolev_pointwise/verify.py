@@ -43,7 +43,7 @@ from .maximal import (
     mean_maximal_gradient,
     segment_ratio_constant,
 )
-from .mollify import Mollifier, convolve, default_epsilons, lp_norm
+from .mollify import Mollifier, convolve, lp_norm
 
 __all__ = [
     "Box",
@@ -438,40 +438,35 @@ def report_schema() -> dict:
 class _CoefficientLadder:
     """Maximal coefficient fields on a delta ladder, with interpolators.
 
-    Radii come from one master set truncated per delta, so the fields
-    are monotone in delta; each pair then uses the smallest ladder delta
-    at or above its separation.  One `ball_averages` call covers the
-    master radii, and each rung extends the previous rung's maximum by
-    its own new radii.
+    Each rung's radii extend the previous rung's radii (as from
+    `_rung_configs`), so the fields are monotone in delta; each pair
+    then uses the smallest ladder delta at or above its separation.
+    One `ball_averages` call covers the top rung's radii, and each rung
+    extends the previous rung's maximum by its own new radii.
     """
 
     def __init__(self, f: AnalyticField, grid: GridSpec, order: int,
-                 deltas: np.ndarray, directions, boundary: str):
+                 configs: list[MaximalConfig]):
         self.grid = grid
         self.order = order
-        self.boundary = boundary
-        spacing = max(grid.spacing)
-        self.configs = ladder_configs(deltas, spacing, boundary=boundary)
-        self.deltas = np.asarray([c.delta for c in self.configs])
-        g = gradient_magnitude_field(f, grid, order, directions)
-        self.gradient = g
+        self.configs = configs
+        self.boundary = configs[-1].boundary
+        self.deltas = np.asarray([c.delta for c in configs])
+        self.gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(grid.dim)
-        averages = ball_averages(g, self.configs[-1].radii)
+        averages = ball_averages(self.gradient, configs[-1].radii)
         self.fields: list[SampledField] = []
         best, done = averages[0], 1
-        for cfg in self.configs:
+        for cfg in configs:
             for avg in averages[done:len(cfg.radii)]:
                 best = np.maximum(best, avg)
             done = len(cfg.radii)
             self.fields.append(SampledField(grid, scale * best))
 
-    @property
-    def top(self) -> SampledField:
-        return self.fields[-1]
-
     def all_node(self) -> SampledField:
         """The all-node coefficient order^order * a at the top delta."""
-        return SampledField(self.grid, float(self.order) ** self.order * self.top.values)
+        return SampledField(self.grid,
+                            float(self.order) ** self.order * self.fields[-1].values)
 
     def delta_index(self, dist: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.deltas, dist, side="left")
@@ -494,25 +489,39 @@ class _CoefficientLadder:
                 out[mask] = fld.at(pts[mask])
         return out
 
+    def endpoint_rhs(self, pairs: PairBatch,
+                     fields: list[SampledField] | None = None) -> np.ndarray:
+        """Two-endpoint right side |x - y|^order * (a(x) + a(y)) at each pair's rung."""
+        idx = self.delta_index(pairs.dist)
+        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x, fields)
+                                           + self.coefficient_at(idx, pairs.y, fields))
 
-def _resolve_deltas(sampler: PairSampler, grid: GridSpec, config, delta_count: int):
-    """Delta ladder covering the sampler's separation range."""
+
+def _rung_configs(sampler: PairSampler, grid: GridSpec,
+                  config: MaximalConfig | None) -> list[MaximalConfig]:
+    """Rungs of the coefficient ladder covering the sampler's separations.
+
+    A given config is the only rung, radii and boundary included.
+    Otherwise four deltas spaced geometrically from max(min_sep, twice
+    the grid spacing) up to max_sep share one master radius set
+    (`ladder_configs`).
+    """
     if config is not None:
         if config.delta < sampler.max_sep * (1.0 - 1e-12):
             raise ConfigError(
                 "the config delta must cover the largest pair separation")
-        return np.asarray([config.delta]), config.boundary
+        return [config]
     spacing = max(grid.spacing)
     lo = max(sampler.min_sep, 2.0 * spacing)
     if lo > sampler.max_sep:
         raise ConfigError("max_sep is below twice the grid spacing; refine the grid")
-    deltas = np.geomspace(lo, sampler.max_sep, delta_count)
+    deltas = np.geomspace(lo, sampler.max_sep, 4)
     deltas[-1] = sampler.max_sep
     keep = [deltas[0]]
     for d in deltas[1:]:
         if d > keep[-1] * (1.0 + 1e-12):
             keep.append(float(d))
-    return np.asarray(keep), "reject"
+    return ladder_configs(keep, spacing)
 
 
 def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
@@ -521,13 +530,29 @@ def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
 
     `a` is the top field of the coefficient ladder that
     `main_inequality_scan` builds for the same sampler and config, so g
-    is the field `node_discard_check` checks against, bit for bit.  Of a
-    `MaximalConfig` only `delta` and `boundary` are used: the radii come
-    from `ladder_configs` at that delta, as in `main_inequality_scan`,
-    not from `config.radii`.
+    is the field `node_discard_check` checks against, bit for bit.  A
+    `MaximalConfig` is used as given: its delta, radii and boundary.
     """
-    deltas, boundary = _resolve_deltas(sampler, grid, config, 4)
-    return _CoefficientLadder(f, grid, order, deltas, None, boundary).all_node()
+    ladder = _CoefficientLadder(f, grid, order, _rung_configs(sampler, grid, config))
+    return ladder.all_node()
+
+
+def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSampler,
+                  configs: list[MaximalConfig], margin: float = 0.0):
+    """Shared start of the ladder scans.
+
+    Builds the coefficient ladder over `configs`, draws pairs kept their
+    rung delta (under "reject") plus `margin` from the walls.  Returns
+    the ladder, the pairs, and the report params every ladder scan
+    carries.
+    """
+    if order < 1:
+        raise ConfigError("the scan needs order >= 1")
+    ladder = _CoefficientLadder(f, grid, order, configs)
+    pairs = sampler.draw(lambda dist: ladder.margin_of(dist) + margin)
+    params = {"deltas": [float(d) for d in ladder.deltas], "boundary": ladder.boundary,
+              "attempts": pairs.attempts}
+    return ladder, pairs, params
 
 
 def _remainder_batch(f: AnalyticField, x: np.ndarray, y: np.ndarray,
@@ -548,17 +573,34 @@ def _remainder_batch(f: AnalyticField, x: np.ndarray, y: np.ndarray,
     return evaluate_batch(f, y) - total
 
 
-def _difference_values(values_at_nodes: list[np.ndarray], order: int) -> np.ndarray:
-    """Forward difference sum_j (-1)^(order-j) C(order, j) v_j from node values."""
-    total = np.zeros_like(values_at_nodes[0])
-    for j, vals in enumerate(values_at_nodes):
+def _main_sides(f: AnalyticField, ladder: _CoefficientLadder,
+                pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y))."""
+    lhs = np.abs(_remainder_batch(f, pairs.x, pairs.y, ladder.order))
+    return lhs, ladder.endpoint_rhs(pairs)
+
+
+def _node_difference(value_at, x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """Forward difference sum_j (-1)^(order-j) C(order, j) v(x + j h) on pair batches."""
+    total = np.zeros(len(x))
+    for j in range(order + 1):
         c = binomial(order, j) * ((-1) ** (order - j))
-        total = total + c * vals
+        total = total + c * value_at(x + j * h)
     return total
 
 
-def _scan_params(name: str, f: AnalyticField, sampler: PairSampler, order: int,
-                 grid: GridSpec, slack: float, extra: dict | None = None) -> dict:
+def _node_sum(g: SampledField, x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """All-node sum sum_l g(x + l h), l = 0..order, on pair batches."""
+    total = np.zeros(len(x))
+    for l in range(order + 1):
+        total += g.at(x + l * h)
+    return total
+
+
+def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
+                 sampler: PairSampler, slack: float, x: np.ndarray, y: np.ndarray,
+                 lhs: np.ndarray, rhs: np.ndarray, **extra) -> InequalityReport:
+    """Report of one scan: the params every scan carries, plus `extra`."""
     params = {
         "scan": name,
         "field": str(f),
@@ -567,10 +609,9 @@ def _scan_params(name: str, f: AnalyticField, sampler: PairSampler, order: int,
         "grid": {"lo": list(grid.lo), "hi": list(grid.hi), "points": list(grid.points)},
         "sampler": sampler.to_dict(),
         "slack": slack,
+        **extra,
     }
-    if extra:
-        params.update(extra)
-    return params
+    return build_report(params, x, y, lhs, rhs, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -579,42 +620,28 @@ def _scan_params(name: str, f: AnalyticField, sampler: PairSampler, order: int,
 
 def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
                          sampler: PairSampler, config=None, *,
-                         slack: float = 0.05, directions=None,
-                         delta_count: int = 4) -> InequalityReport:
+                         slack: float = 0.05) -> InequalityReport:
     """Scan |f(y) - L(y)| <= |x - y|^order * (a(x) + a(y)).
 
     The left side is the order-th interpolation remainder (computed by
     the interpolation route); the coefficient a is the lens-ratio-scaled
     local maximal function of |grad^order f| at the pair's ladder delta,
-    read back by multilinear interpolation.
+    read back by multilinear interpolation.  A `MaximalConfig` is the
+    ladder's only rung, used as given.
     """
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
-    deltas, boundary = _resolve_deltas(sampler, grid, config, delta_count)
-    ladder = _CoefficientLadder(f, grid, order, deltas, directions, boundary)
-    pairs = sampler.draw(ladder.margin_of)
-    idx = ladder.delta_index(pairs.dist)
-    lhs = np.abs(_remainder_batch(f, pairs.x, pairs.y, order))
-    ax = ladder.coefficient_at(idx, pairs.x)
-    ay = ladder.coefficient_at(idx, pairs.y)
-    rhs = pairs.dist ** order * (ax + ay)
+    configs = _rung_configs(sampler, grid, config)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
+    lhs, rhs = _main_sides(f, ladder, pairs)
     name = "lemma1" if order == 1 else "main_inequality"
-    params = _scan_params(name, f, sampler, order, grid, slack, {
-        "deltas": [float(d) for d in ladder.deltas],
-        "radii_master": [float(r) for r in ladder.configs[-1].radii],
-        "boundary": boundary,
-        "attempts": pairs.attempts,
-        "constant": segment_ratio_constant(grid.dim),
-    })
-    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
+    return _scan_report(name, f, order, grid, sampler, slack, pairs.x, pairs.y, lhs, rhs,
+                        radii_master=[float(r) for r in configs[-1].radii],
+                        constant=segment_ratio_constant(grid.dim), **params)
 
 
 def lemma1_scan(f: AnalyticField, grid: GridSpec, sampler: PairSampler,
-                config=None, *, slack: float = 0.05, directions=None,
-                delta_count: int = 4) -> InequalityReport:
+                config=None, *, slack: float = 0.05) -> InequalityReport:
     """First-order scan |f(x) - f(y)| <= |x - y| * (a(x) + a(y))."""
-    return main_inequality_scan(f, 1, grid, sampler, config, slack=slack,
-                                directions=directions, delta_count=delta_count)
+    return main_inequality_scan(f, 1, grid, sampler, config, slack=slack)
 
 
 def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
@@ -635,36 +662,24 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     hlen = np.linalg.norm(h, axis=1)
     keep = hlen <= 1.0
     skipped_long = int(np.sum(~keep))
-    glo = np.asarray(g.grid.lo)
-    ghi = np.asarray(g.grid.hi)
+    g_box = Domain(Box.of_grid(g.grid))
     inside = np.ones(len(pairs.x), dtype=bool)
     for l in range(order + 1):
-        node = pairs.x + l * h
-        inside &= np.all(node >= glo, axis=1) & np.all(node <= ghi, axis=1)
+        inside &= g_box.contains(pairs.x + l * h)
     skipped_outside = int(np.sum(keep & ~inside))
     keep &= inside
     if not np.any(keep):
         raise EmptyScanError("all pairs were skipped (step too long or nodes outside g)")
-    x, y, h, d = pairs.x[keep], pairs.y[keep], h[keep], pairs.dist[keep]
-    hlen = hlen[keep]
-    node_values = [evaluate_batch(f, x + l * h) for l in range(order + 1)]
-    lhs = np.abs(_difference_values(node_values, order))
-    gsum = np.zeros(len(x))
-    for l in range(order + 1):
-        gsum += g.at(x + l * h)
-    rhs = hlen ** s * gsum
-    params = _scan_params("triebel", f, sampler, order, g.grid, slack, {
-        "s": float(s),
-        "skipped_long_step": skipped_long,
-        "skipped_outside": skipped_outside,
-        "attempts": pairs.attempts,
-    })
-    return build_report(params, x, y, lhs, rhs, slack)
+    x, y, h, hlen = pairs.x[keep], pairs.y[keep], h[keep], hlen[keep]
+    lhs = np.abs(_node_difference(lambda pts: evaluate_batch(f, pts), x, h, order))
+    rhs = hlen ** s * _node_sum(g, x, h, order)
+    return _scan_report("triebel", f, order, g.grid, sampler, slack, x, y, lhs, rhs,
+                        s=float(s), skipped_long_step=skipped_long,
+                        skipped_outside=skipped_outside, attempts=pairs.attempts)
 
 
 def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
-                       sampler: PairSampler, *, slack: float = 0.05,
-                       directions=None, delta_count: int = 4) -> InequalityReport:
+                       sampler: PairSampler, *, slack: float = 0.05) -> InequalityReport:
     """Pass from the two-endpoint bound to the all-node sum bound.
 
     Runs the main scan's geometry once, then re-checks the same pairs
@@ -673,36 +688,17 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     radii make the top field dominate every per-delta field, so zero
     violations here certify the node-discarding step numerically.
     """
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
-    deltas, boundary = _resolve_deltas(sampler, grid, None, delta_count)
-    ladder = _CoefficientLadder(f, grid, order, deltas, directions, boundary)
-    pairs = sampler.draw(ladder.margin_of)
-    idx = ladder.delta_index(pairs.dist)
-    lhs_main = np.abs(_remainder_batch(f, pairs.x, pairs.y, order))
-    ax = ladder.coefficient_at(idx, pairs.x)
-    ay = ladder.coefficient_at(idx, pairs.y)
-    rhs_main = pairs.dist ** order * (ax + ay)
-    main_ratio, _ = _ratios(lhs_main, rhs_main)
-
-    g = ladder.all_node()
+    configs = _rung_configs(sampler, grid, None)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
+    main_ratio, _ = _ratios(*_main_sides(f, ladder, pairs))
     h = (pairs.y - pairs.x) / order
-    hlen = np.linalg.norm(h, axis=1)
-    node_values = [evaluate_batch(f, pairs.x + l * h) for l in range(order + 1)]
-    lhs = np.abs(_difference_values(node_values, order))
-    gsum = np.zeros(len(pairs.x))
-    for l in range(order + 1):
-        gsum += g.at(pairs.x + l * h)
-    rhs = hlen ** order * gsum
-    params = _scan_params("node_discard", f, sampler, order, grid, slack, {
-        "deltas": [float(d) for d in ladder.deltas],
-        "boundary": boundary,
-        "g_scale": float(order) ** order,
-        "main_max_ratio": float(np.max(main_ratio)),
-        "main_violations": int(np.sum(main_ratio > 1.0 + slack)),
-        "attempts": pairs.attempts,
-    })
-    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
+    lhs = np.abs(_node_difference(lambda pts: evaluate_batch(f, pts), pairs.x, h, order))
+    rhs = np.linalg.norm(h, axis=1) ** order * _node_sum(ladder.all_node(), pairs.x, h, order)
+    return _scan_report("node_discard", f, order, grid, sampler, slack,
+                        pairs.x, pairs.y, lhs, rhs,
+                        g_scale=float(order) ** order,
+                        main_max_ratio=float(np.max(main_ratio)),
+                        main_violations=int(np.sum(main_ratio > 1.0 + slack)), **params)
 
 
 def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
@@ -718,33 +714,26 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     pairs = sampler.draw()
     lhs = np.abs(_remainder_batch(f, pairs.x, pairs.y, order))
     rhs = pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))
-    params = _scan_params("hatl", f, sampler, order, g.grid, slack, {
-        "s": float(s),
-        "attempts": pairs.attempts,
-    })
-    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
+    return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs.x, pairs.y,
+                        lhs, rhs, s=float(s), attempts=pairs.attempts)
 
 
-def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec,
-                    config=None, *, directions=None,
-                    delta: float | None = None) -> float:
+def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> float:
     """Upper bound ||f||_p + ||order^order * a||_p for the class quasinorm.
 
-    `a` is the maximal coefficient field at scale `delta` (default: a
-    quarter of the smallest box side, or the config's delta).
+    `a` is the maximal coefficient field at scale delta = a quarter of
+    the smallest box side.
     """
-    if config is None:
-        d = delta if delta is not None else min(grid.extent) / 4.0
-        config = MaximalConfig(delta=d, radii=default_radii(d, max(grid.spacing)))
-    a = mean_maximal_gradient(f, grid, config, order, directions)
+    delta = min(grid.extent) / 4.0
+    config = MaximalConfig(delta=delta, radii=default_radii(delta, max(grid.spacing)))
+    a = mean_maximal_gradient(f, grid, config, order)
     coeff = SampledField(grid, float(order) ** order * a.values)
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 
 
 def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
                    sampler: PairSampler, *, slack: float = 0.05,
-                   profile: str = "bump", directions=None,
-                   delta_count: int = 4) -> InequalityReport:
+                   profile: str = "bump") -> InequalityReport:
     """Main scan for the mollified field and mollified coefficients.
 
     The field and each ladder coefficient field are convolved with the
@@ -758,34 +747,19 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     phi = Mollifier(epsilon, grid.dim, profile=profile)
     cells = phi.margin_cells(grid.spacing)
     margin_len = max((c + 1) * sp for c, sp in zip(cells, grid.spacing))
-    deltas, boundary = _resolve_deltas(sampler, grid, None, delta_count)
-    if 2.0 * (margin_len + deltas[-1]) >= min(grid.extent):
+    configs = _rung_configs(sampler, grid, None)
+    if 2.0 * (margin_len + configs[-1].delta) >= min(grid.extent):
         raise EmptyScanError(
             "the interior eroded by the kernel support and the ladder delta is empty")
-    ladder = _CoefficientLadder(f, grid, order, deltas, directions, boundary)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
     f_eps = convolve(sample(f, grid), phi)
     fields_eps = [convolve(fld, phi) for fld in ladder.fields]
-
-    def margin_of(dist):
-        return ladder.margin_of(dist) + margin_len
-
-    pairs = sampler.draw(margin_of)
-    idx = ladder.delta_index(pairs.dist)
     h = (pairs.y - pairs.x) / order
-    node_values = [f_eps.at(pairs.x + l * h) for l in range(order + 1)]
-    lhs = np.abs(_difference_values(node_values, order))
-    ax = ladder.coefficient_at(idx, pairs.x, fields_eps)
-    ay = ladder.coefficient_at(idx, pairs.y, fields_eps)
-    rhs = pairs.dist ** order * (ax + ay)
-    params = _scan_params("mollified", f, sampler, order, grid, slack, {
-        "epsilon": float(epsilon),
-        "profile": profile,
-        "deltas": [float(d) for d in ladder.deltas],
-        "boundary": boundary,
-        "kernel_margin": float(margin_len),
-        "attempts": pairs.attempts,
-    })
-    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
+    lhs = np.abs(_node_difference(f_eps.at, pairs.x, h, order))
+    rhs = ladder.endpoint_rhs(pairs, fields_eps)
+    return _scan_report("mollified", f, order, grid, sampler, slack, pairs.x, pairs.y,
+                        lhs, rhs, epsilon=float(epsilon), profile=profile,
+                        kernel_margin=float(margin_len), **params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sobolev_pointwise import GridSpec, default_radii
 from sobolev_pointwise.cli import main
 
 
@@ -87,11 +88,28 @@ class TestVerify:
                      "--domain", "hole=-0.2,-0.2:0.2,0.2"])
         assert code == 0
 
-    def test_explicit_delta(self, capsys):
+    def test_explicit_delta(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
         code = main(["verify", "--scan", "main", "--m", "1", "--field", "sin:w=2",
                      "--grid", "-1:1:161", "--pairs", "80", "--seed", "3",
-                     "--delta", "0.5"])
+                     "--delta", "0.5", "--out", str(out)])
         assert code == 0
+        params = json.loads(out.read_text())["params"]
+        spacing = GridSpec.cube(-1.0, 1.0, 161, 1).spacing[0]
+        assert params["radii_master"] == list(default_radii(0.5, spacing))
+        assert params["deltas"] == [0.5]
+
+    def test_delta_with_node_discard_exits_two(self, capsys):
+        code = main(["verify", "--scan", "node-discard", "--m", "2", "--field", "sin:w=2",
+                     "--grid", "-1:1:161", "--pairs", "40", "--delta", "0.5"])
+        assert code == 2
+        assert "--delta" in capsys.readouterr().err
+
+    def test_boundary_without_delta_exits_two(self, capsys):
+        code = main(["verify", "--scan", "main", "--field", "sin:w=2",
+                     "--grid", "-1:1:161", "--pairs", "40", "--boundary", "clip"])
+        assert code == 2
+        assert "--boundary" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -30,7 +30,7 @@ from sobolev_pointwise import (
     segment_ratio_constant,
 )
 from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
-from sobolev_pointwise.verify import _resolve_deltas
+from sobolev_pointwise.verify import _rung_configs
 
 
 def _pad_cells(spacings, radius):
@@ -221,8 +221,7 @@ class TestBallAverages:
     def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 201, 2)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
-        deltas, _ = _resolve_deltas(sampler, grid, None, 4)
-        radii = ladder_configs(deltas, max(grid.spacing))[-1].radii
+        radii = _rung_configs(sampler, grid, None)[-1].radii
         assert len(radii) == 15
         balls = len({tuple(_ball_offsets(grid.spacing, r)) for r in radii})
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))

@@ -18,6 +18,7 @@ from sobolev_pointwise import (
     EmptyScanError,
     GaussianField,
     GridSpec,
+    MaximalConfig,
     PairSampler,
     PowerField,
     SampledField,
@@ -38,7 +39,7 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
-from sobolev_pointwise.verify import _CoefficientLadder, _resolve_deltas
+from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
 
 SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -152,9 +153,8 @@ class TestSamplerLaw:
         domain = Domain(outer, Box((-0.3,) * dim, (0.2,) * dim) if hole else None)
         min_sep, max_sep, count = 0.05, 0.4, 4000
         sampler = PairSampler(domain, count, 11, min_sep, max_sep)
-        deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
-        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, deltas, None,
-                                    boundary)
+        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1,
+                                    _rung_configs(sampler, grid, None))
         batch = sampler.draw(ladder.margin_of)
         ref_x, ref_y = _reference_pairs(domain, count, 12, min_sep, max_sep,
                                         ladder.margin_of)
@@ -287,10 +287,9 @@ class TestCoefficientLadder:
     def test_rungs_are_maxima_of_single_radius_averages(self, dim, points, order):
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
         sampler = PairSampler(_domain(grid), 10, 0, 0.05, 0.4)
-        deltas, boundary = _resolve_deltas(sampler, grid, None, 4)
-        ladder = _CoefficientLadder(SinusoidField((1.5,) * dim), grid, order, deltas,
-                                    None, boundary)
-        assert len(ladder.fields) == len(deltas) > 1
+        configs = _rung_configs(sampler, grid, None)
+        ladder = _CoefficientLadder(SinusoidField((1.5,) * dim), grid, order, configs)
+        assert len(ladder.fields) == len(configs) > 1
         scale = segment_ratio_constant(dim)
         prev = None
         for cfg, fld in zip(ladder.configs, ladder.fields):
@@ -326,6 +325,13 @@ class TestScans:
         report = main_inequality_scan(GaussianField(1.2), 2, grid_1d, sampler)
         assert report.passed
         assert report.params["order"] == 2
+
+    def test_maximal_config_is_used_as_given(self, grid_1d):
+        sampler = PairSampler(_domain(grid_1d), 100, 2, 0.05, 0.4)
+        report = main_inequality_scan(SinusoidField((2.0,)), 1, grid_1d, sampler,
+                                      MaximalConfig(delta=0.4, radii=(0.4,)))
+        assert report.params["radii_master"] == [0.4]
+        assert report.params["deltas"] == [0.4]
 
     def test_scan_is_deterministic(self, grid_1d):
         def run():
@@ -376,6 +382,30 @@ class TestScans:
         sampler = PairSampler(_domain(grid_1d), 50, 3, 0.05, 0.3)
         with pytest.raises(EmptyScanError):
             mollified_scan(SinusoidField((2.0,)), 1, 0.9, grid_1d, sampler)
+
+
+class TestClosedFormRatios:
+    """For f = x0^m every pair's ratio has a closed form in e0, the first
+    component of the unit pair direction: |f(y) - L(y)| = m! |h0|^m,
+    diff_h^m f = m! h0^m, and |grad^m f| = m! on the whole grid, so
+    a = C(n) m! and the ratios pin C(n), m^m and the all-node factor."""
+
+    CASES = [(dim, points, m) for dim, points in [(1, 201), (2, 81)] for m in (1, 2, 3)]
+
+    @pytest.mark.parametrize("dim, points, m", CASES)
+    @pytest.mark.parametrize("scan", [main_inequality_scan, node_discard_check],
+                             ids=["main", "node_discard"])
+    def test_ratios_match_closed_form(self, scan, dim, points, m):
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        sampler = PairSampler(_domain(grid), 300, 21, 0.05, 0.4)
+        report = scan(parse_field(f"poly:x0^{m}", dim=dim), m, grid, sampler)
+        # the main scan adds a at 2 endpoints, the node-discard check g at m + 1 nodes
+        nodes = 2 if scan is main_inequality_scan else m + 1
+        bound = 1.0 / (nodes * segment_ratio_constant(dim) * m ** m)
+        step = report.y - report.x
+        e0 = np.abs(step[:, 0]) / np.linalg.norm(step, axis=1)
+        err = np.abs(report.ratio - bound * e0 ** m)
+        assert np.max(err) <= 1e-10 * bound
 
 
 class TestQuasinorm:
