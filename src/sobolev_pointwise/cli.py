@@ -226,6 +226,11 @@ def _cmd_verify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     sampler = _sampler(cfg, grid)
     scan = str(cfg["scan"]).replace("-", "_")
+    if cfg["s"] is not None and scan != "hatl":
+        raise ConfigError("--s applies only to --scan hatl")
+    if scan == "lemma1" and int(cfg["m"]) != 1:
+        raise ConfigError("--scan lemma1 is the order-1 scan; use --scan main for --m "
+                          f"{cfg['m']}")
     order = 1 if scan == "lemma1" else int(cfg["m"])
     slack = float(cfg["slack"])
     config = None

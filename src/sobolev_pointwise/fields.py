@@ -4,7 +4,8 @@ A field is a smooth function R^n -> R from a small closed-form family
 (polynomials with rational coefficients, Gaussians, radial powers,
 separable sinusoids).  Every field can evaluate itself exactly at a point,
 restrict itself to a line s |-> f(x + s*h) and differentiate that
-restriction to high order, and rasterize itself onto a regular grid.
+restriction to high order, give every partial derivative of one order
+at a batch of points, and rasterize itself onto a regular grid.
 Polynomial fields do all scalar work in exact rational arithmetic
 (`fractions.Fraction`), so finite-difference identities built on top of
 them can be checked to machine precision.  Grid-scale work uses float64
@@ -13,6 +14,7 @@ vectorized paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -87,6 +89,37 @@ def _faa_quadratic(outer, w1, w2, k: int):
         term = _faa_coefficient(k, i) * outer[k - i] * w1 ** (k - 2 * i) * w2 ** i
         total = term if total is None else total + term
     return total
+
+
+def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
+    """Every order-th partial of F(|x|^2) at `pts`, shape (K, N).
+
+    outer[k] must hold F^(k)(|x|^2) for k up to `order`.  This is
+    `_faa_quadratic` in several variables:
+
+        d^beta f = sum_{j <= beta/2} F^(|beta|-|j|)(|x|^2)
+                   * prod_i beta_i! / (j_i! (beta_i-2j_i)!) * (2 x_i)^(beta_i-2j_i)
+    """
+    powers = []  # powers[i][p] = (2 x_i)^p for p >= 1
+    for col in 2.0 * pts.T:
+        row = [None, col]
+        for _ in range(2, order + 1):
+            row.append(row[-1] * col)
+        powers.append(row)
+    betas = _compositions(order, pts.shape[1])
+    out = np.empty((len(betas), len(pts)))
+    for k, beta in enumerate(betas):
+        total = 0.0
+        for j in itertools.product(*(range(b // 2 + 1) for b in beta)):
+            coeff = 1
+            term = outer[order - sum(j)]
+            for row, b, ji in zip(powers, beta, j):
+                coeff *= math.factorial(b) // (math.factorial(ji) * math.factorial(b - 2 * ji))
+                if b > 2 * ji:
+                    term = term * row[b - 2 * ji]
+            total = total + coeff * term
+        out[k] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +240,7 @@ class AnalyticField:
     """Base class for the closed-form field family.
 
     Subclasses provide `dim`, exact point evaluation, vectorized batch
-    evaluation, line restrictions, and vectorized directional derivatives.
+    evaluation, line restrictions, and vectorized partial derivatives.
     """
 
     dim: int
@@ -222,7 +255,12 @@ class AnalyticField:
     def line_restriction(self, x, h):
         raise NotImplementedError
 
-    def directional_batch(self, pts: np.ndarray, e: np.ndarray, order: int) -> np.ndarray:
+    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
+        """Every order-th partial derivative at points of shape (N, dim).
+
+        Returns shape (K, N), K = C(order+dim-1, dim-1), one row per
+        multi-index in `_compositions(order, dim)` order.
+        """
         raise NotImplementedError
 
     def contains(self, x) -> bool:
@@ -339,18 +377,10 @@ class PolynomialField(AnalyticField):
     def partial(self, beta: tuple[int, ...]) -> "PolynomialField":
         return _poly_partial(self, tuple(int(b) for b in beta))
 
-    def directional_batch(self, pts: np.ndarray, e: np.ndarray, order: int) -> np.ndarray:
+    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for beta in _compositions(order, self.dim):
-            weight = math.factorial(order)
-            for b in beta:
-                weight //= math.factorial(b)
-            scale = weight * float(np.prod(np.asarray(e, dtype=float) ** np.asarray(beta)))
-            if scale == 0.0:
-                continue
-            out += scale * self.partial(beta).value_batch(pts)
-        return out
+        return np.stack([self.partial(beta).value_batch(pts)
+                         for beta in _compositions(order, self.dim)])
 
     def __repr__(self):
         return f"PolynomialField({format_poly(self)!r}, dim={self.dim})"
@@ -425,13 +455,10 @@ class GaussianField(AnalyticField):
         return _GaussianLine(self.a, float(np.dot(pt, pt)), float(np.dot(pt, hv)),
                              float(np.dot(hv, hv)))
 
-    def directional_batch(self, pts: np.ndarray, e: np.ndarray, order: int) -> np.ndarray:
+    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        e = np.asarray(e, dtype=float)
         g = self.value_batch(pts)
-        w1 = -2.0 * self.a * (pts @ e)
-        w2 = -2.0 * self.a * float(e @ e)
-        return _faa_quadratic([g] * (order + 1), w1, w2, order)
+        return _radial_partials(pts, order, [(-self.a) ** k * g for k in range(order + 1)])
 
     def __str__(self):
         return f"gauss:a={self.a:g}"
@@ -497,17 +524,14 @@ class PowerField(AnalyticField):
         r2_min = min(x2 + 2.0 * xh * s + h2 * s * s for s in candidates)
         return r2_min >= self.exclusion ** 2
 
-    def directional_batch(self, pts: np.ndarray, e: np.ndarray, order: int) -> np.ndarray:
+    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        e = np.asarray(e, dtype=float)
         r2 = np.sum(pts * pts, axis=-1)
         if np.any(r2 < self.exclusion ** 2):
             raise DomainError("points fall inside the excluded ball at the origin")
         beta = self.alpha / 2.0
-        outer = [_falling(beta, m) * r2 ** (beta - m) for m in range(order + 1)]
-        r1 = 2.0 * (pts @ e)
-        rdd = 2.0 * float(e @ e)
-        return _faa_quadratic(outer, r1, rdd, order)
+        return _radial_partials(pts, order, [_falling(beta, k) * r2 ** (beta - k)
+                                             for k in range(order + 1)])
 
     def __str__(self):
         return f"pow:alpha={self.alpha:g}"
@@ -537,11 +561,13 @@ class SinusoidField(AnalyticField):
         hv = _as_point(h, self.dim)
         return _SinusoidLine(self.omegas * pt, self.omegas * hv)
 
-    def directional_batch(self, pts: np.ndarray, e: np.ndarray, order: int) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        e = np.asarray(e, dtype=float)
-        line = _SinusoidLine((self.omegas * pts).T, self.omegas * e)
-        return line.deriv_array(order, np.zeros(pts.shape[:-1]))
+    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
+        # per-axis factors w^k sin(w x + k pi/2), as in `_SinusoidLine`
+        phases = self.omegas * np.asarray(pts, dtype=float)
+        tables = [[w ** k * np.sin(phases[:, i] + 0.5 * k * math.pi) for k in range(order + 1)]
+                  for i, w in enumerate(self.omegas)]
+        return np.stack([math.prod(t[b] for t, b in zip(tables, beta))
+                         for beta in _compositions(order, self.dim)])
 
     def __str__(self):
         w = ",".join(f"{v:g}" for v in self.omegas)
@@ -723,13 +749,134 @@ def default_directions(dim: int) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1,
-                             directions: np.ndarray | None = None) -> SampledField:
-    """Pointwise magnitude of the order-th derivative on a grid.
+# Grid nodes per block in `gradient_magnitude_field`.  The partials and
+# the eigenvalue temporaries of a block stay this size, so the stage's
+# peak memory is the node coordinates and the output, whatever the grid.
+_NODE_BLOCK = 8192
 
-    The magnitude is the maximum of |d^order/ds^order f(x + s e)| at s=0
-    over the finite unit-direction set `directions` (defaults to
-    `default_directions`).  Returns a nonnegative `SampledField`.
+
+def _direction_weights(order: int, dim: int) -> np.ndarray:
+    """Matrix (D, K) taking the order-th partials to the order-th
+    derivatives along `default_directions`: sum_beta (order!/beta!) e^beta d^beta f."""
+    dirs = default_directions(dim)
+    return np.stack([math.factorial(order) // math.prod(math.factorial(b) for b in beta)
+                     * np.prod(dirs ** np.asarray(beta), axis=1)
+                     for beta in _compositions(order, dim)], axis=1)
+
+
+def _sym2_norm(a, b, d):
+    """Spectral norm of [[a, d], [d, b]]: eigenvalues (a+b)/2 +- hypot((a-b)/2, d)."""
+    return 0.5 * np.abs(a + b) + np.hypot(0.5 * (a - b), d)
+
+
+def _sym3_simple_eigenvalue(a, b, c, d, e, f):
+    """The simple extreme eigenvalue of [[a, d, e], [d, b, f], [e, f, c]].
+
+    With q = tr(H)/3 and p = |H - qI|_F / sqrt(6), the extreme eigenvalue
+    on the side of det(H - qI) is at least sqrt(3) p from the other two,
+    and the trigonometric formula (Smith, CACM 1961) gives it accurately.
+    """
+    q = (a + b + c) / 3.0
+    a0, b0, c0 = a - q, b - q, c - q
+    p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    # below 1e-100 H is q I to that accuracy; leaving B unscaled avoids overflow
+    inv = 1.0 / np.where(p > 1e-100, p, 1.0)
+    a0, b0, c0, d, e, f = (v * inv for v in (a0, b0, c0, d, e, f))
+    half_det = 0.5 * (a0 * (b0 * c0 - f * f) - d * (d * c0 - f * e) + e * (d * f - b0 * e))
+    r = np.clip(half_det, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    return q + 2.0 * p * np.cos(np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
+
+
+def _null_vector(rows):
+    """Unit vector orthogonal to three rows of rank 2: their longest
+    pairwise cross product, normalized; (0, 0, 1) where all rows vanish."""
+    cand = np.empty((3, 3) + rows[0][0].shape)
+    for k, (s, t) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for i in range(3):
+            j, l = (i + 1) % 3, (i + 2) % 3
+            np.subtract(rows[s][j] * rows[t][l], rows[s][l] * rows[t][j], out=cand[k, i])
+    len2 = np.einsum("pkn,pkn->pn", cand, cand)
+    pick = np.argmax(len2, axis=0)
+    x, y, z = np.take_along_axis(cand, pick[None, None, :], axis=0)[0]
+    length = np.sqrt(np.take_along_axis(len2, pick[None, :], axis=0)[0])
+    zero = length == 0.0
+    length[zero] = 1.0
+    return x / length, y / length, np.where(zero, 1.0, z / length)
+
+
+def _sym3_norm(a, b, c, d, e, f):
+    """Spectral norm of [[a, d, e], [d, b, f], [e, f, c]], entries at most 1 in size.
+
+    The simple extreme eigenvalue comes in closed form; the other two are
+    the eigenvalues of H on the plane orthogonal to its eigenvector (Kopp,
+    Int. J. Mod. Phys. C 2008).  The closed form alone loses half the
+    digits at a double eigenvalue, which a radial field has at every node.
+    """
+    lam = _sym3_simple_eigenvalue(a, b, c, d, e, f)
+    x, y, z = _null_vector(((a - lam, d, e), (d, b - lam, f), (e, f, c - lam)))
+    # branch-free orthonormal basis u, w of the plane (Duff et al., JCGT 2017)
+    sign = np.copysign(1.0, z)
+    k = -1.0 / (sign + z)
+    t = x * y * k
+    u = (1.0 + sign * x * x * k, sign * t, -sign * x)
+    w = (t, sign + y * y * k, -y)
+    hu = (a * u[0] + d * u[1] + e * u[2], d * u[0] + b * u[1] + f * u[2],
+          e * u[0] + f * u[1] + c * u[2])
+    uhu = u[0] * hu[0] + u[1] * hu[1] + u[2] * hu[2]
+    whu = w[0] * hu[0] + w[1] * hu[1] + w[2] * hu[2]
+    whw = (a * w[0] * w[0] + b * w[1] * w[1] + c * w[2] * w[2]
+           + 2.0 * (d * w[0] * w[1] + e * w[0] * w[2] + f * w[1] * w[2]))
+    return np.maximum(np.abs(lam), _sym2_norm(uhu, whw, whu))
+
+
+def _hessian_norm(parts: np.ndarray, dim: int) -> np.ndarray:
+    """Spectral norm of each node's Hessian from its second partials, shape
+    (K, N) in `_compositions(2, dim)` order; dim >= 2."""
+    h = {}
+    for row, beta in zip(parts, _compositions(2, dim)):
+        i, j = [axis for axis, b in enumerate(beta) for _ in range(b)]
+        h[i, j] = h[j, i] = row
+    if dim == 2:
+        return _sym2_norm(h[0, 0], h[1, 1], h[0, 1])
+    if dim == 3:
+        return _sym3_norm(h[0, 0], h[1, 1], h[2, 2], h[0, 1], h[0, 2], h[1, 2])
+    mats = np.stack([np.stack([h[i, j] for j in range(dim)], axis=-1)
+                     for i in range(dim)], axis=-2)
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+
+
+def _derivative_magnitude(parts: np.ndarray, order: int, dim: int) -> np.ndarray:
+    """|grad^order f| at each node from the order-th partials, shape (K, N)."""
+    if len(parts) == 1:
+        return np.abs(parts[0])
+    # scale each node's partials to at most 1 in size, so no square or
+    # product underflows or overflows
+    scale = np.max(np.abs(parts), axis=0)
+    parts = parts / np.where(scale > 0.0, scale, 1.0)
+    if order == 1:
+        norm = np.sqrt(np.einsum("kn,kn->n", parts, parts))
+    elif order == 2:
+        norm = _hessian_norm(parts, dim)
+    else:
+        # einsum, not a BLAS product: with K this small, threaded dgemm
+        # took ten times longer on a 2-CPU host
+        norm = np.max(np.abs(np.einsum("dk,kn->dn", _direction_weights(order, dim), parts)),
+                      axis=0)
+    return scale * norm
+
+
+def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1) -> SampledField:
+    """Pointwise magnitude |grad^order f| on a grid, a nonnegative `SampledField`.
+
+    The magnitude is the largest order-th directional derivative over
+    unit directions e, |sum_beta (order!/beta!) e^beta d^beta f|, computed
+    from every order-th partial (`partials_batch`) in fixed blocks of
+    nodes.  For order <= 2 it is exact up to roundoff: the Euclidean norm
+    of the gradient, and the spectral norm of the Hessian (closed form up
+    to 3 dimensions, `np.linalg.eigvalsh` beyond).  For order >= 3 in 2
+    or more dimensions it is the maximum over `default_directions`, which
+    can fall below the supremum.
     """
     order = f._check_order(order)
     if order < 1:
@@ -738,21 +885,12 @@ def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1,
         raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
     if not f.contains_box(grid.lo, grid.hi):
         raise DomainError(f"grid box {grid.lo}..{grid.hi} is not inside the domain of {f}")
-    if directions is None:
-        directions = default_directions(grid.dim)
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.size == 0:
-        raise ConfigError("direction set must be nonempty")
-    if directions.shape[1] != grid.dim:
-        raise ConfigError("directions must match the grid dimension")
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ConfigError("directions must be unit vectors")
     flat = grid.flat_points
-    best = np.zeros(len(flat))
-    for e in directions:
-        np.maximum(best, np.abs(f.directional_batch(flat, e, order)), out=best)
-    return SampledField(grid, best.reshape(grid.points))
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        out[block] = _derivative_magnitude(f.partials_batch(flat[block], order), order, grid.dim)
+    return SampledField(grid, out.reshape(grid.points))
 
 
 # ---------------------------------------------------------------------------

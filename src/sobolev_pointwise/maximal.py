@@ -302,8 +302,9 @@ def mean_maximal_gradient(f: AnalyticField, grid: GridSpec, config: MaximalConfi
                           order: int = 1) -> SampledField:
     """Coefficient field C(n) * M^delta(|grad^order f|) on the grid.
 
-    |grad^order f| is the directional magnitude from
-    `gradient_magnitude_field`; C(n) is `segment_ratio_constant`.
+    |grad^order f| comes from `gradient_magnitude_field`: exact for
+    order <= 2 (gradient norm, Hessian spectral norm), a maximum over
+    `default_directions` for order >= 3.  C(n) is `segment_ratio_constant`.
     """
     g = gradient_magnitude_field(f, grid, order)
     m_field = local_maximal_function(g, config)

@@ -111,6 +111,18 @@ class TestVerify:
         assert code == 2
         assert "--boundary" in capsys.readouterr().err
 
+    def test_smoothness_outside_hatl_exits_two(self, capsys):
+        code = main(["verify", "--scan", "main", "--m", "2", "--s", "0.5",
+                     "--field", "sin:w=2", "--grid", "-1:1:161", "--pairs", "40"])
+        assert code == 2
+        assert "--s" in capsys.readouterr().err
+
+    def test_lemma1_with_higher_order_exits_two(self, capsys):
+        code = main(["verify", "--scan", "lemma1", "--m", "3", "--field", "sin:w=2",
+                     "--grid", "-1:1:161", "--pairs", "40"])
+        assert code == 2
+        assert "lemma1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Field construction, line restrictions, sampling, and the parser."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,12 @@ from sobolev_pointwise import (
     random_polynomial,
     sample,
     scan_corpus,
+)
+from sobolev_pointwise.fields import (
+    _compositions,
+    _derivative_magnitude,
+    _GaussianLine,
+    _SinusoidLine,
 )
 
 # Frozen from a 50-digit series evaluation of the corresponding line
@@ -190,6 +198,154 @@ class TestDirectionsAndGradient:
         f = parse_field("poly:3*x0^2")
         g = gradient_magnitude_field(f, grid_1d, order=2)
         np.testing.assert_allclose(g.values, 6.0, rtol=1e-13, atol=0)
+
+
+def _weight(beta) -> float:
+    """order! / beta!, the multinomial weight of d^beta in a directional derivative."""
+    return math.factorial(sum(beta)) / math.prod(math.factorial(b) for b in beta)
+
+
+def _hessian_partials(mats: np.ndarray) -> np.ndarray:
+    """Second partials (K, N) of symmetric matrices (N, n, n), in
+    `_compositions(2, n)` order."""
+    rows = []
+    for beta in _compositions(2, mats.shape[-1]):
+        i, j = [axis for axis, b in enumerate(beta) for _ in range(b)]
+        rows.append(mats[:, i, j])
+    return np.stack(rows)
+
+
+def _half_quadratic_form(a) -> PolynomialField:
+    """x^T A x / 2, whose Hessian is A at every point."""
+    n = len(a)
+    coeffs = {}
+    for i in range(n):
+        for j in range(n):
+            exps = tuple((k == i) + (k == j) for k in range(n))
+            coeffs[exps] = coeffs.get(exps, 0) + Fraction(a[i][j]) / 2
+    return PolynomialField(coeffs, dim=n)
+
+
+def _direction_max(f, pts: np.ndarray, order: int) -> np.ndarray:
+    """Largest |d^order/ds^order f(x + s e)| at s = 0 over `default_directions`,
+    one direction at a time: the magnitude as it was computed before the
+    partials (line restrictions for Gaussians and sinusoids, weighted
+    partials for polynomials)."""
+    best = np.zeros(len(pts))
+    zeros = np.zeros(len(pts))
+    for e in default_directions(f.dim):
+        if isinstance(f, PolynomialField):
+            vals = sum(_weight(beta) * math.prod(e ** np.asarray(beta))
+                       * f.partial(beta).value_batch(pts)
+                       for beta in _compositions(order, f.dim))
+        elif isinstance(f, GaussianField):
+            line = _GaussianLine(f.a, np.sum(pts * pts, axis=1), pts @ e, float(e @ e))
+            vals = line.deriv_array(order, zeros)
+        else:
+            vals = _SinusoidLine((f.omegas * pts).T, f.omegas * e).deriv_array(order, zeros)
+        np.maximum(best, np.abs(vals), out=best)
+    return best
+
+
+class TestPartialsAndMagnitude:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_partials_give_directional_derivatives(self, dim, order):
+        rng = np.random.default_rng(10 * dim + order)
+        corpus = [random_polynomial(rng, dim, max_degree=6), GaussianField(0.7, dim),
+                  PowerField(1.5, dim), SinusoidField(rng.uniform(0.5, 3.0, dim))]
+        # inside the unit box but outside the power field's excluded ball
+        pts = rng.uniform(0.2, 0.9, size=(6, dim))
+        betas = _compositions(order, dim)
+        for f in corpus:
+            parts = f.partials_batch(pts, order)
+            assert parts.shape == (len(betas), len(pts))
+            for x, col in zip(pts, parts.T):
+                e = rng.standard_normal(dim)
+                terms = [_weight(beta) * math.prod(e ** np.asarray(beta)) * p
+                         for beta, p in zip(betas, col)]
+                ref = directional_derivative(f, x, e, order)
+                assert abs(sum(terms) - ref) <= 1e-12 * sum(abs(t) for t in terms), (f, x, e)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_hessian_spectral_norm_matches_eigvalsh(self, dim):
+        rng = np.random.default_rng(dim)
+        raw = rng.standard_normal((2000, dim, dim))
+        v = rng.standard_normal((300, dim))
+        eye = np.eye(dim)
+        mats = np.concatenate([
+            raw + raw.transpose(0, 2, 1),
+            # isotropic plus rank one: a double (or higher) eigenvalue
+            rng.standard_normal(300)[:, None, None] * eye
+            + rng.standard_normal(300)[:, None, None] * v[:, :, None] * v[:, None, :],
+            [2.5 * eye, np.zeros((dim, dim)), np.diag([(-1.0) ** k for k in range(dim)])],
+        ])
+        ref = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+        got = _derivative_magnitude(_hessian_partials(mats), 2, dim)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        # partials far below 1 are scaled, not squared into underflow
+        tiny = _derivative_magnitude(_hessian_partials(1e-250 * mats), 2, dim)
+        np.testing.assert_allclose(tiny, 1e-250 * ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("a", [
+        [[3, Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 3)]],
+        [[2, Fraction(1, 3), Fraction(-1, 2)], [Fraction(1, 3), -1, Fraction(3, 4)],
+         [Fraction(-1, 2), Fraction(3, 4), Fraction(5, 2)]],
+    ])
+    def test_quadratic_form_magnitude_is_top_eigenvalue(self, a):
+        f = _half_quadratic_form(a)
+        grid = GridSpec.cube(-1.0, 1.0, 9, f.dim)
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(np.array(a, dtype=float)))))
+        g = gradient_magnitude_field(f, grid, order=2)
+        np.testing.assert_allclose(g.values, exact, rtol=1e-13, atol=0)
+        # the top eigenvector is none of the probe directions
+        probe = max(abs(directional_derivative(f, grid.lo, e, 2))
+                    for e in default_directions(f.dim))
+        assert probe < (1 - 1e-6) * exact
+
+    @pytest.mark.parametrize("dim, points", [(2, 41), (3, 21)])
+    def test_gaussian_magnitudes_match_closed_form(self, dim, points):
+        a = 1.3
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        r2 = np.sum(grid.flat_points ** 2, axis=1).reshape(grid.points)
+        g = np.exp(-a * r2)
+        f = GaussianField(a, dim)
+        np.testing.assert_allclose(gradient_magnitude_field(f, grid, 1).values,
+                                   2 * a * np.sqrt(r2) * g, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gradient_magnitude_field(f, grid, 2).values,
+                                   g * np.maximum(2 * a, np.abs(4 * a * a * r2 - 2 * a)),
+                                   rtol=1e-13, atol=0)
+
+    def test_sinusoid_gradient_matches_closed_form(self):
+        f = SinusoidField((2.0, 1.0, 1.0))
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        x = grid.flat_points
+        s, c = np.sin(f.omegas * x), np.cos(f.omegas * x)
+        others = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
+        ref = np.linalg.norm(f.omegas * c * others, axis=1).reshape(grid.points)
+        np.testing.assert_allclose(gradient_magnitude_field(f, grid, 1).values, ref,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("dim, points", [(2, 201), (3, 41)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_magnitude_dominates_direction_max(self, dim, points, order):
+        # ball averages are monotone in the field, so right sides and max
+        # ratios cannot rise against the direction-max coefficient
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        for f in scan_corpus(dim):
+            new = gradient_magnitude_field(f, grid, order).values.ravel()
+            old = _direction_max(f, grid.flat_points, order)
+            assert np.all(new >= (1 - 1e-12) * old), f
+
+    def test_magnitude_memory_is_blocked(self):
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)  # fresh: node coordinates built inside
+        tracemalloc.start()
+        try:
+            gradient_magnitude_field(SinusoidField((2.0, 1.0, 1.0)), grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 41 ** 3 * 8
 
 
 class TestParser:
