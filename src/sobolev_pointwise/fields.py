@@ -1,15 +1,19 @@
-"""Analytic scalar fields with exact directional derivatives along lines.
+"""Analytic scalar fields with closed-form derivatives along lines.
 
 A field is a smooth function R^n -> R from a small closed-form family
 (polynomials with rational coefficients, Gaussians, radial powers,
 separable sinusoids).  Every field can evaluate itself exactly at a point,
-restrict itself to a line s |-> f(x + s*h) and differentiate that
-restriction to high order, give every partial derivative of one order
-at a batch of points, and rasterize itself onto a regular grid.
-Polynomial fields do all scalar work in exact rational arithmetic
-(`fractions.Fraction`), so finite-difference identities built on top of
-them can be checked to machine precision.  Grid-scale work uses float64
-vectorized paths.
+give every partial derivative of one order at a batch of points
+(`partials_batch`), restrict itself to a line s |-> f(x + s*h) and
+differentiate that restriction to high order, and rasterize itself onto
+a regular grid.  Polynomial fields do all scalar work in exact rational
+arithmetic (`fractions.Fraction`), so finite-difference identities built
+on top of them can be checked to machine precision.  The other kinds
+take their line derivatives from their partials by the chain rule,
+d^k/ds^k f(x + s h) = sum_beta (k!/beta!) h^beta d^beta f, so each kind
+has one derivative path; through order 8 they agreed with a 40-digit
+reference to within 4e-13 of the summed absolute terms.  Grid-scale
+work uses float64 vectorized paths.
 """
 
 from __future__ import annotations
@@ -65,40 +69,19 @@ def _falling(a, k: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _faa_coefficient(k: int, i: int) -> int:
-    """Multiplicity of F^(k-i)(w) * (w')^(k-2i) * (w'')^i in d^k/ds^k F(w(s))."""
-    return math.factorial(k) // (math.factorial(i) * 2 ** i * math.factorial(k - 2 * i))
-
-
-def _faa_quadratic(outer, w1, w2, k: int):
-    """k-th derivative of F(w(s)) when w is quadratic in s.
-
-    Parameters
-    ----------
-    outer : sequence
-        outer[m] must hold F^(m)(w(s)) for m up to k.  Entries may be
-        scalars or arrays.
-    w1, w2 :
-        First and second derivative of w at s (w''' and beyond vanish).
-    k : int
-        Derivative order, k >= 0.
-    """
-    total = None
-    for i in range(k // 2 + 1):
-        term = _faa_coefficient(k, i) * outer[k - i] * w1 ** (k - 2 * i) * w2 ** i
-        total = term if total is None else total + term
-    return total
-
-
 def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
     """Every order-th partial of F(|x|^2) at `pts`, shape (K, N).
 
-    outer[k] must hold F^(k)(|x|^2) for k up to `order`.  This is
-    `_faa_quadratic` in several variables:
+    outer[k] must hold F^(k)(|x|^2) for k up to `order`.  This is the
+    several-variable Faa di Bruno formula (Constantine and Savits, Trans.
+    AMS 348, 1996) for an outer function of the quadratic |x|^2:
 
         d^beta f = sum_{j <= beta/2} F^(|beta|-|j|)(|x|^2)
                    * prod_i beta_i! / (j_i! (beta_i-2j_i)!) * (2 x_i)^(beta_i-2j_i)
+
+    Cancellation grows with the order: for |x|^1.5 on [0.2, 0.9]^n the
+    line derivatives from these partials erred by up to 5e-10 (order 16)
+    and 5e-7 (order 24) of their summed absolute terms.
     """
     powers = []  # powers[i][p] = (2 x_i)^p for p >= 1
     for col in 2.0 * pts.T:
@@ -152,84 +135,42 @@ class _RationalLine:
         return out
 
 
-class _GaussianLine:
-    """Restriction of exp(-a |x|^2) to a line."""
-
-    def __init__(self, a: float, x2: float, xh: float, h2: float):
-        self.a = a
-        self.x2 = x2
-        self.xh = xh
-        self.h2 = h2
-
-    def _parts(self, ts):
-        w = -self.a * (self.x2 + 2.0 * self.xh * ts + self.h2 * ts * ts)
-        w1 = -2.0 * self.a * (self.xh + self.h2 * ts)
-        w2 = -2.0 * self.a * self.h2
-        return w, w1, w2
-
-    def deriv(self, order: int, t: float) -> float:
-        w, w1, w2 = self._parts(t)
-        g = math.exp(w)
-        return float(_faa_quadratic([g] * (order + 1), w1, w2, order))
-
-    def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
-        w, w1, w2 = self._parts(np.asarray(ts, dtype=float))
-        g = np.exp(w)
-        return _faa_quadratic([g] * (order + 1), w1, w2, order)
+# Points per block in `_PartialsLine` and `gradient_magnitude_field`.  The
+# partials and the eigenvalue temporaries of a block stay this size, so
+# peak memory is the points and the output, however many there are.
+_NODE_BLOCK = 8192
 
 
-class _PowerLine:
-    """Restriction of |x|^alpha to a line (radius squared is quadratic in s)."""
+def _line_weights(order: int, dirs: np.ndarray) -> np.ndarray:
+    """Matrix (D, K) taking the order-th partials to the order-th derivatives
+    along the rows of `dirs` (D, dim): sum_beta (order!/beta!) h^beta d^beta f."""
+    return np.stack([math.factorial(order) // math.prod(math.factorial(b) for b in beta)
+                     * np.prod(dirs ** np.asarray(beta), axis=1)
+                     for beta in _compositions(order, dirs.shape[1])], axis=1)
 
-    def __init__(self, beta: float, x2: float, xh: float, h2: float, r2_min: float):
-        self.beta = beta  # alpha / 2, exponent applied to |x|^2
-        self.x2 = x2
-        self.xh = xh
-        self.h2 = h2
-        self.r2_min = r2_min
 
-    def _radius2(self, ts):
-        return self.x2 + 2.0 * self.xh * ts + self.h2 * ts * ts
+class _PartialsLine:
+    """Restriction of a field to the line s |-> x + s h, differentiated
+    through the field's `partials_batch` and `_line_weights`."""
 
-    def _eval(self, ts, order: int):
-        r2 = self._radius2(ts)
-        r1 = 2.0 * (self.xh + self.h2 * ts)
-        rdd = 2.0 * self.h2
-        outer = [_falling(self.beta, m) * r2 ** (self.beta - m) for m in range(order + 1)]
-        return _faa_quadratic(outer, r1, rdd, order)
+    def __init__(self, field: "AnalyticField", x: np.ndarray, h: np.ndarray):
+        self.field = field
+        self.x = x
+        self.h = h
 
     def deriv(self, order: int, t: float) -> float:
-        if self._radius2(t) < self.r2_min:
-            raise DomainError("line point falls inside the excluded ball at the origin")
-        return float(self._eval(float(t), order))
-
-    def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
-        return self._eval(np.asarray(ts, dtype=float), order)
-
-
-class _SinusoidLine:
-    """Restriction of prod_i sin(w_i x_i) to a line."""
-
-    def __init__(self, phases: np.ndarray, rates: np.ndarray):
-        self.phases = phases  # w_i * x_i
-        self.rates = rates    # w_i * h_i
-
-    def _factor_derivs(self, i: int, order: int, ts):
-        theta = self.phases[i] + self.rates[i] * ts
-        return [self.rates[i] ** k * np.sin(theta + 0.5 * k * math.pi)
-                for k in range(order + 1)]
+        return float(self.deriv_array(order, np.array([float(t)]))[0])
 
     def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        derivs = self._factor_derivs(0, order, ts)
-        for i in range(1, len(self.phases)):
-            nxt = self._factor_derivs(i, order, ts)
-            derivs = [sum(math.comb(k, j) * derivs[j] * nxt[k - j] for j in range(k + 1))
-                      for k in range(order + 1)]
-        return derivs[order] + np.zeros_like(ts)
-
-    def deriv(self, order: int, t: float) -> float:
-        return float(self.deriv_array(order, np.asarray(float(t))))
+        weights = _line_weights(order, self.h[None, :])
+        out = np.empty(len(ts))
+        for start in range(0, len(ts), _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            parts = self.field.partials_batch(self.x + ts[block, None] * self.h, order)
+            # einsum, not a BLAS product (see `_derivative_magnitude`)
+            out[block] = np.einsum("dk,kn->dn", weights, parts)[0]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +181,9 @@ class AnalyticField:
     """Base class for the closed-form field family.
 
     Subclasses provide `dim`, exact point evaluation, vectorized batch
-    evaluation, line restrictions, and vectorized partial derivatives.
+    evaluation, and vectorized partial derivatives.  Line restrictions
+    take their derivatives from the partials (`_PartialsLine`); only
+    `PolynomialField` overrides them, with its exact rational line.
     """
 
     dim: int
@@ -253,7 +196,7 @@ class AnalyticField:
         raise NotImplementedError
 
     def line_restriction(self, x, h):
-        raise NotImplementedError
+        return _PartialsLine(self, self._check_point(x), _as_point(h, self.dim))
 
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         """Every order-th partial derivative at points of shape (N, dim).
@@ -449,12 +392,6 @@ class GaussianField(AnalyticField):
         pts = np.asarray(pts, dtype=float)
         return np.exp(-self.a * np.sum(pts * pts, axis=-1))
 
-    def line_restriction(self, x, h) -> _GaussianLine:
-        pt = _as_point(x, self.dim)
-        hv = _as_point(h, self.dim)
-        return _GaussianLine(self.a, float(np.dot(pt, pt)), float(np.dot(pt, hv)),
-                             float(np.dot(hv, hv)))
-
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         g = self.value_batch(pts)
@@ -500,12 +437,6 @@ class PowerField(AnalyticField):
         if np.any(r2 < self.exclusion ** 2):
             raise DomainError("points fall inside the excluded ball at the origin")
         return r2 ** (self.alpha / 2.0)
-
-    def line_restriction(self, x, h) -> _PowerLine:
-        pt = self._check_point(x)
-        hv = _as_point(h, self.dim)
-        return _PowerLine(self.alpha / 2.0, float(np.dot(pt, pt)), float(np.dot(pt, hv)),
-                          float(np.dot(hv, hv)), self.exclusion ** 2)
 
     def segment_in_domain(self, x, h, s0: float, s1: float) -> bool:
         """Whether x + s h stays outside the excluded ball for all s in [s0, s1].
@@ -556,13 +487,8 @@ class SinusoidField(AnalyticField):
         pts = np.asarray(pts, dtype=float)
         return np.prod(np.sin(self.omegas * pts), axis=-1)
 
-    def line_restriction(self, x, h) -> _SinusoidLine:
-        pt = _as_point(x, self.dim)
-        hv = _as_point(h, self.dim)
-        return _SinusoidLine(self.omegas * pt, self.omegas * hv)
-
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
-        # per-axis factors w^k sin(w x + k pi/2), as in `_SinusoidLine`
+        # per-axis factors w^k sin(w x + k pi/2)
         phases = self.omegas * np.asarray(pts, dtype=float)
         tables = [[w ** k * np.sin(phases[:, i] + 0.5 * k * math.pi) for k in range(order + 1)]
                   for i, w in enumerate(self.omegas)]
@@ -664,20 +590,19 @@ class SampledField:
                 raise ConfigError("valid_margin must have one entry per axis")
             if any(2 * m >= p for m, p in zip(self.valid_margin, self.grid.points)):
                 raise ConfigError("valid interior is empty after erosion")
-        self._interpolators = {}
 
     def interior_slices(self) -> tuple[slice, ...]:
         if self.valid_margin is None:
             return tuple(slice(None) for _ in self.grid.points)
         return tuple(slice(m, p - m) for m, p in zip(self.valid_margin, self.grid.points))
 
-    def at(self, pts, method: str = "linear") -> np.ndarray:
-        """Interpolated read-back at arbitrary points inside the grid box."""
-        if method not in self._interpolators:
-            self._interpolators[method] = RegularGridInterpolator(
-                self.grid.axes, self.values, method=method, bounds_error=True)
-        pts = np.asarray(pts, dtype=float)
-        return self._interpolators[method](pts)
+    @cached_property
+    def _interpolator(self) -> RegularGridInterpolator:
+        return RegularGridInterpolator(self.grid.axes, self.values, bounds_error=True)
+
+    def at(self, pts) -> np.ndarray:
+        """Linear interpolated read-back at arbitrary points inside the grid box."""
+        return self._interpolator(np.asarray(pts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -698,16 +623,16 @@ def evaluate_batch(f: AnalyticField, pts: np.ndarray) -> np.ndarray:
 def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -> float:
     """Order-th derivative of s |-> f(x + s h) at s = t.
 
-    Exact rational arithmetic for polynomial fields; closed-form float
-    evaluation otherwise.  Raises `DomainError` if x + t h leaves the
-    domain and `UnsupportedOrderError` for invalid orders.
+    Exact rational arithmetic for polynomial fields; for the other kinds
+    the order-th partials at x + t h weighted by h^beta order!/beta!.
+    Raises `DomainError` if x + t h leaves the domain and
+    `UnsupportedOrderError` for invalid orders.
     """
     order = f._check_order(order)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     f._check_point(x + t * h)
-    line = f.line_restriction(x, h)
-    return line.deriv(order, t)
+    return f.line_restriction(x, h).deriv(order, t)
 
 
 def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
@@ -747,21 +672,6 @@ def default_directions(dim: int) -> np.ndarray:
         raw.append((1,) * dim)
     arr = np.asarray(raw, dtype=float)
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
-
-
-# Grid nodes per block in `gradient_magnitude_field`.  The partials and
-# the eigenvalue temporaries of a block stay this size, so the stage's
-# peak memory is the node coordinates and the output, whatever the grid.
-_NODE_BLOCK = 8192
-
-
-def _direction_weights(order: int, dim: int) -> np.ndarray:
-    """Matrix (D, K) taking the order-th partials to the order-th
-    derivatives along `default_directions`: sum_beta (order!/beta!) e^beta d^beta f."""
-    dirs = default_directions(dim)
-    return np.stack([math.factorial(order) // math.prod(math.factorial(b) for b in beta)
-                     * np.prod(dirs ** np.asarray(beta), axis=1)
-                     for beta in _compositions(order, dim)], axis=1)
 
 
 def _sym2_norm(a, b, d):
@@ -861,8 +771,8 @@ def _derivative_magnitude(parts: np.ndarray, order: int, dim: int) -> np.ndarray
     else:
         # einsum, not a BLAS product: with K this small, threaded dgemm
         # took ten times longer on a 2-CPU host
-        norm = np.max(np.abs(np.einsum("dk,kn->dn", _direction_weights(order, dim), parts)),
-                      axis=0)
+        weights = _line_weights(order, default_directions(dim))
+        norm = np.max(np.abs(np.einsum("dk,kn->dn", weights, parts)), axis=0)
     return scale * norm
 
 

@@ -40,16 +40,14 @@ class Mollifier:
     """Nonnegative smoothing kernel of scale epsilon.
 
     Profiles: "bump" is the compactly supported exp(1 / (t^2 - 1)) bump
-    with support radius epsilon; "gauss" is a Gaussian of width
-    sigma * epsilon truncated at three widths.  The lattice taps are
-    normalized to unit mass, so convolution preserves constants away
-    from the boundary.
+    with support radius epsilon; "gauss" is a Gaussian of width epsilon
+    truncated at three widths.  The lattice taps are normalized to unit
+    mass, so convolution preserves constants away from the boundary.
     """
 
     epsilon: float
     dim: int
     profile: str = "bump"
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -58,14 +56,12 @@ class Mollifier:
             raise ConfigError("mollifier dimension must be at least 1")
         if self.profile not in ("bump", "gauss"):
             raise ConfigError(f"unknown mollifier profile {self.profile!r}")
-        if self.sigma <= 0:
-            raise ConfigError("gaussian width factor must be positive")
 
     @property
     def support_radius(self) -> float:
         if self.profile == "bump":
             return self.epsilon
-        return 3.0 * self.sigma * self.epsilon
+        return 3.0 * self.epsilon
 
     def _profile_values(self, r2: np.ndarray) -> np.ndarray:
         if self.profile == "bump":
@@ -74,9 +70,8 @@ class Mollifier:
             inside = t2 < 1.0
             out[inside] = np.exp(1.0 / (t2[inside] - 1.0))
             return out
-        width2 = (self.sigma * self.epsilon) ** 2
-        out = np.exp(-0.5 * r2 / width2)
-        out[r2 > (3.0 * self.sigma * self.epsilon) ** 2] = 0.0
+        out = np.exp(-0.5 * r2 / self.epsilon ** 2)
+        out[r2 > (3.0 * self.epsilon) ** 2] = 0.0
         return out
 
     def taps(self, spacing: tuple[float, ...]) -> np.ndarray:

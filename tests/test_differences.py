@@ -1,6 +1,7 @@
 """Forward differences, interpolation nodes, and the integral form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestIntegralForm:
         f = GaussianField(1.0)
         got = g_integral(f, (0.0,), (0.4,), 1)
         assert got == pytest.approx(f.value((0.4,)) - f.value((0.0,)), rel=1e-12)
+
+    @pytest.mark.parametrize("f", [GaussianField(1.0, 3), SinusoidField((2.0, 1.0, 1.0))],
+                             ids=str)
+    def test_tensor_rule_memory_is_blocked(self, f):
+        # 8^6 tensor nodes: the nodes, weights and line derivatives are
+        # three node arrays; a block's partials stay off that scale
+        nodes = 8 ** 6
+        x, h = (0.1, -0.2, 0.3), (0.05, 0.04, -0.03)
+        tracemalloc.start()
+        try:
+            got = g_integral(f, x, h, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(forward_difference(f, x, h, 6), rel=1e-8)
+        assert peak < 8 * nodes * 8
 
 
 class TestIrwinHall:

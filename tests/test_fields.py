@@ -22,18 +22,14 @@ from sobolev_pointwise import (
     directional_derivative,
     evaluate,
     evaluate_batch,
+    g_integral,
     gradient_magnitude_field,
     parse_field,
     random_polynomial,
     sample,
     scan_corpus,
 )
-from sobolev_pointwise.fields import (
-    _compositions,
-    _derivative_magnitude,
-    _GaussianLine,
-    _SinusoidLine,
-)
+from sobolev_pointwise.fields import _compositions, _derivative_magnitude
 
 # Frozen from a 50-digit series evaluation of the corresponding line
 # functions (fourth, third, and third derivative respectively).
@@ -132,6 +128,30 @@ class TestAnalyticLines:
         with pytest.raises(UnsupportedOrderError):
             directional_derivative(f, (0.0,), (1.0,), 25)
 
+    def test_power_line_rejects_points_in_the_excluded_ball(self):
+        f = PowerField(2.5, dim=2, exclusion=0.1)
+        # x + t h = (0.05, 0) lies inside the ball of radius 0.1
+        with pytest.raises(DomainError):
+            directional_derivative(f, (0.5, 0.0), (1.0, 0.0), 2, t=-0.45)
+        with pytest.raises(DomainError):
+            f.line_restriction((0.05, 0.0), (1.0, 0.0))
+        with pytest.raises(DomainError):
+            f.line_restriction((0.5, 0.0), (1.0, 0.0)).deriv(2, -0.45)
+
+    def test_power_integral_rejects_segments_across_the_ball(self):
+        f = PowerField(2.5, dim=2, exclusion=0.1)
+        # the segment from (-0.5, 0.01) to (0.5, 0.01) passes 0.01 from the origin
+        with pytest.raises(DomainError):
+            g_integral(f, (-0.5, 0.01), (0.5, 0.0), 2)
+
+    def test_power_grid_rejects_boxes_holding_the_origin(self):
+        f = PowerField(2.5, dim=2)
+        grid = GridSpec.cube(-1.0, 1.0, 21, 2)
+        with pytest.raises(DomainError):
+            sample(f, grid)
+        with pytest.raises(DomainError):
+            gradient_magnitude_field(f, grid, 1)
+
     def test_evaluate_batch_matches_scalar(self, rng):
         f = SinusoidField((2.0, 3.0))
         pts = rng.uniform(-1, 1, size=(40, 2))
@@ -228,29 +248,43 @@ def _half_quadratic_form(a) -> PolynomialField:
 
 def _direction_max(f, pts: np.ndarray, order: int) -> np.ndarray:
     """Largest |d^order/ds^order f(x + s e)| at s = 0 over `default_directions`,
-    one direction at a time: the magnitude as it was computed before the
-    partials (line restrictions for Gaussians and sinusoids, weighted
-    partials for polynomials)."""
+    one direction at a time from the weighted partials: the magnitude as it
+    was computed before the exact norms."""
+    parts = f.partials_batch(pts, order)
     best = np.zeros(len(pts))
-    zeros = np.zeros(len(pts))
     for e in default_directions(f.dim):
-        if isinstance(f, PolynomialField):
-            vals = sum(_weight(beta) * math.prod(e ** np.asarray(beta))
-                       * f.partial(beta).value_batch(pts)
-                       for beta in _compositions(order, f.dim))
-        elif isinstance(f, GaussianField):
-            line = _GaussianLine(f.a, np.sum(pts * pts, axis=1), pts @ e, float(e @ e))
-            vals = line.deriv_array(order, zeros)
-        else:
-            vals = _SinusoidLine((f.omegas * pts).T, f.omegas * e).deriv_array(order, zeros)
+        vals = sum(_weight(beta) * math.prod(e ** np.asarray(beta)) * p
+                   for beta, p in zip(_compositions(order, f.dim), parts))
         np.maximum(best, np.abs(vals), out=best)
     return best
 
 
+def _mp_line_derivative(f, x, h, order: int) -> float:
+    """d^order/ds^order f(x + s h) at s = 0, differentiating the closed form
+    of a Gaussian, power or sinusoid field with mpmath at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        xs = [mp.mpf(float(v)) for v in x]
+        hs = [mp.mpf(float(v)) for v in h]
+
+        def line(s):
+            pt = [a + s * b for a, b in zip(xs, hs)]
+            if isinstance(f, GaussianField):
+                return mp.exp(-mp.mpf(f.a) * mp.fsum(p * p for p in pt))
+            if isinstance(f, PowerField):
+                return mp.fsum(p * p for p in pt) ** (mp.mpf(f.alpha) / 2)
+            return mp.fprod(mp.sin(mp.mpf(float(w)) * p) for w, p in zip(f.omegas, pt))
+
+        return float(mp.diff(line, 0, order))
+
+
 class TestPartialsAndMagnitude:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", range(9))
     def test_partials_give_directional_derivatives(self, dim, order):
+        # polynomials against their exact rational line, the closed-form
+        # kinds against a 40-digit line derivative of the closed form
         rng = np.random.default_rng(10 * dim + order)
         corpus = [random_polynomial(rng, dim, max_degree=6), GaussianField(0.7, dim),
                   PowerField(1.5, dim), SinusoidField(rng.uniform(0.5, 3.0, dim))]
@@ -264,7 +298,10 @@ class TestPartialsAndMagnitude:
                 e = rng.standard_normal(dim)
                 terms = [_weight(beta) * math.prod(e ** np.asarray(beta)) * p
                          for beta, p in zip(betas, col)]
-                ref = directional_derivative(f, x, e, order)
+                if isinstance(f, PolynomialField):
+                    ref = directional_derivative(f, x, e, order)
+                else:
+                    ref = _mp_line_derivative(f, x, e, order)
                 assert abs(sum(terms) - ref) <= 1e-12 * sum(abs(t) for t in terms), (f, x, e)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])

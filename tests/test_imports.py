@@ -1,4 +1,5 @@
-"""Every name imported by the package modules and the demos is used."""
+"""Every name imported by the package modules and the demos is used, and
+every private module-level name of the package is referred to."""
 
 import ast
 import pathlib
@@ -33,3 +34,53 @@ def test_guard_sees_an_unused_import():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\n"
                      "print(np.pi, sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 3)"]
+
+
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+
+
+def _unreferenced_private(trees: list[ast.Module]) -> list[str]:
+    """Module-level private functions, classes and constants that no other
+    top-level statement of any of the modules refers to."""
+    defined = []  # (name, defining statement)
+    statements = []
+    for tree in trees:
+        for stmt in tree.body:
+            statements.append(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    refs = []  # names each statement refers to
+    for stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        refs.append(names)
+    return sorted(name for name, own in defined
+                  if not any(name in names for stmt, names in zip(statements, refs)
+                             if stmt is not own))
+
+
+def test_no_unreferenced_private_definitions():
+    trees = [ast.parse(p.read_text()) for p in SRC_MODULES]
+    assert _unreferenced_private(trees) == []
+
+
+def test_guard_sees_an_unreferenced_private_definition():
+    a = ast.parse("_LIMIT = 3\n_SPARE = 4\n\n\n"
+                  "def _used(n):\n    return _used(n - 1) + _LIMIT\n\n\n"
+                  "def _self_only(n):\n    return _self_only(n - 1)\n\n\n"
+                  "class _Helper:\n    pass\n")
+    b = ast.parse("from .a import _used\nfrom . import a\n\nVALUE = _used(2) + a._Helper.x\n")
+    assert _unreferenced_private([a, b]) == ["_SPARE", "_self_only"]
