@@ -286,9 +286,9 @@ def _cmd_geometry(cfg: dict) -> int:
 def _cmd_mollify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     order = int(cfg["m"])
-    epsilons = _parse_float_list(cfg["eps"], "eps") or list(default_epsilons(grid))
-    exponents = _parse_float_list(cfg["p"], "p") or [1.0, 2.0, math.inf]
     profile = str(cfg["profile"])
+    epsilons = _parse_float_list(cfg["eps"], "eps") or list(default_epsilons(grid, profile))
+    exponents = _parse_float_list(cfg["p"], "p") or [1.0, 2.0, math.inf]
     sampled = sample(field, grid)
     all_ok = True
     reports = {"young": [], "scans": []}

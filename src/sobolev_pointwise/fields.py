@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .exceptions import ConfigError, DomainError, UnsupportedOrderError
 
@@ -80,8 +79,9 @@ def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
                    * prod_i beta_i! / (j_i! (beta_i-2j_i)!) * (2 x_i)^(beta_i-2j_i)
 
     Cancellation grows with the order: for |x|^1.5 on [0.2, 0.9]^n the
-    line derivatives from these partials erred by up to 5e-10 (order 16)
-    and 5e-7 (order 24) of their summed absolute terms.
+    line derivatives from these partials erred by up to 4e-13 (order 8),
+    1e-12 (order 9), 5e-10 (order 16) and 5e-7 (order 24) of their summed
+    absolute terms, which is why `PowerField.max_order` is 8.
     """
     powers = []  # powers[i][p] = (2 x_i)^p for p >= 1
     for col in 2.0 * pts.T:
@@ -408,7 +408,11 @@ class PowerField(AnalyticField):
 
     The ball of radius `exclusion` around the origin is outside the
     domain, which keeps all derivative orders bounded on the remainder.
+    Orders stop at 8: beyond it the Faa di Bruno sum of `_radial_partials`
+    loses more than 1e-12 of its summed absolute terms to cancellation.
     """
+
+    max_order = 8
 
     def __init__(self, alpha: float, dim: int = 1, exclusion: float = 0.05):
         self.alpha = float(alpha)
@@ -596,13 +600,69 @@ class SampledField:
             return tuple(slice(None) for _ in self.grid.points)
         return tuple(slice(m, p - m) for m, p in zip(self.valid_margin, self.grid.points))
 
-    @cached_property
-    def _interpolator(self) -> RegularGridInterpolator:
-        return RegularGridInterpolator(self.grid.axes, self.values, bounds_error=True)
-
     def at(self, pts) -> np.ndarray:
-        """Linear interpolated read-back at arbitrary points inside the grid box."""
-        return self._interpolator(np.asarray(pts, dtype=float))
+        """Multilinear read-back at points (N, dim) inside the grid box.
+
+        The gather reproduces scipy's linear `RegularGridInterpolator`
+        (with bounds_error=True) bit for bit: the same cells and offsets,
+        and the corners summed in its order and association.  A point
+        outside the box raises `ValueError`.
+        """
+        return _gather(self.values, _grid_cells(self.grid, pts))
+
+
+def _grid_cells(grid: GridSpec, pts) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each point's cell per axis: the node index i with axis[i] <= p <
+    axis[i+1] (the last node in cell n-2), and the offset (p - axis[i]) /
+    (axis[i+1] - axis[i]), as scipy's binary search finds them.
+
+    The index comes from (p - lo) / spacing, corrected by one comparison
+    each way against the axis nodes.  A flat array is read as rows of
+    `grid.dim` coordinates.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, grid.dim)
+    if pts.ndim != 2 or pts.shape[1] != grid.dim:
+        raise ValueError(f"expected points of shape (N, {grid.dim}), got {pts.shape}")
+    cells, offsets = [], []
+    for k, (axis, lo, sp) in enumerate(zip(grid.axes, grid.lo, grid.spacing)):
+        p = pts[:, k]
+        if not np.all((axis[0] <= p) & (p <= axis[-1])):
+            raise ValueError(f"a point lies outside the grid box on axis {k}")
+        last = len(axis) - 2
+        i = np.minimum(((p - lo) / sp).astype(np.intp), last)
+        i -= axis[i] > p
+        i += (i < last) & (axis[i + 1] <= p)
+        below = axis[i]
+        cells.append(i)
+        offsets.append((p - below) / (axis[i + 1] - below))
+    return cells, offsets
+
+
+def _gather(values: np.ndarray, cells, rung: np.ndarray | None = None) -> np.ndarray:
+    """Multilinear interpolation from `_grid_cells` output.
+
+    `values` has the grid's shape, or (R, *grid) with `rung` giving each
+    point's leading index.  Corners go in lexicographic order, lower
+    corner first; in 2-D each weight multiplies into the value in turn,
+    (v * w0) * w1, and in every other dimension the weights multiply
+    first, v * (w0 * w1 * ...), as scipy's two code paths do.
+    """
+    index, upper = cells
+    dim = len(index)
+    lower = [1 - y for y in upper]
+    flat = values.ravel()
+    strides = [math.prod(values.shape[k + 1:]) for k in range(values.ndim)][-dim:]
+    base = sum(i * st for i, st in zip(index, strides))
+    if rung is not None:
+        base = base + rung * math.prod(values.shape[1:])
+    out = np.zeros(len(base))
+    for corner in itertools.product((0, 1), repeat=dim):
+        v = flat[base + sum(c * st for c, st in zip(corner, strides))]
+        w = [hi if c else lo for c, lo, hi in zip(corner, lower, upper)]
+        out += v * w[0] * w[1] if dim == 2 else v * math.prod(w)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma
 
 from .exceptions import ConfigError
 from .fields import AnalyticField, GridSpec, SampledField, gradient_magnitude_field
@@ -54,11 +52,29 @@ def ball_volume(dim: int, radius: float) -> float:
         raise ValueError("dimension must be nonnegative")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return math.pi ** (dim / 2.0) * radius ** dim / float(gamma(dim / 2.0 + 1.0))
+    return math.pi ** (dim / 2.0) * radius ** dim / _gamma_half_dim_plus_one(dim)
+
+
+def _gamma_half_dim_plus_one(dim: int) -> float:
+    """Gamma(dim/2 + 1): (dim/2)! for even dim, and for odd dim the
+    recurrence Gamma(x + 1) = x Gamma(x) up from Gamma(1/2) = sqrt(pi).
+
+    For dim <= 4 this is scipy.special.gamma bit for bit; math.gamma is
+    one ulp off it at dim 1 and 3, which moves C(1) = 2 and C(3) = 16/5.
+    """
+    if dim % 2 == 0:
+        return float(math.factorial(dim // 2))
+    out = math.sqrt(math.pi)
+    for k in range(1, dim + 1, 2):
+        out *= k / 2.0
+    return out
 
 
 def _cap_profile_volume(dim: int, radius: float, distance: float) -> float:
     """Lens volume by integrating (dim-1)-ball cross sections along the axis."""
+    # imported here, so that scans, which never integrate, do not load scipy
+    from scipy import integrate
+
     half = 0.5 * distance
 
     def profile(t: float) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .exceptions import ConfigError
 from .fields import GridSpec, SampledField
@@ -33,6 +32,8 @@ __all__ = [
 # A mollifier must be resolved by at least this many grid samples across
 # its support, or the discrete kernel misrepresents the profile.
 _MIN_SAMPLES_ACROSS = 8
+# Support half-width in whole cells that gives that many samples, 2c + 1.
+_MIN_CELLS = _MIN_SAMPLES_ACROSS // 2
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,20 @@ class Mollifier:
         return tuple((s - 1) // 2 for s in taps.shape)
 
 
+def _support_cells(mollifier: Mollifier, spacing: tuple[float, ...]) -> list[int]:
+    """Whole grid cells inside the support radius, per axis."""
+    return [int(math.floor(mollifier.support_radius / sp)) for sp in spacing]
+
+
 @lru_cache(maxsize=None)
 def _taps_cached(mollifier: Mollifier, spacing: tuple[float, ...]) -> np.ndarray:
     if len(spacing) != mollifier.dim:
         raise ConfigError("spacing length does not match the mollifier dimension")
-    support = mollifier.support_radius
-    cells = [int(math.floor(support / sp)) for sp in spacing]
-    for c in cells:
-        if 2 * c + 1 < _MIN_SAMPLES_ACROSS:
-            raise ConfigError(
-                f"mollifier support {support:g} spans fewer than {_MIN_SAMPLES_ACROSS} "
-                "grid samples; refine the grid or enlarge epsilon")
+    cells = _support_cells(mollifier, spacing)
+    if min(cells) < _MIN_CELLS:
+        raise ConfigError(
+            f"mollifier support {mollifier.support_radius:g} spans fewer than "
+            f"{_MIN_SAMPLES_ACROSS} grid samples; refine the grid or enlarge epsilon")
     axes = [np.arange(-c, c + 1) * sp for c, sp in zip(cells, spacing)]
     mesh = np.meshgrid(*axes, indexing="ij")
     r2 = sum(g * g for g in mesh)
@@ -123,6 +127,9 @@ def convolve(u: SampledField, mollifier: Mollifier) -> SampledField:
     taps = mollifier.taps(u.grid.spacing)
     if any(t > p for t, p in zip(taps.shape, u.grid.points)):
         raise ConfigError("mollifier support exceeds the grid box")
+    # imported here, so that scans, which never mollify, do not load scipy
+    from scipy import ndimage
+
     out = ndimage.convolve(u.values, taps, mode="constant", cval=0.0)
     cells = mollifier.margin_cells(u.grid.spacing)
     old = u.valid_margin or (0,) * u.grid.dim
@@ -182,7 +189,26 @@ def young_check(u: SampledField, mollifier: Mollifier, p: float,
     return YoungReport(p=p, lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1.0 + tolerance))
 
 
-def default_epsilons(grid: GridSpec) -> tuple[float, ...]:
-    """Mollification ladder {0.4, 0.2, 0.1} times a quarter of the box side."""
+def default_epsilons(grid: GridSpec, profile: str = "bump") -> tuple[float, ...]:
+    """Mollification ladder {0.4, 0.2, 0.1} times a quarter of the box side.
+
+    A scale the grid does not resolve (`Mollifier.taps` needs 4 whole
+    cells inside the support radius on every axis) is raised to the
+    smallest scale it resolves; repeats are dropped, so the ladder stays
+    strictly decreasing.
+    """
+    def resolved(eps: float) -> bool:
+        cells = _support_cells(Mollifier(eps, grid.dim, profile), grid.spacing)
+        return min(cells) >= _MIN_CELLS
+
+    smallest = _MIN_CELLS * max(grid.spacing) / Mollifier(1.0, grid.dim, profile).support_radius
+    while not resolved(smallest):
+        smallest = math.nextafter(smallest, math.inf)
     side = min(grid.extent)
-    return tuple(f * side / 4.0 for f in (0.4, 0.2, 0.1))
+    out: list[float] = []
+    for f in (0.4, 0.2, 0.1):
+        eps = f * side / 4.0
+        eps = eps if resolved(eps) else smallest
+        if not out or eps < out[-1]:
+            out.append(eps)
+    return tuple(out)

@@ -30,6 +30,8 @@ from .fields import (
     PolynomialField,
     PowerField,
     SampledField,
+    _gather,
+    _grid_cells,
     evaluate_batch,
     gradient_magnitude_field,
     random_polynomial,
@@ -438,7 +440,7 @@ def report_schema() -> dict:
 
 
 class _CoefficientLadder:
-    """Maximal coefficient fields on a delta ladder, with interpolators.
+    """Maximal coefficient fields on a delta ladder, with their read-back.
 
     Each rung's radii extend the previous rung's radii (as from
     `_rung_configs`), so the fields are monotone in delta; each pair
@@ -457,13 +459,16 @@ class _CoefficientLadder:
         self.gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(grid.dim)
         averages = ball_averages(self.gradient, configs[-1].radii)
-        self.fields: list[SampledField] = []
+        # the rung fields are views of one (R, *grid) stack, which
+        # `coefficient_at` gathers from with the rung as leading index
+        self.stack = np.empty((len(configs),) + grid.points)
         best, done = averages[0], 1
-        for cfg in configs:
+        for rung, cfg in zip(self.stack, configs):
             for avg in averages[done:len(cfg.radii)]:
                 best = np.maximum(best, avg)
             done = len(cfg.radii)
-            self.fields.append(SampledField(grid, scale * best))
+            np.multiply(scale, best, out=rung)
+        self.fields = [SampledField(grid, rung) for rung in self.stack]
 
     def all_node(self) -> SampledField:
         """The all-node coefficient order^order * a at the top delta."""
@@ -482,21 +487,17 @@ class _CoefficientLadder:
         return self.deltas[self.delta_index(dist)]
 
     def coefficient_at(self, idx: np.ndarray, pts: np.ndarray,
-                       fields: list[SampledField] | None = None) -> np.ndarray:
-        fields = self.fields if fields is None else fields
-        out = np.empty(len(pts))
-        for i, fld in enumerate(fields):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = fld.at(pts[mask])
-        return out
+                       stack: np.ndarray | None = None) -> np.ndarray:
+        """Rung idx[i]'s coefficient at pts[i], read back from `stack`
+        (R, *grid), the ladder's own by default, as `SampledField.at` would."""
+        stack = self.stack if stack is None else stack
+        return _gather(stack, _grid_cells(self.grid, pts), idx)
 
-    def endpoint_rhs(self, pairs: PairBatch,
-                     fields: list[SampledField] | None = None) -> np.ndarray:
+    def endpoint_rhs(self, pairs: PairBatch, stack: np.ndarray | None = None) -> np.ndarray:
         """Two-endpoint right side |x - y|^order * (a(x) + a(y)) at each pair's rung."""
         idx = self.delta_index(pairs.dist)
-        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x, fields)
-                                           + self.coefficient_at(idx, pairs.y, fields))
+        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x, stack)
+                                           + self.coefficient_at(idx, pairs.y, stack))
 
 
 def _rung_configs(sampler: PairSampler, grid: GridSpec,
@@ -755,10 +756,10 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
             "the interior eroded by the kernel support and the ladder delta is empty")
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
     f_eps = convolve(sample(f, grid), phi)
-    fields_eps = [convolve(fld, phi) for fld in ladder.fields]
+    stack_eps = np.stack([convolve(fld, phi).values for fld in ladder.fields])
     h = (pairs.y - pairs.x) / order
     lhs = np.abs(_node_difference(f_eps.at, pairs.x, h, order))
-    rhs = ladder.endpoint_rhs(pairs, fields_eps)
+    rhs = ladder.endpoint_rhs(pairs, stack_eps)
     return _scan_report("mollified", f, order, grid, sampler, slack, pairs.x, pairs.y,
                         lhs, rhs, epsilon=float(epsilon), profile=profile,
                         kernel_margin=float(margin_len), **params)

@@ -171,6 +171,16 @@ class TestMollify:
         assert out.count("[mollified") == 2
         assert "mollify: PASS" in out
 
+    def test_default_scales_on_a_coarse_2d_grid(self, capsys):
+        # the box-side defaults 0.1 and 0.05 span fewer than 8 samples of
+        # a 61-point axis; they are raised to the smallest resolved scale
+        code = main(["mollify", "--field", "gauss:a=1", "--grid", "-1:1:61", "--dim", "2",
+                     "--m", "1", "--pairs", "200", "--seed", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("[mollified") == 2
+        assert "mollify: PASS" in out
+
 
 class TestTriebel:
     def test_auto_coefficient_passes(self, capsys):

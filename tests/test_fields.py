@@ -30,6 +30,7 @@ from sobolev_pointwise import (
     scan_corpus,
 )
 from sobolev_pointwise.fields import _compositions, _derivative_magnitude
+from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadder, _rung_configs
 
 # Frozen from a 50-digit series evaluation of the corresponding line
 # functions (fourth, third, and third derivative respectively).
@@ -128,6 +129,14 @@ class TestAnalyticLines:
         with pytest.raises(UnsupportedOrderError):
             directional_derivative(f, (0.0,), (1.0,), 25)
 
+    def test_power_order_cap_is_where_cancellation_stays_below_1e_12(self):
+        # order 8 is the highest order test_partials_give_directional_derivatives
+        # holds the radial power to its 1e-12 bound; order 9 is refused
+        f = PowerField(1.5, dim=2)
+        assert math.isfinite(directional_derivative(f, (0.5, 0.4), (1.0, 0.3), 8))
+        with pytest.raises(UnsupportedOrderError):
+            directional_derivative(f, (0.5, 0.4), (1.0, 0.3), 9)
+
     def test_power_line_rejects_points_in_the_excluded_ball(self):
         f = PowerField(2.5, dim=2, exclusion=0.1)
         # x + t h = (0.05, 0) lies inside the ball of radius 0.1
@@ -181,8 +190,9 @@ class TestGridAndSampling:
 
     def test_at_rejects_points_outside_box(self, grid_1d):
         u = sample(GaussianField(1.0), grid_1d)
-        with pytest.raises(ValueError):
-            u.at(np.array([[1.5]]))
+        for pt in (1.5, np.nextafter(-1.0, -2.0), np.nan):
+            with pytest.raises(ValueError):
+                u.at(np.array([[pt]]))
 
     def test_sampled_field_rejects_nonfinite(self, grid_1d):
         values = np.zeros(grid_1d.points)
@@ -193,6 +203,65 @@ class TestGridAndSampling:
     def test_trapezoid_weights_sum_to_volume(self, grid_2d):
         w = grid_2d.trapezoid_weights
         assert float(w.sum()) == pytest.approx(4.0, rel=1e-12)
+
+
+GATHER_GRIDS = [
+    GridSpec.cube(-1.0, 1.0, 2001, 1),
+    GridSpec.cube(-1.0, 1.0, 201, 2),
+    GridSpec.cube(-1.0, 1.0, 41, 3),
+    GridSpec((-0.3, 0.1), (1.7, 2.9), (7, 9)),
+    GridSpec((-0.3, 0.1, -2.0), (1.7, 2.9, 0.5), (7, 9, 11)),
+]
+
+
+def _gather_points(grid: GridSpec, rng) -> dict:
+    """Random points, every node, the far corner, and each node's
+    floating-point neighbours on both sides, clipped to the box."""
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    nodes = grid.flat_points
+    return {
+        "random": rng.uniform(lo, hi, size=(20_000, grid.dim)),
+        "nodes": nodes,
+        "far corner": hi[None, :],
+        "above nodes": np.clip(np.nextafter(nodes, np.inf), lo, hi),
+        "below nodes": np.clip(np.nextafter(nodes, -np.inf), lo, hi),
+    }
+
+
+class TestGridGather:
+    @pytest.mark.parametrize("grid", GATHER_GRIDS, ids=lambda g: "x".join(map(str, g.points)))
+    def test_at_is_scipy_linear_interpolation_bit_for_bit(self, grid):
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(sum(grid.points))
+        # magnitudes over six decades, so a changed rounding shows
+        values = rng.standard_normal(grid.points) * 10.0 ** rng.uniform(-3, 3, grid.points)
+        u = SampledField(grid, values)
+        ref = RegularGridInterpolator(grid.axes, u.values, bounds_error=True)
+        for name, pts in _gather_points(grid, rng).items():
+            assert np.array_equal(u.at(pts), ref(pts)), name
+
+    def test_endpoint_rhs_is_the_per_rung_masked_read_back(self):
+        from scipy.interpolate import RegularGridInterpolator
+
+        grid = GridSpec.cube(-1.0, 1.0, 21, 3)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 3000, 4, 0.1, 0.8)
+        ladder = _CoefficientLadder(GaussianField(1.3, 3), grid, 2,
+                                    _rung_configs(sampler, grid, None))
+        pairs = sampler.draw(ladder.margin_of)
+        idx = ladder.delta_index(pairs.dist)
+        assert len(set(idx.tolist())) > 1
+
+        def per_rung(pts):
+            out = np.empty(len(pts))
+            for i, fld in enumerate(ladder.fields):
+                mask = idx == i
+                ref = RegularGridInterpolator(grid.axes, fld.values, bounds_error=True)
+                out[mask] = ref(pts[mask])
+            return out
+
+        expected = pairs.dist ** 2 * (per_rung(pairs.x) + per_rung(pairs.y))
+        assert np.array_equal(ladder.endpoint_rhs(pairs), expected)
 
 
 class TestDirectionsAndGradient:

@@ -1,8 +1,12 @@
-"""Every name imported by the package modules and the demos is used, and
-every private module-level name of the package is referred to."""
+"""Every name imported by the package modules and the demos is used,
+every private module-level name of the package is referred to, and scans
+never load scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +88,29 @@ def test_guard_sees_an_unreferenced_private_definition():
                   "class _Helper:\n    pass\n")
     b = ast.parse("from .a import _used\nfrom . import a\n\nVALUE = _used(2) + a._Helper.x\n")
     assert _unreferenced_private([a, b]) == ["_SPARE", "_self_only"]
+
+
+SCAN_WITHOUT_SCIPY = """
+import sys
+
+from sobolev_pointwise import (Box, Domain, GaussianField, GridSpec, PairSampler, SinusoidField,
+                               identity_suite, main_inequality_scan, node_discard_check)
+from sobolev_pointwise.cli import main
+
+for dim, points in ((1, 201), (2, 41), (3, 21)):
+    grid = GridSpec.cube(-1.0, 1.0, points, dim)
+    sampler = PairSampler(Domain(Box.of_grid(grid)), 100, dim, 0.1, 0.4)
+    assert main_inequality_scan(SinusoidField((2.0,) * dim), 2, grid, sampler).passed
+    assert node_discard_check(GaussianField(1.0, dim), 2, grid, sampler).passed
+assert identity_suite(5)["draws"] == 5
+assert main(["verify", "--scan", "main", "--m", "2", "--field", "sin:w=2",
+             "--grid", "-1:1:101", "--pairs", "100"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_scans_and_the_identity_suite_never_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", SCAN_WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -81,6 +81,12 @@ class TestBallVolume:
         assert ball_volume(2, 1.0) == pytest.approx(math.pi, rel=1e-15)
         assert ball_volume(3, 1.0) == pytest.approx(4 * math.pi / 3, rel=1e-15)
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_unit_ball_is_scipy_gamma_bit_for_bit(self, n):
+        from scipy.special import gamma
+
+        assert ball_volume(n, 1.0) == math.pi ** (n / 2.0) / float(gamma(n / 2.0 + 1.0))
+
     def test_radius_scaling(self):
         for n in (1, 2, 3, 5):
             assert ball_volume(n, 2.0) == pytest.approx(2 ** n * ball_volume(n, 1.0),

@@ -169,6 +169,27 @@ class TestDefaultEpsilons:
         for e in eps:
             Mollifier(e, 1).taps(grid_1d.spacing)  # must not raise
 
+    def test_resolved_defaults_stay_a_quarter_side_ladder(self, grid_1d):
+        for profile in ("bump", "gauss"):
+            assert default_epsilons(grid_1d, profile) == tuple(
+                f * 2.0 / 4.0 for f in (0.4, 0.2, 0.1))
+
+    @pytest.mark.parametrize("profile", ["bump", "gauss"])
+    @pytest.mark.parametrize("grid", [GridSpec.cube(-1.0, 1.0, 61, 2),
+                                      GridSpec.cube(-1.0, 1.0, 41, 3),
+                                      GridSpec((0.0, 0.0), (1.0, 3.0), (15, 200))],
+                             ids=["61x61", "41^3", "15x200"])
+    def test_coarse_grid_defaults_are_raised_to_resolve(self, grid, profile):
+        eps = default_epsilons(grid, profile)
+        assert all(b < a for a, b in zip(eps, eps[1:]))
+        box_side = [f * min(grid.extent) / 4.0 for f in (0.4, 0.2, 0.1)]
+        for e in eps:
+            Mollifier(e, grid.dim, profile).taps(grid.spacing)  # must not raise
+            if e not in box_side:
+                # a raised scale is the smallest one the grid resolves
+                with pytest.raises(ConfigError):
+                    Mollifier(math.nextafter(e, 0.0), grid.dim, profile).taps(grid.spacing)
+
     def test_smallest_is_well_inside_the_box(self, grid_2d):
         eps = default_epsilons(grid_2d)
         assert min(eps) < min(grid_2d.extent) / 4
