@@ -62,8 +62,9 @@ print("forward difference:     ", forward_difference(g, x, step, order))
 print("packaged remainder:     ", lagrange_remainder(g, x, y, order))
 
 # Replacing the interpolant by the Taylor jet at x gives a remainder
-# that annihilates polynomials of degree below the order exactly; the
-# computation runs in rational arithmetic for polynomial fields.
+# that annihilates polynomials of degree below the order exactly; for
+# polynomial fields the computation runs in integers at a common dyadic
+# scale and rounds once, bit-identical to exact rational arithmetic.
 
 low = parse_field("poly:x0^2*x1 - x1^2 + 3")
 print("Taylor remainder of a low-degree field:",

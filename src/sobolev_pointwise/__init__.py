@@ -19,8 +19,8 @@ The package splits into a thin stack of layers:
     reports.
 
 Everything numerical is vectorized over numpy arrays; the scalar paths
-for polynomial fields run in exact rational arithmetic so the algebraic
-identities hold to the last bit.
+for polynomial fields are exact, in integers at a common dyadic scale
+rounded once, so the algebraic identities hold to the last bit.
 """
 
 from .differences import (

@@ -283,24 +283,43 @@ def _cmd_geometry(cfg: dict) -> int:
     return 0
 
 
+def _young_support(sampled: SampledField, phi: Mollifier) -> SampledField | None:
+    """The sampled field zeroed within twice the kernel half-width of the
+    walls, or None where that leaves no node: a Young check on the zero
+    field compares 0 with 0 and cannot fail."""
+    grid = sampled.grid
+    cells = phi.margin_cells(grid.spacing)
+    if any(4 * c >= n for c, n in zip(cells, grid.points)):
+        return None
+    supported = np.array(sampled.values)
+    mask = np.ones(grid.points, dtype=bool)
+    mask[tuple(slice(2 * c, n - 2 * c) for c, n in zip(cells, grid.points))] = False
+    supported[mask] = 0.0
+    return SampledField(grid, supported)
+
+
 def _cmd_mollify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     order = int(cfg["m"])
     profile = str(cfg["profile"])
-    epsilons = _parse_float_list(cfg["eps"], "eps") or list(default_epsilons(grid, profile))
+    explicit = _parse_float_list(cfg["eps"], "eps")
+    epsilons = explicit or list(default_epsilons(grid, profile, float(cfg["max_sep"])))
     exponents = _parse_float_list(cfg["p"], "p") or [1.0, 2.0, math.inf]
     sampled = sample(field, grid)
+    checks = [(eps, _young_support(sampled, Mollifier(eps, grid.dim, profile=profile)))
+              for eps in epsilons]
+    empty = [eps for eps, u in checks if u is None]
+    # a default scale with nothing to check is dropped; a requested one is infeasible
+    if empty and (explicit or len(empty) == len(checks)):
+        raise EmptyScanError(
+            f"at eps={empty[0]:g} no node is farther than twice the kernel half-width "
+            "from the walls, so the Young check has no field to check")
     all_ok = True
     reports = {"young": [], "scans": []}
-    for eps in epsilons:
+    for eps, u in checks:
+        if u is None:
+            continue
         phi = Mollifier(eps, grid.dim, profile=profile)
-        cells = phi.margin_cells(grid.spacing)
-        supported = np.array(sampled.values)
-        mask = np.ones(grid.points, dtype=bool)
-        interior = tuple(slice(2 * c, n - 2 * c) for c, n in zip(cells, grid.points))
-        mask[interior] = False
-        supported[mask] = 0.0
-        u = SampledField(grid, supported)
         for p in exponents:
             rep = young_check(u, phi, p)
             state = "PASS" if rep.passed else "FAIL"

@@ -11,15 +11,19 @@ exactly; the alternating-sign sum `g_sum` equals (-1)^l times it; and the
 iterated integral reproduces it to quadrature accuracy.  These identities
 are what the verification suites pin down numerically.
 
-Scalar evaluation goes through the exact rational path for polynomial
-fields, so identity residuals reflect only the final float rounding.
+Polynomial fields are evaluated, restricted to lines and interpolated
+exactly: every float is a dyadic rational, so all the coordinates of one
+call go to integers at a common scale 2^-K, the rational coefficients to
+integers over their common denominator, and each result is one integer
+over a known denominator, rounded once by Python's correctly rounded
+int / int division.  That is the float `Fraction` arithmetic would give,
+bit for bit, so identity residuals reflect only the final rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +37,7 @@ from .exceptions import (
     GeometryError,
     UnsupportedOrderError,
 )
-from .fields import AnalyticField, PolynomialField, PowerField, _as_point, evaluate
+from .fields import AnalyticField, PolynomialField, PowerField, _as_point, _dyadic, evaluate
 
 __all__ = [
     "binomial",
@@ -201,38 +205,41 @@ def lagrange_basis(nodes: NodeFamily, j: int, y) -> float:
     return out
 
 
-def _basis_fraction(count: int, j: int, s: Fraction) -> Fraction:
-    out = Fraction(1)
-    for i in range(count):
-        if i != j:
-            out *= (s - i) / (j - i)
-    return out
-
-
 def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
     """Degree count-1 Lagrange interpolant of f on the node family, at y.
 
-    Polynomial fields go through the exact rational path (node values,
-    line coordinate, and basis weights all as fractions) with a single
-    final rounding; other fields use float arithmetic.
+    Polynomial fields are interpolated exactly, with a single final
+    rounding: the base, step, y and the float nodes go to integers at one
+    dyadic scale (`_dyadic`), so the line coordinate of y is a ratio a / b
+    of integers, and the basis weights multiplied through by (count-1)!
+    are integers,
+
+        (count-1)! L_j(a / b) = (-1)^(count-1-j) C(count-1, j)
+                                prod_{i != j} (a - i b) / b^(count-1).
+
+    Other fields use float arithmetic.
     """
     if nodes.dim != f.dim:
         raise ConfigError("node family dimension does not match the field")
     s_float = nodes.line_coordinate(y)
+    count = nodes.count
     if isinstance(f, PolynomialField):
-        base = [Fraction(v) for v in nodes.base]
-        step = [Fraction(v) for v in nodes.step]
-        dy = [Fraction(v) - b for v, b in zip(_as_point(y, f.dim), base)]
-        step2 = sum(st * st for st in step)
-        s = sum(d * st for d, st in zip(dy, step)) / step2
-        total = Fraction(0)
-        for j in range(nodes.count):
-            total += f.value_fraction(nodes.node(j)) * _basis_fraction(nodes.count, j, s)
-        return float(total)
+        (base, step, yi, *xs), scale = _dyadic(nodes.base, nodes.step, _as_point(y, f.dim),
+                                               *(nodes.node(j) for j in range(count)))
+        a = sum((v - o) * st for v, o, st in zip(yi, base, step))
+        b = sum(st * st for st in step)
+        total = 0
+        for j, node in enumerate(xs):
+            weight = (-1) ** (count - 1 - j) * math.comb(count - 1, j)
+            for i in range(count):
+                if i != j:
+                    weight *= a - i * b
+            total += f._scaled_value(node, scale) * weight
+        return total / (f._scaled_den(scale) * b ** (count - 1) * math.factorial(count - 1))
     total = 0.0
-    for j in range(nodes.count):
+    for j in range(count):
         weight = 1.0
-        for i in range(nodes.count):
+        for i in range(count):
             if i != j:
                 weight *= (s_float - i) / (j - i)
         total += evaluate(f, nodes.node(j)) * weight
@@ -270,14 +277,12 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
     y = _as_point(y, f.dim)
     f._check_point(x)
     if isinstance(f, PolynomialField):
-        # exact rational direction, so y is hit exactly at s = 1
-        pt = [Fraction(v) for v in x]
-        hv = [Fraction(b) - a for a, b in zip(pt, (Fraction(v) for v in y))]
-        line = f.line_from_fractions(pt, hv)
-        jet = Fraction(0)
-        for j in range(order):
-            jet += line.deriv_fraction(j, Fraction(0)) / math.factorial(j)
-        return float(f.value_fraction(y) - jet)
+        # x and y at one dyadic scale, so the direction y - x is exact and
+        # s = 1 hits y exactly; the j-th jet term d^j/ds^j / j! at s = 0 is
+        # the s^j coefficient, so the remainder is the sum of the others
+        (xs, ys), scale = _dyadic(x, y)
+        line = f._scaled_line(xs, [b - a for a, b in zip(xs, ys)], scale)
+        return sum(line.coeffs[order:]) / line.den
     line = f.line_restriction(x, y - x)
     jet = 0.0
     for j in range(order):

@@ -6,9 +6,14 @@ separable sinusoids).  Every field can evaluate itself exactly at a point,
 give every partial derivative of one order at a batch of points
 (`partials_batch`), restrict itself to a line s |-> f(x + s*h) and
 differentiate that restriction to high order, and rasterize itself onto
-a regular grid.  Polynomial fields do all scalar work in exact rational
-arithmetic (`fractions.Fraction`), so finite-difference identities built
-on top of them can be checked to machine precision.  The other kinds
+a regular grid.  Polynomial fields do all scalar work exactly, in
+integers: every float is a dyadic rational, so the coordinates of one
+call go to integers at a common scale 2^-K (`_dyadic`), the coefficients
+to integers over their common denominator q, and a value or line
+coefficient is one integer over q 2^(K d), rounded once by Python's
+correctly rounded int / int division.  That is bit for bit the float of
+the exact rational result, so finite-difference identities built on top
+of them can be checked to machine precision.  The other kinds
 take their line derivatives from their partials by the chain rule,
 d^k/ds^k f(x + s h) = sum_beta (k!/beta!) h^beta d^beta f, so each kind
 has one derivative path; through order 8 they agreed with a 40-digit
@@ -60,12 +65,25 @@ def _as_point(x, dim: int) -> np.ndarray:
     return pt
 
 
-def _falling(a, k: int):
-    """Falling factorial a * (a-1) * ... * (a-k+1); works for Fraction and float."""
-    out = a ** 0 if isinstance(a, Fraction) else 1.0
+def _falling(a: float, k: int) -> float:
+    """Falling factorial a * (a-1) * ... * (a-k+1)."""
+    out = 1.0
     for j in range(k):
         out = out * (a - j)
     return out
+
+
+def _dyadic(*vectors) -> tuple[list[list[int]], int]:
+    """Integer vectors X and one exponent K with vectors[i][j] == X[i][j] / 2**K.
+
+    Every finite float is n / 2**k, so K is the largest k over all the
+    coordinates.  NaN raises `ValueError` and an infinity `OverflowError`,
+    as `Fraction` does.
+    """
+    ratios = [[v.as_integer_ratio() for v in np.asarray(vec, dtype=float).tolist()]
+              for vec in vectors]
+    top = max((d for vec in ratios for _, d in vec), default=1)
+    return [[n * (top // d) for n, d in vec] for vec in ratios], top.bit_length() - 1
 
 
 def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
@@ -110,24 +128,26 @@ def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
 
 
 class _RationalLine:
-    """Restriction of a rational polynomial to a line, as exact coefficients."""
+    """Restriction of a rational polynomial to a line: s^k has the exact
+    coefficient coeffs[k] / den, with integer coeffs and den."""
 
-    def __init__(self, coeffs: list[Fraction]):
+    def __init__(self, coeffs: list[int], den: int):
         self.coeffs = coeffs  # coeffs[k] multiplies s^k
-
-    def deriv_fraction(self, order: int, t: Fraction) -> Fraction:
-        total = Fraction(0)
-        for k in range(order, len(self.coeffs)):
-            c = self.coeffs[k] * _falling(Fraction(k), order)
-            total += c * t ** (k - order)
-        return total
+        self.den = den
 
     def deriv(self, order: int, t: float) -> float:
-        return float(self.deriv_fraction(order, Fraction(t)))
+        [[tn]], scale = _dyadic([t])
+        top = len(self.coeffs) - 1 - order
+        if top < 0:
+            return 0.0
+        # sum_k coeffs[k] perm(k, order) t^(k-order), homogenized over 2^(scale top)
+        total = sum(self.coeffs[order + j] * math.perm(order + j, order) * tn ** j
+                    << scale * (top - j) for j in range(top + 1))
+        return total / (self.den << scale * top)
 
     def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        cs = [float(self.coeffs[k] * _falling(Fraction(k), order))
+        cs = [self.coeffs[k] * math.perm(k, order) / self.den
               for k in range(order, len(self.coeffs))]
         out = np.zeros_like(ts)
         for c in reversed(cs):
@@ -183,7 +203,7 @@ class AnalyticField:
     Subclasses provide `dim`, exact point evaluation, vectorized batch
     evaluation, and vectorized partial derivatives.  Line restrictions
     take their derivatives from the partials (`_PartialsLine`); only
-    `PolynomialField` overrides them, with its exact rational line.
+    `PolynomialField` overrides them, with its exact integer line.
     """
 
     dim: int
@@ -232,9 +252,11 @@ class AnalyticField:
 class PolynomialField(AnalyticField):
     """Multivariate polynomial with rational coefficients, exact at every step.
 
-    Coefficients map exponent tuples to `Fraction` values; scalar
-    evaluation and line restrictions stay in rational arithmetic so that
-    algebraic identities hold exactly after a single final rounding.
+    Coefficients map exponent tuples to `Fraction` values.  Scalar
+    evaluation and line restrictions run on the cached integer form
+    (q, d, c_alpha q) at a common dyadic scale of the call's coordinates,
+    homogenized to degree d, so algebraic identities hold exactly after a
+    single final rounding, the same float as `Fraction` arithmetic.
     """
 
     def __init__(self, coeffs, dim: int | None = None):
@@ -269,19 +291,34 @@ class PolynomialField(AnalyticField):
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def value_fraction(self, x) -> Fraction:
-        pt = [Fraction(v) for v in _as_point(x, self.dim)]
-        total = Fraction(0)
-        for exps, c in self.terms:
-            mono = c
-            for xi, ei in zip(pt, exps):
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, tuple[tuple[tuple[int, ...], int, int], ...]]:
+        """(q, d, terms): q the lcm of the coefficient denominators, d the
+        degree, and per term its exponents, the integer c_alpha q and d - |alpha|."""
+        q = math.lcm(*(c.denominator for _, c in self.terms))
+        d = self.degree
+        return q, d, tuple((e, c.numerator * (q // c.denominator), d - sum(e))
+                           for e, c in self.terms)
+
+    def _scaled_value(self, xs: list[int], scale: int) -> int:
+        """The value at xs / 2^scale times q 2^(scale d): the homogenized
+        sum_alpha c_alpha q xs^alpha 2^(scale (d - |alpha|))."""
+        total = 0
+        for exps, p, deficit in self._integer_form[2]:
+            for xi, ei in zip(xs, exps):
                 if ei:
-                    mono *= xi ** ei
-            total += mono
+                    p *= xi ** ei
+            total += p << scale * deficit
         return total
 
+    def _scaled_den(self, scale: int) -> int:
+        """Denominator q 2^(scale d) of `_scaled_value` and `_scaled_line`."""
+        q, d, _ = self._integer_form
+        return q << scale * d
+
     def value(self, x) -> float:
-        return float(self.value_fraction(x))
+        [xs], scale = _dyadic(_as_point(x, self.dim))
+        return self._scaled_value(xs, scale) / self._scaled_den(scale)
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -295,27 +332,25 @@ class PolynomialField(AnalyticField):
         return out
 
     def line_restriction(self, x, h) -> _RationalLine:
-        pt = [Fraction(v) for v in _as_point(x, self.dim)]
-        hv = [Fraction(v) for v in _as_point(h, self.dim)]
-        return self.line_from_fractions(pt, hv)
+        (xs, hs), scale = _dyadic(_as_point(x, self.dim), _as_point(h, self.dim))
+        return self._scaled_line(xs, hs, scale)
 
-    def line_from_fractions(self, pt: list[Fraction], hv: list[Fraction]) -> _RationalLine:
-        total = [Fraction(0)]
-        for exps, c in self.terms:
-            term = [c]
-            for xi, hi, ei in zip(pt, hv, exps):
+    def _scaled_line(self, xs: list[int], hs: list[int], scale: int) -> _RationalLine:
+        """Restriction to s |-> (xs + s hs) / 2^scale, exact."""
+        total = [0] * (self._integer_form[1] + 1)
+        for exps, p, deficit in self._integer_form[2]:
+            term = [p << scale * deficit]
+            for xi, hi, ei in zip(xs, hs, exps):
                 for _ in range(ei):
                     # multiply by (xi + hi * s)
-                    nxt = [Fraction(0)] * (len(term) + 1)
+                    nxt = [0] * (len(term) + 1)
                     for k, a in enumerate(term):
                         nxt[k] += a * xi
                         nxt[k + 1] += a * hi
                     term = nxt
-            if len(term) > len(total):
-                total += [Fraction(0)] * (len(term) - len(total))
             for k, a in enumerate(term):
                 total[k] += a
-        return _RationalLine(total)
+        return _RationalLine(total, self._scaled_den(scale))
 
     def partial(self, beta: tuple[int, ...]) -> "PolynomialField":
         return _poly_partial(self, tuple(int(b) for b in beta))
@@ -339,7 +374,7 @@ def _poly_partial(field: PolynomialField, beta: tuple[int, ...]) -> PolynomialFi
         if any(e < b for e, b in zip(exps, beta)):
             continue
         for e, b in zip(exps, beta):
-            c = c * _falling(Fraction(e), b)
+            c = c * math.perm(e, b)
         terms[tuple(e - b for e, b in zip(exps, beta))] = c
     return PolynomialField(terms, dim=field.dim)
 
@@ -683,7 +718,7 @@ def evaluate_batch(f: AnalyticField, pts: np.ndarray) -> np.ndarray:
 def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -> float:
     """Order-th derivative of s |-> f(x + s h) at s = t.
 
-    Exact rational arithmetic for polynomial fields; for the other kinds
+    Exact, rounded once, for polynomial fields; for the other kinds
     the order-th partials at x + t h weighted by h^beta order!/beta!.
     Raises `DomainError` if x + t h leaves the domain and
     `UnsupportedOrderError` for invalid orders.

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, EmptyScanError
 from .fields import GridSpec, SampledField
 
 __all__ = [
@@ -87,6 +87,16 @@ class Mollifier:
         """Half-width of the tap stencil in cells, per axis."""
         taps = self.taps(spacing)
         return tuple((s - 1) // 2 for s in taps.shape)
+
+    def margin_length(self, spacing: tuple[float, ...]) -> float:
+        """The widest stencil half-width plus one cell, as a length: the
+        margin a mollified scan keeps from the walls."""
+        return max((c + 1) * sp for c, sp in zip(self.margin_cells(spacing), spacing))
+
+    def leaves_room(self, grid: GridSpec, delta: float) -> bool:
+        """Whether pairs up to `delta` apart fit in the box with the kernel
+        margin kept from every wall: the mollified scan's interior is not empty."""
+        return 2.0 * (self.margin_length(grid.spacing) + delta) < min(grid.extent)
 
 
 def _support_cells(mollifier: Mollifier, spacing: tuple[float, ...]) -> list[int]:
@@ -189,13 +199,16 @@ def young_check(u: SampledField, mollifier: Mollifier, p: float,
     return YoungReport(p=p, lhs=lhs, rhs=rhs, passed=lhs <= rhs * (1.0 + tolerance))
 
 
-def default_epsilons(grid: GridSpec, profile: str = "bump") -> tuple[float, ...]:
+def default_epsilons(grid: GridSpec, profile: str = "bump",
+                     delta: float = 0.0) -> tuple[float, ...]:
     """Mollification ladder {0.4, 0.2, 0.1} times a quarter of the box side.
 
     A scale the grid does not resolve (`Mollifier.taps` needs 4 whole
     cells inside the support radius on every axis) is raised to the
-    smallest scale it resolves; repeats are dropped, so the ladder stays
-    strictly decreasing.
+    smallest scale it resolves.  A scale that leaves no room for pairs up
+    to `delta` apart beside the kernel margin (`Mollifier.leaves_room`)
+    is dropped, and so are repeats, so the ladder stays strictly
+    decreasing.  Raises `EmptyScanError` when no scale is left.
     """
     def resolved(eps: float) -> bool:
         cells = _support_cells(Mollifier(eps, grid.dim, profile), grid.spacing)
@@ -209,6 +222,10 @@ def default_epsilons(grid: GridSpec, profile: str = "bump") -> tuple[float, ...]
     for f in (0.4, 0.2, 0.1):
         eps = f * side / 4.0
         eps = eps if resolved(eps) else smallest
-        if not out or eps < out[-1]:
+        if (not out or eps < out[-1]) and Mollifier(eps, grid.dim, profile).leaves_room(grid, delta):
             out.append(eps)
+    if not out:
+        raise EmptyScanError(
+            f"no default mollifier scale leaves room for pairs {delta:g} apart beside "
+            "the kernel margin; refine the grid or lower the separation")
     return tuple(out)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -748,10 +747,9 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     if order < 1:
         raise ConfigError("the scan needs order >= 1")
     phi = Mollifier(epsilon, grid.dim, profile=profile)
-    cells = phi.margin_cells(grid.spacing)
-    margin_len = max((c + 1) * sp for c, sp in zip(cells, grid.spacing))
+    margin_len = phi.margin_length(grid.spacing)
     configs = _rung_configs(sampler, grid, None)
-    if 2.0 * (margin_len + configs[-1].delta) >= min(grid.extent):
+    if not phi.leaves_room(grid, configs[-1].delta):
         raise EmptyScanError(
             "the interior eroded by the kernel support and the ladder delta is empty")
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
@@ -800,17 +798,18 @@ def _draw_pair(rng, lo, hi, min_sep=0.05):
 
 def _exact_difference(poly: PolynomialField, x, h, order: int, binom) -> float:
     """Forward difference sum_j (-1)^(order-j) binom(order, j) poly(x + j h)
-    at the exact rational nodes Fraction(x) + j Fraction(h), rounded once."""
-    line = poly.line_from_fractions([Fraction(v) for v in x], [Fraction(v) for v in h])
-    return float(sum((-1) ** (order - j) * binom(order, j) * line.deriv_fraction(0, Fraction(j))
-                     for j in range(order + 1)))
+    at the exact nodes x + j h, summed in integers over the line's
+    denominator and rounded once."""
+    line = poly.line_restriction(x, h)
+    nodes = [sum(a * j ** k for k, a in enumerate(line.coeffs)) for j in range(order + 1)]
+    return sum((-1) ** (order - j) * binom(order, j) * v for j, v in enumerate(nodes)) / line.den
 
 
 def identity_suite(draws: int = 200, seed: int = 0, *, binom=binomial) -> dict:
     """Battery of exact algebraic identities at machine-precision tolerances.
 
     Residuals are relative to 1 + the identity's own magnitude, except
-    annihilation, which is summed in exact rationals and must be 0.  The
+    annihilation, which is summed exactly in integers and must be 0.  The
     `binom` argument is the fault-injection hook: replacing it with a
     corrupted table must break the suite.
     """

@@ -181,6 +181,31 @@ class TestMollify:
         assert out.count("[mollified") == 2
         assert "mollify: PASS" in out
 
+    @pytest.mark.parametrize("grid, scales", [("-1:1:201", ("0.1", "0.05")),
+                                              ("-2:2:401", ("0.2", "0.1"))])
+    def test_gauss_defaults_leave_out_scales_with_nothing_to_check(self, capsys, grid, scales):
+        # on [-1, 1] the 0.2 kernel and the 0.4 pair separation fill the box;
+        # on [-2, 2] the scan fits at 0.4, but the Young check has no support
+        code = main(["mollify", "--field", "sin:w=3", "--grid", grid, "--m", "1",
+                     "--profile", "gauss", "--pairs", "200", "--seed", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("[mollified")] \
+            == [f"eps={e}]" for e in scales]
+        assert out.count("[young]") == 3 * len(scales)
+        assert "mollify: PASS" in out
+
+    def test_requested_scale_without_young_support_is_infeasible(self, capsys):
+        # the scan fits at pairs 0.05 apart, but twice the 0.6 kernel
+        # half-width from each wall leaves no node to check Young's inequality on
+        code = main(["mollify", "--field", "sin:w=3", "--grid", "-1:1:201", "--m", "1",
+                     "--profile", "gauss", "--eps", "0.2", "--min-sep", "0.02",
+                     "--max-sep", "0.05", "--pairs", "200"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "[young]" not in captured.out
+        assert "infeasible" in captured.err
+
 
 class TestTriebel:
     def test_auto_coefficient_passes(self, capsys):

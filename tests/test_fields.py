@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rational_reference import value_fraction
 
 from sobolev_pointwise import (
     DomainError,
@@ -81,8 +82,9 @@ class TestPolynomial:
     def test_value_is_exact_at_dyadic_points(self, a, b):
         f = PolynomialField({(3, 0): Fraction(1, 3), (1, 1): -2, (0, 0): 5})
         x = (a / 4.0, b / 4.0)
-        exact = f.value_fraction((Fraction(a, 4), Fraction(b, 4)))
-        assert f.value(x) == pytest.approx(float(exact), rel=0, abs=1e-15)
+        exact = value_fraction(f, x)
+        assert exact == Fraction(1, 3) * Fraction(a, 4) ** 3 - 2 * Fraction(a * b, 16) + 5
+        assert f.value(x) == float(exact)
 
 
 class TestAnalyticLines:

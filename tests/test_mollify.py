@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sobolev_pointwise import (
     ConfigError,
+    EmptyScanError,
     GridSpec,
     Mollifier,
     SampledField,
@@ -189,6 +190,14 @@ class TestDefaultEpsilons:
                 # a raised scale is the smallest one the grid resolves
                 with pytest.raises(ConfigError):
                     Mollifier(math.nextafter(e, 0.0), grid.dim, profile).taps(grid.spacing)
+
+    def test_scales_leave_room_for_the_pair_separation(self, grid_1d):
+        assert default_epsilons(grid_1d, "bump", 0.4) == (0.2, 0.1, 0.05)
+        assert default_epsilons(grid_1d, "gauss", 0.4) == (0.1, 0.05)
+        for eps in (0.2, 0.1, 0.05):
+            assert Mollifier(eps, 1, "gauss").leaves_room(grid_1d, 0.4) == (eps < 0.2)
+        with pytest.raises(EmptyScanError):
+            default_epsilons(grid_1d, "bump", 1.0)
 
     def test_smallest_is_well_inside_the_box(self, grid_2d):
         eps = default_epsilons(grid_2d)
