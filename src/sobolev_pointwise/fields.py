@@ -59,6 +59,8 @@ MAX_DERIVATIVE_ORDER = 24
 
 
 def _as_point(x, dim: int) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (dim,):
+        return x  # what the conversion below returns for it, without the calls
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {pt.shape}")
@@ -267,7 +269,7 @@ class PolynomialField(AnalyticField):
                 raise ConfigError("polynomial exponents must be nonnegative")
             c = Fraction(c)
             if c != 0:
-                terms[exps] = terms.get(exps, Fraction(0)) + c
+                terms[exps] = terms[exps] + c if exps in terms else c
         terms = {e: c for e, c in terms.items() if c != 0}
         dims = {len(e) for e in terms}
         if len(dims) > 1:
@@ -321,13 +323,22 @@ class PolynomialField(AnalyticField):
         return self._scaled_value(xs, scale) / self._scaled_den(scale)
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
+        """Float evaluation, monomial by monomial, from one power table
+        per axis, x^k = x^(k-1) * x: products round the same on every
+        CPU, where a SIMD `pow` need not (and is slow on negative bases)."""
         pts = np.asarray(pts, dtype=float)
+        powers = []  # powers[i][k] = x_i^k for k >= 1
+        for i in range(self.dim):
+            row = [None, pts[..., i]]
+            for _ in range(2, max((e[i] for e, _ in self.terms), default=0) + 1):
+                row.append(row[-1] * row[1])
+            powers.append(row)
         out = np.zeros(pts.shape[:-1])
         for exps, c in self.terms:
             mono = np.full(pts.shape[:-1], float(c))
-            for i, ei in enumerate(exps):
+            for row, ei in zip(powers, exps):
                 if ei:
-                    mono = mono * pts[..., i] ** ei
+                    mono = mono * row[ei]
             out += mono
         return out
 
@@ -994,24 +1005,25 @@ def random_polynomial(rng: np.random.Generator, dim: int, max_degree: int = 6,
     top-degree term is forced in).
     """
     top = exact_degree if exact_degree is not None else max_degree
-    terms: dict[tuple[int, ...], Fraction] = {}
+    quarters: dict[tuple[int, ...], int] = {}  # coefficients in units of 1/4
     for _ in range(max_terms):
         exps = tuple(int(v) for v in rng.integers(0, top + 1, dim))
         if sum(exps) > top:
             continue
         num = int(rng.integers(-2, 3))
-        den = int(rng.choice((1, 2, 4)))
+        # the draw rng.choice((1, 2, 4)) makes, without its overhead
+        den = (1, 2, 4)[int(rng.integers(0, 3))]
         if num:
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
-    terms = {e: c for e, c in terms.items() if c != 0}
-    if exact_degree is not None and not any(sum(e) == exact_degree for e in terms):
+            quarters[exps] = quarters.get(exps, 0) + num * (4 // den)
+    quarters = {e: q for e, q in quarters.items() if q}
+    if exact_degree is not None and not any(sum(e) == exact_degree for e in quarters):
         lead = [0] * dim
         for _ in range(exact_degree):
             lead[int(rng.integers(0, dim))] += 1
-        terms[tuple(lead)] = terms.get(tuple(lead), Fraction(0)) + Fraction(1, 2)
-    if not terms:
-        terms[(0,) * dim] = Fraction(1)
-    return PolynomialField(terms, dim=dim)
+        quarters[tuple(lead)] = quarters.get(tuple(lead), 0) + 2
+    if not quarters:
+        quarters[(0,) * dim] = 4
+    return PolynomialField({e: Fraction(q, 4) for e, q in quarters.items()}, dim=dim)
 
 
 def scan_corpus(dim: int) -> list[AnalyticField]:

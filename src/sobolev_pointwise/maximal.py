@@ -8,7 +8,11 @@ gives a discrete local Hardy-Littlewood maximal function; scaled by the
 lens ratio it yields the coefficient fields used by the inequality scans.
 `ball_averages` averages a whole radius ladder in one pass: one
 cumulative sum along the last grid axis, one run sum per run half-width,
-and one sum per distinct lattice ball.
+and one sum per distinct lattice ball.  The same pass can sum each ball
+on a node box only (`_boxed_ball_averages`), bit for bit the whole-grid
+values there: the two-endpoint scans read a rung only where its pairs
+can reach, which under the "reject" boundary is the box shrunk by the
+rung's delta.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 
@@ -204,22 +207,31 @@ def ladder_configs(deltas, spacing: float, count: int = 12) -> list[MaximalConfi
 
 
 def _ball_offsets(spacings: tuple[float, ...], radius: float):
-    """Lattice offsets (leading axes) and last-axis half-widths inside the ball."""
+    """Lattice offsets (leading axes) and last-axis half-widths inside the ball.
+
+    Offsets come in lexicographic order.  Each axis's squares (q sp)^2
+    are Python floats, summed axis by axis as a per-offset loop sums
+    them, so a radius that is a multiple of the spacing breaks its ties
+    the same way.
+    """
     lead_spacings = spacings[:-1]
     sp_last = spacings[-1]
     r2 = radius * radius * _RADIUS_SLACK
     cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in lead_spacings]
-    combos = []
-    for q in product(*(range(-c, c + 1) for c in cells)):
-        partial = sum((qi * sp) ** 2 for qi, sp in zip(q, lead_spacings))
-        if partial <= r2:
-            width = int(math.floor(math.sqrt(max(r2 - partial, 0.0)) / sp_last))
-            combos.append((q, width))
-    return combos
+    sizes = [2 * c + 1 for c in cells]
+    q = np.indices(sizes).reshape(len(cells), math.prod(sizes)).T - np.array(cells, dtype=int)
+    partial = np.zeros(len(q))
+    for k, (c, sp) in enumerate(zip(cells, lead_spacings)):
+        partial = partial + np.array([(qi * sp) ** 2 for qi in range(-c, c + 1)])[q[:, k] + c]
+    inside = partial <= r2
+    widths = np.floor(np.sqrt(np.maximum(r2 - partial[inside], 0.0)) / sp_last)
+    return list(zip(map(tuple, q[inside].tolist()), widths.astype(int).tolist()))
 
 
-def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets) -> np.ndarray:
-    """Number of grid nodes in each clipped lattice ball.
+def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets,
+                 box: tuple[slice, ...] | None = None) -> np.ndarray:
+    """Number of grid nodes in each clipped lattice ball, on the node box
+    `box` (one slice per axis; the whole grid by default).
 
     The count at node (i, j) is the sum over offsets (q, w) of the
     lead-axis in-range indicators prod_k 1[0 <= i_k + q_k < n_k] times
@@ -230,20 +242,88 @@ def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets) -> np.nd
     BLAS made a float tensordot here up to 50x slower.  Every term is a
     small integer, so the float counts are exact.
     """
+    if box is None:
+        box = tuple(slice(0, n) for n in shape)
     n_last = shape[-1]
-    j = np.arange(n_last)
-    counts = np.zeros([2 * c + 1 for c in pad_cells[:-1]] + [n_last])
+    j = np.arange(box[-1].start, box[-1].stop)
+    counts = np.zeros([2 * c + 1 for c in pad_cells[:-1]] + [len(j)])
     cells = np.array([q for q, _ in offsets]).reshape(len(offsets), -1) + pad_cells[:-1]
     width = np.array([w for _, w in offsets])[:, None]
     counts[tuple(cells.T)] = np.minimum(j + width, n_last - 1) - np.maximum(j - width, 0) + 1
-    for axis, (c, n) in enumerate(zip(pad_cells[:-1], shape[:-1])):
+    for axis, (c, n, nodes) in enumerate(zip(pad_cells[:-1], shape[:-1], box)):
         # replaces this axis's offsets by its nodes
         lead_zero = [(int(k == axis), 0) for k in range(counts.ndim)]
         csum = np.cumsum(np.pad(counts, lead_zero), axis=axis)
-        i = np.arange(n)
+        i = np.arange(nodes.start, nodes.stop)
         counts = (np.take(csum, np.minimum(c + n - i, 2 * c + 1), axis=axis)
                   - np.take(csum, np.maximum(c - i, 0), axis=axis))
     return counts
+
+
+def _within(inner: tuple[slice, ...], outer: tuple[slice, ...]) -> tuple[slice, ...]:
+    """Node box `inner` as an index into an array laid out on box `outer`."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
+def _union(boxes) -> tuple[slice, ...]:
+    """Smallest node box holding every box in `boxes`."""
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                 for axis in zip(*boxes))
+
+
+def _boxed_ball_averages(u: SampledField, radii,
+                         boxes) -> list[tuple[tuple[slice, ...], np.ndarray]]:
+    """`ball_averages` with each radius needed only on its node box.
+
+    `boxes` holds one node box per radius, a slice per axis.  A lattice
+    ball is summed on the smallest box holding the boxes of all its
+    radii, and each radius gets that box and the average laid out on
+    it.  Every node that is computed gets the additions, in the same
+    order, that it gets on the whole grid, so the averages are the
+    whole-grid ones, sliced.
+    """
+    radii = [float(r) for r in radii]
+    if not radii or min(radii) <= 0:
+        raise ConfigError("ball radii must be given and positive")
+    values = u.values
+    spacings = u.grid.spacing
+    shape = values.shape
+    pad_cells = [int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings]
+    balls: dict[tuple, int] = {}
+    which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
+    ball_boxes = [_union(box for box, b in zip(boxes, which) if b == ball)
+                  for ball in range(len(balls))]
+    # run sums are needed on the union of the boxes, widened on the lead
+    # axes by the padding the offsets reach; a ball reads a width's run
+    # sum on its own box, shifted by its lead-axis offset
+    union = _union(ball_boxes)
+    uses: dict[int, list] = {}
+    for b, (offsets, box) in enumerate(zip(balls, ball_boxes)):
+        box = _within(box, union)
+        for q, width in offsets:
+            uses.setdefault(width, []).append(
+                (b, tuple(slice(c + qi + s.start, c + qi + s.stop)
+                          for qi, c, s in zip(q, pad_cells, box)) + box[-1:]))
+    lead = tuple(slice(s.start, s.stop + 2 * c) for s, c in zip(union[:-1], pad_cells))
+    padded = np.pad(values, [(c, c) for c in pad_cells])[lead]
+    csum = np.zeros(padded.shape[:-1] + (padded.shape[-1] + 1,))
+    np.cumsum(padded, axis=-1, out=csum[..., 1:])
+    del padded
+    c_last = pad_cells[-1]
+    last = union[-1]
+    # one reused run-sum buffer: keeping every width's run sum would hold
+    # a padded grid per width, several times the balls themselves
+    run = np.empty(csum.shape[:-1] + (last.stop - last.start,))
+    sums = [np.zeros([s.stop - s.start for s in box]) for box in ball_boxes]
+    for width in sorted(uses):
+        np.subtract(csum[..., c_last + width + 1 + last.start:c_last + width + 1 + last.stop],
+                    csum[..., c_last - width + last.start:c_last - width + last.stop], out=run)
+        for b, index in uses[width]:
+            sums[b] += run[index]
+    del csum, run
+    for total, offsets, box in zip(sums, balls, ball_boxes):
+        total /= _ball_counts(shape, pad_cells, offsets, box)
+    return [(ball_boxes[b], sums[b]) for b in which]
 
 
 def ball_averages(u: SampledField, radii) -> list[np.ndarray]:
@@ -258,41 +338,14 @@ def ball_averages(u: SampledField, radii) -> list[np.ndarray]:
     holding it (a summed-area table shared by the whole ladder, after
     Crow 1984).  A ball's additions always go widths ascending, then in
     `_ball_offsets` order, so its average does not depend on the other
-    radii of the call.  Radii with the same lattice ball share one
-    array: never update a result in place.
+    radii of the call, nor on the node box it is computed on (the
+    coefficient ladder of the scans computes each ball only on the
+    nodes its pairs can read).  Radii with the same lattice ball share
+    one array: never update a result in place.
     """
-    radii = [float(r) for r in radii]
-    if not radii or min(radii) <= 0:
-        raise ConfigError("ball radii must be given and positive")
-    values = u.values
-    spacings = u.grid.spacing
-    shape = values.shape
-    pad_cells = [int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings]
-    balls: dict[tuple, int] = {}
-    which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
-    uses: dict[int, list] = {}
-    for b, offsets in enumerate(balls):
-        for q, width in offsets:
-            uses.setdefault(width, []).append((b, q))
-    padded = np.pad(values, [(c, c) for c in pad_cells])
-    csum = np.zeros(padded.shape[:-1] + (padded.shape[-1] + 1,))
-    np.cumsum(padded, axis=-1, out=csum[..., 1:])
-    del padded
-    c_last = pad_cells[-1]
-    # one reused run-sum buffer: keeping every width's run sum would hold
-    # a padded grid per width, several times the balls themselves
-    run = np.empty(csum.shape[:-1] + shape[-1:])
-    sums = [np.zeros(shape) for _ in balls]
-    for width in sorted(uses):
-        np.subtract(csum[..., c_last + width + 1:c_last + width + 1 + shape[-1]],
-                    csum[..., c_last - width:c_last - width + shape[-1]], out=run)
-        for b, q in uses[width]:
-            sums[b] += run[tuple(slice(c + qi, c + qi + n)
-                                 for qi, c, n in zip(q, pad_cells, shape))]
-    del csum, run
-    for total, offsets in zip(sums, balls):
-        total /= _ball_counts(shape, pad_cells, offsets)
-    return [sums[b] for b in which]
+    radii = list(radii)
+    whole = tuple(slice(0, n) for n in u.values.shape)
+    return [avg for _, avg in _boxed_ball_averages(u, radii, [whole] * len(radii))]
 
 
 def ball_average(u: SampledField, radius: float) -> np.ndarray:

@@ -39,7 +39,9 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    ball_averages,
+    _boxed_ball_averages,
+    _union,
+    _within,
     default_radii,
     ladder_configs,
     mean_maximal_gradient,
@@ -444,12 +446,18 @@ class _CoefficientLadder:
     Each rung's radii extend the previous rung's radii (as from
     `_rung_configs`), so the fields are monotone in delta; each pair
     then uses the smallest ladder delta at or above its separation.
-    One `ball_averages` call covers the top rung's radii, and each rung
-    extends the previous rung's maximum by its own new radii.
+    One `_boxed_ball_averages` call covers the top rung's radii, and
+    each rung extends the previous rung's maximum by its own new radii.
+
+    Given the sampler's `outer` box, each rung is built only on its node
+    box (`_node_boxes`), the nodes its pairs can touch, and a ball only
+    on the box of the first rung holding its radius; `stack` is NaN
+    outside a rung's box, so a read there fails closed.  Without `outer`
+    every rung covers the whole grid.
     """
 
     def __init__(self, f: AnalyticField, grid: GridSpec, order: int,
-                 configs: list[MaximalConfig]):
+                 configs: list[MaximalConfig], outer: Box | None = None):
         self.grid = grid
         self.order = order
         self.configs = configs
@@ -457,22 +465,35 @@ class _CoefficientLadder:
         self.deltas = np.asarray([c.delta for c in configs])
         self.gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(grid.dim)
-        averages = ball_averages(self.gradient, configs[-1].radii)
-        # the rung fields are views of one (R, *grid) stack, which
-        # `coefficient_at` gathers from with the rung as leading index
-        self.stack = np.empty((len(configs),) + grid.points)
-        best, done = averages[0], 1
-        for rung, cfg in zip(self.stack, configs):
-            for avg in averages[done:len(cfg.radii)]:
-                best = np.maximum(best, avg)
-            done = len(cfg.radii)
-            np.multiply(scale, best, out=rung)
-        self.fields = [SampledField(grid, rung) for rung in self.stack]
+        margins = self.deltas if self.boundary == "reject" else np.zeros_like(self.deltas)
+        self.boxes = _node_boxes(grid, outer, margins)
+        radii = configs[-1].radii
+        first = [min(r for r, cfg in enumerate(configs) if len(cfg.radii) > i)
+                 for i in range(len(radii))]
+        averages = _boxed_ball_averages(self.gradient, radii, [self.boxes[r] for r in first])
+        # the rungs are one (R, *grid) stack, which `coefficient_at`
+        # gathers from with the rung as leading index
+        self.stack = np.full((len(configs),) + grid.points, np.nan)
+        best, best_box, done = None, None, 0
+        for rung, cfg, box in zip(self.stack, configs, self.boxes):
+            if best is not None:
+                best = best[_within(box, best_box)]
+            for avg_box, avg in averages[done:len(cfg.radii)]:
+                part = avg[_within(box, avg_box)]
+                best = part if best is None else np.maximum(best, part)
+            best_box, done = box, len(cfg.radii)
+            np.multiply(scale, best, out=rung[box])
+
+    @property
+    def fields(self) -> list[SampledField]:
+        """The rungs as sampled fields, for whole-grid ladders only: a
+        rung built on a node box is NaN outside it, which `SampledField`
+        refuses."""
+        return [SampledField(self.grid, rung) for rung in self.stack]
 
     def all_node(self) -> SampledField:
         """The all-node coefficient order^order * a at the top delta."""
-        return SampledField(self.grid,
-                            float(self.order) ** self.order * self.fields[-1].values)
+        return SampledField(self.grid, float(self.order) ** self.order * self.stack[-1])
 
     def delta_index(self, dist: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.deltas, dist, side="left")
@@ -497,6 +518,33 @@ class _CoefficientLadder:
         idx = self.delta_index(pairs.dist)
         return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x, stack)
                                            + self.coefficient_at(idx, pairs.y, stack))
+
+
+def _node_boxes(grid: GridSpec, outer: Box | None, margins) -> list[tuple[slice, ...]]:
+    """Per rung, the node box (a slice per axis) holding every node that a
+    pair drawn for it can touch as a cell corner, or the whole grid
+    without `outer`.
+
+    A rung's endpoints lie in `outer` shrunk by its margin, the same
+    float bounds the sampler tests.  The box runs from the cell of the
+    lower corner to the upper node of the cell of the upper corner,
+    both clipped to the grid: a multilinear read-back takes every
+    corner of its cell, and NaN * 0 is NaN.  Each box also holds the
+    boxes above it, so the boxes nest even where a margin leaves no
+    room at all.
+    """
+    if outer is None:
+        return [tuple(slice(0, n) for n in grid.points)] * len(margins)
+    margins = np.asarray(margins)[:, None]
+    lower, upper = np.sort([np.asarray(outer.lo) + margins, np.asarray(outer.hi) - margins],
+                           axis=0)
+    first, _ = _grid_cells(grid, np.clip(lower, grid.lo, grid.hi))
+    last, _ = _grid_cells(grid, np.clip(upper, grid.lo, grid.hi))
+    boxes = [tuple(slice(int(a[r]), int(b[r]) + 2) for a, b in zip(first, last))
+             for r in range(len(margins))]
+    for r in reversed(range(len(boxes) - 1)):
+        boxes[r] = _union((boxes[r], boxes[r + 1]))
+    return boxes
 
 
 def _rung_configs(sampler: PairSampler, grid: GridSpec,
@@ -540,17 +588,19 @@ def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
 
 
 def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSampler,
-                  configs: list[MaximalConfig], margin: float = 0.0):
+                  configs: list[MaximalConfig], margin: float = 0.0, boxed: bool = False):
     """Shared start of the ladder scans.
 
-    Builds the coefficient ladder over `configs`, draws pairs kept their
-    rung delta (under "reject") plus `margin` from the walls.  Returns
-    the ladder, the pairs, and the report params every ladder scan
-    carries.
+    Builds the coefficient ladder over `configs`, on the sampler's node
+    boxes when `boxed` (for scans that read the ladder only at pair
+    endpoints), and draws pairs kept their rung delta (under "reject")
+    plus `margin` from the walls.  Returns the ladder, the pairs, and
+    the report params every ladder scan carries.
     """
     if order < 1:
         raise ConfigError("the scan needs order >= 1")
-    ladder = _CoefficientLadder(f, grid, order, configs)
+    ladder = _CoefficientLadder(f, grid, order, configs,
+                                sampler.domain.outer if boxed else None)
     pairs = sampler.draw(lambda dist: ladder.margin_of(dist) + margin)
     params = {"deltas": [float(d) for d in ladder.deltas], "boundary": ladder.boundary,
               "attempts": pairs.attempts}
@@ -632,7 +682,7 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     ladder's only rung, used as given.
     """
     configs = _rung_configs(sampler, grid, config)
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, boxed=True)
     lhs, rhs = _main_sides(f, ladder, pairs)
     name = "lemma1" if order == 1 else "main_inequality"
     return _scan_report(name, f, order, grid, sampler, slack, pairs.x, pairs.y, lhs, rhs,

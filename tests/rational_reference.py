@@ -117,3 +117,28 @@ def exact_difference(f: PolynomialField, x, h, order: int, binom=math.comb) -> F
     coeffs = line_restriction(f, x, h)
     return sum((-1) ** (order - j) * binom(order, j) * deriv_fraction(coeffs, 0, Fraction(j))
                for j in range(order + 1))
+
+
+def random_polynomial(rng: np.random.Generator, dim: int, max_degree: int = 6,
+                      max_terms: int = 6, exact_degree: int | None = None) -> PolynomialField:
+    """The stress-draw polynomial built term by term in `Fraction`s, with
+    its denominators drawn by `rng.choice`."""
+    top = exact_degree if exact_degree is not None else max_degree
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(max_terms):
+        exps = tuple(int(v) for v in rng.integers(0, top + 1, dim))
+        if sum(exps) > top:
+            continue
+        num = int(rng.integers(-2, 3))
+        den = int(rng.choice((1, 2, 4)))
+        if num:
+            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
+    terms = {e: c for e, c in terms.items() if c != 0}
+    if exact_degree is not None and not any(sum(e) == exact_degree for e in terms):
+        lead = [0] * dim
+        for _ in range(exact_degree):
+            lead[int(rng.integers(0, dim))] += 1
+        terms[tuple(lead)] = terms.get(tuple(lead), Fraction(0)) + Fraction(1, 2)
+    if not terms:
+        terms[(0,) * dim] = Fraction(1)
+    return PolynomialField(terms, dim=dim)

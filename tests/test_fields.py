@@ -86,6 +86,41 @@ class TestPolynomial:
         assert exact == Fraction(1, 3) * Fraction(a, 4) ** 3 - 2 * Fraction(a * b, 16) + 5
         assert f.value(x) == float(exact)
 
+    def test_value_batch_multiplies_powers_up(self, rng):
+        pts = rng.uniform(-1.5, 1.5, (4000, 2))
+        x, y = pts[:, 0], pts[:, 1]
+        want = np.ones(len(x))
+        for k in range(7):
+            got = PolynomialField({(k, 0): 1}, dim=2).value_batch(pts)
+            assert np.array_equal(got, want), k
+            want = x if k == 0 else want * x
+        # x^3 y^2: the coefficient times x^3 = (x * x) * x, then times y * y
+        f = PolynomialField({(3, 2): Fraction(-5, 7), (0, 0): 1})
+        want = float(Fraction(-5, 7)) * ((x * x) * x) * (y * y) + 1.0
+        assert np.array_equal(f.value_batch(pts), want)
+
+    def test_value_batch_up_to_squares_is_the_power_formula(self, rng):
+        # exponents up to 2 take numpy's exact power fast paths
+        f = parse_field("poly:0.5*x0^2*x1 - 3/7*x1^2 + x0*x1 - 2")
+        pts = rng.uniform(-2.0, 2.0, (5000, 2))
+        want = np.zeros(len(pts))
+        for exps, c in f.terms:
+            mono = np.full(len(pts), float(c))
+            for i, e in enumerate(exps):
+                if e:
+                    mono = mono * pts[:, i] ** e
+            want += mono
+        assert np.array_equal(f.value_batch(pts), want)
+
+    def test_value_batch_is_near_the_exact_value(self, rng):
+        f = parse_field("poly:x0^5*x1 - 1/3*x0^3*x1^3 + 2*x1^6 - x0")
+        pts = rng.uniform(-1.3, 1.3, (300, 2))
+        got = f.value_batch(pts)
+        for p, v in zip(pts, got):
+            scale = sum(abs(float(c)) * math.prod(abs(xi) ** e for xi, e in zip(p, exps))
+                        for exps, c in f.terms)
+            assert abs(v - f.value(p)) <= 1e-14 * scale
+
 
 class TestAnalyticLines:
     def test_frozen_oracles_regenerate(self):

@@ -20,6 +20,7 @@ from sobolev_pointwise import (
     PolynomialField,
     lagrange_interpolant,
     lagrange_remainder,
+    random_polynomial,
     sample,
     taylor_remainder,
 )
@@ -128,6 +129,17 @@ def test_sample_matches_the_rational_values(dim, points):
     grid = GridSpec.cube(-1.3, 0.9, points, dim)
     want = [float(ref.value_fraction(f, p)) for p in grid.flat_points]
     assert_same_float(sample(f, grid).values.ravel(), want)
+
+
+@pytest.mark.parametrize("exact_degree", [None, 0, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_polynomial_draws_what_the_rational_reference_draws(dim, exact_degree):
+    for seed in range(500):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw starts where the first left the stream
+            assert (random_polynomial(new, dim, exact_degree=exact_degree)
+                    == ref.random_polynomial(old, dim, exact_degree=exact_degree))
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_zero_polynomial():

@@ -1,5 +1,6 @@
 """Ball and lens geometry, and the discrete maximal function."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -29,7 +30,12 @@ from sobolev_pointwise import (
     sample,
     segment_ratio_constant,
 )
-from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
+from sobolev_pointwise.maximal import (
+    _RADIUS_SLACK,
+    _ball_counts,
+    _ball_offsets,
+    _boxed_ball_averages,
+)
 from sobolev_pointwise.verify import _rung_configs
 
 
@@ -61,6 +67,32 @@ def _cumsum_ball_sums(u, radius):
         sums += csum[hi] - csum[lo]
         counts += cones[hi] - cones[lo]
     return sums, counts
+
+
+def _loop_ball_offsets(spacings, radius):
+    """`_ball_offsets` as a loop over the lead-axis offset lattice: the
+    reference its vectorized form must match, ties included."""
+    lead_spacings = spacings[:-1]
+    r2 = radius * radius * _RADIUS_SLACK
+    cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in lead_spacings]
+    combos = []
+    for q in itertools.product(*(range(-c, c + 1) for c in cells)):
+        partial = sum((qi * sp) ** 2 for qi, sp in zip(q, lead_spacings))
+        if partial <= r2:
+            width = int(math.floor(math.sqrt(max(r2 - partial, 0.0)) / spacings[-1]))
+            combos.append((q, width))
+    return combos
+
+
+def _random_boxes(shape, rng, count=4):
+    """Random nonempty node boxes, plus the whole grid and single nodes at
+    two opposite corners."""
+    boxes = [tuple(slice(0, n) for n in shape), tuple(slice(0, 1) for _ in shape),
+             tuple(slice(n - 1, n) for n in shape)]
+    for _ in range(count):
+        ends = [sorted(rng.choice(n + 1, 2, replace=False)) for n in shape]
+        boxes.append(tuple(slice(int(a), int(b)) for a, b in ends))
+    return boxes
 
 
 def _brute_ball_average(u, radius):
@@ -182,6 +214,27 @@ class TestBallAverage:
                 np.testing.assert_array_equal(_ball_counts(grid.points, pad, offsets), counts)
 
     @pytest.mark.parametrize("grid", GRIDS)
+    def test_boxed_counts_are_the_whole_grid_counts_sliced(self, grid, rng):
+        radii = np.geomspace(min(grid.spacing), 0.9, 7)
+        pad = _pad_cells(grid.spacing, radii[-1])
+        for radius in radii:
+            offsets = _ball_offsets(grid.spacing, radius)
+            whole = _ball_counts(grid.points, pad, offsets)
+            for box in _random_boxes(grid.points, rng):
+                counts = _ball_counts(grid.points, pad, offsets, box)
+                assert np.array_equal(counts, whole[box])
+                assert np.array_equal(counts, np.round(counts))
+
+    @pytest.mark.parametrize("spacings", [(0.05,), (0.01, 0.01), (0.05, 0.05, 0.05),
+                                          (2 / 6, 1.5 / 8, 0.7 / 10), (0.1, 0.05),
+                                          (0.025,) * 3])
+    def test_offsets_match_the_loop(self, spacings):
+        # multiples of the spacing are the radius ties
+        for k in np.concatenate([np.arange(1, 13), np.linspace(0.5, 12.3, 31)]):
+            radius = float(k * spacings[0])
+            assert _ball_offsets(spacings, radius) == _loop_ball_offsets(spacings, radius)
+
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_averages_match_cumsum_reference(self, grid, rng):
         # runs are summed widths first, so only reassociation separates them
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
@@ -206,6 +259,16 @@ class TestBallAverages:
         for subset in (radii[::2], radii[1:4], radii[::-1]):
             for avg, radius in zip(ball_averages(u, subset), subset):
                 np.testing.assert_array_equal(avg, together[radii.index(radius)])
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_boxed_averages_are_the_whole_grid_averages_sliced(self, grid, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        radii = [float(r) for r in np.geomspace(min(grid.spacing), 0.9, 7)]
+        whole = ball_averages(u, radii)
+        boxes = _random_boxes(grid.points, rng, count=len(radii))[-len(radii):]
+        for k, (box, avg) in enumerate(_boxed_ball_averages(u, radii, boxes)):
+            assert all(b.start <= s.start and s.stop <= b.stop for s, b in zip(boxes[k], box))
+            assert np.array_equal(avg, whole[k][box])
 
     def test_radii_sharing_a_lattice_ball_share_the_average(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 21, 2)

@@ -39,7 +39,7 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
-from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
+from sobolev_pointwise.verify import PairBatch, _CoefficientLadder, _rung_configs
 
 SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -310,6 +310,112 @@ class TestCoefficientLadder:
         for l in range(3):
             gsum += g.at(report.x + l * h)
         np.testing.assert_array_equal(report.rhs, np.linalg.norm(h, axis=1) ** 2 * gsum)
+
+
+# grids, with sampler boxes (lo, hi) and largest separations: the grid's
+# own box, and boxes smaller than the grid on every axis or on some axes
+BOXED_CASES = [
+    # the last box is narrower than twice the top rung's delta
+    (GridSpec.cube(-1.0, 1.0, 201, 1),
+     [((-1.0,), (1.0,), 0.4), ((-0.45,), (0.8,), 0.3), ((-0.3,), (0.3,), 0.5)]),
+    (GridSpec.cube(-1.0, 1.0, 41, 2),
+     [((-1.0, -1.0), (1.0, 1.0), 0.4), ((-0.63, -1.0), (0.71, 0.4), 0.3)]),
+    (GridSpec((-1.0, -0.5), (1.0, 1.5), (13, 21)),
+     [((-1.0, -0.5), (1.0, 1.5), 0.5), ((-0.8, 0.0), (0.9, 1.3), 0.4)]),
+    (GridSpec.cube(-1.0, 1.0, 21, 3),
+     [((-1.0,) * 3, (1.0,) * 3, 0.4), ((-0.55, -0.9, -1.0), (0.6, 0.35, 1.0), 0.3)]),
+    # under "reject" no rung leaves room on the last axis here
+    (GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), (7, 9, 11)),
+     [((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), 0.7), ((-0.7, -0.3, 0.05), (0.9, 0.8, 0.65), 0.7)]),
+]
+
+
+def _boxed_cases():
+    for grid, boxes in BOXED_CASES:
+        for lo, hi, max_sep in boxes:
+            for boundary in ("reject", "clip"):
+                yield pytest.param(grid, Box(lo, hi), max_sep, boundary,
+                                   id=f"{grid.points}-{lo}-{boundary}")
+
+
+class TestNodeBoxes:
+    """A ladder built on node boxes equals the whole-grid ladder wherever
+    a pair can read it, and is NaN elsewhere."""
+
+    @staticmethod
+    def _configs(grid, sampler, boundary):
+        if boundary == "reject":
+            return _rung_configs(sampler, grid, None)
+        radii = _rung_configs(sampler, grid, None)[-1].radii
+        return [MaximalConfig(delta=sampler.max_sep, radii=radii, boundary="clip")]
+
+    @pytest.mark.parametrize("grid, outer, max_sep, boundary", list(_boxed_cases()))
+    def test_boxed_rungs_equal_the_whole_grid_rungs(self, grid, outer, max_sep, boundary):
+        sampler = PairSampler(Domain(outer), 2000, 3, 0.05, max_sep)
+        configs = self._configs(grid, sampler, boundary)
+        f = SinusoidField((1.5, 1.0, 2.0)[:grid.dim])
+        full = _CoefficientLadder(f, grid, 2, configs)
+        boxed = _CoefficientLadder(f, grid, 2, configs, outer)
+        for rung, box, whole in zip(boxed.stack, boxed.boxes, full.stack):
+            assert np.array_equal(rung[box], whole[box])
+            assert np.isfinite(rung).sum() == rung[box].size
+        for box, inner in zip(boxed.boxes, boxed.boxes[1:]):
+            assert all(a.start <= b.start and b.stop <= a.stop for a, b in zip(box, inner))
+        room = np.subtract(outer.hi, outer.lo) > 2 * boxed.deltas[0]
+        if boundary == "reject" and not np.all(room):
+            return
+        pairs = sampler.draw(boxed.margin_of)
+        rhs = boxed.endpoint_rhs(pairs)
+        assert np.all(np.isfinite(rhs))
+        assert np.array_equal(rhs, full.endpoint_rhs(pairs))
+
+    @pytest.mark.parametrize("grid, outer, max_sep, boundary", list(_boxed_cases()))
+    def test_admissible_extremes_and_nodes_read_finite_values(self, grid, outer, max_sep,
+                                                              boundary):
+        sampler = PairSampler(Domain(outer), 10, 0, 0.05, max_sep)
+        configs = self._configs(grid, sampler, boundary)
+        ladder = _CoefficientLadder(GaussianField(1.0, grid.dim), grid, 1, configs, outer)
+        lo, hi = np.asarray(outer.lo), np.asarray(outer.hi)
+        for r, delta in enumerate(ladder.deltas):
+            margin = delta if boundary == "reject" else 0.0
+            a, b = np.maximum(lo + margin, grid.lo), np.minimum(hi - margin, grid.hi)
+            if np.any(a > b):
+                continue
+            # every corner of the admissible box, exactly at lo + delta and
+            # hi - delta, and the outermost grid nodes inside it
+            axes = [np.concatenate([[p, q], ax[(ax >= p) & (ax <= q)][[0, -1]]])
+                    if np.any((ax >= p) & (ax <= q)) else np.array([p, q])
+                    for ax, p, q in zip(grid.axes, a, b)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+            values = ladder.coefficient_at(np.full(len(pts), r), pts)
+            assert np.all(np.isfinite(values)), (r, pts[~np.isfinite(values)])
+
+    def test_a_read_outside_the_box_is_a_nonfinite_violation(self):
+        grid = GridSpec.cube(-1.0, 1.0, 41, 2)
+        sampler = PairSampler(_domain(grid), 100, 0, 0.05, 0.4)
+        f = SinusoidField((1.5, 1.0))
+        ladder = _CoefficientLadder(f, grid, 1, _rung_configs(sampler, grid, None),
+                                    sampler.domain.outer)
+        top = float(ladder.deltas[-1])
+        # on the wall, so a top-rung pair (kept delta from the walls) never reads here
+        x = np.array([[-1.0, 0.0]])
+        y = x + [[top, 0.0]]
+        assert ladder.delta_index(np.array([top]))[0] == len(ladder.deltas) - 1
+        lhs = np.abs(f.value_batch(y) - f.value_batch(x))
+        rhs = ladder.endpoint_rhs(PairBatch(x, y, np.array([top]), 1))
+        report = build_report({}, x, y, lhs, rhs, 0.05)
+        assert report.n_nonfinite == 1
+        assert report.n_violations == 1
+
+    def test_scans_that_read_whole_fields_keep_whole_grid_ladders(self):
+        grid = GridSpec.cube(-1.0, 1.0, 21, 2)
+        sampler = PairSampler(_domain(grid), 200, 0, 0.05, 0.4)
+        f = SinusoidField((1.5, 1.0))
+        configs = _rung_configs(sampler, grid, None)
+        full = _CoefficientLadder(f, grid, 2, configs)
+        g = all_node_coefficient(f, 2, grid, sampler)
+        assert np.array_equal(g.values, 4.0 * full.stack[-1])
+        assert node_discard_check(f, 2, grid, sampler).n_nonfinite == 0
 
 
 class TestScans:
