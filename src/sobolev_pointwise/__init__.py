@@ -9,8 +9,8 @@ The package splits into a thin stack of layers:
     forward differences, Lagrange interpolation and its remainder, and
     the quadrature form of the difference as an integral of a derivative;
 ``maximal``
-    ball and lens volumes, the segment ratio constant, and a discrete
-    maximal function over sampled fields;
+    ball and lens volumes, the segment ratio constant, and discrete
+    local maximal functions of sampled fields on a ladder of radii;
 ``mollify``
     mollification kernels, discrete convolution, and Young inequality
     checks;
@@ -31,12 +31,10 @@ from .differences import (
     g_integral,
     g_sum,
     irwin_hall_density,
-    lagrange_basis,
     lagrange_interpolant,
     lagrange_remainder,
     taylor_remainder,
     telescope_residual,
-    tilde_difference,
 )
 from .exceptions import (
     ConfigError,
@@ -67,14 +65,12 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    ball_average,
     ball_averages,
     ball_volume,
     default_radii,
     ladder_configs,
     lens_volume,
     local_maximal_function,
-    mean_maximal_gradient,
     segment_ratio_constant,
 )
 from .mollify import (
@@ -83,7 +79,6 @@ from .mollify import (
     convolve,
     default_epsilons,
     lp_norm,
-    mollified_coefficient,
     young_check,
 )
 from .verify import (
@@ -131,7 +126,6 @@ __all__ = [
     "UnsupportedOrderError",
     "YoungReport",
     "all_node_coefficient",
-    "ball_average",
     "ball_averages",
     "ball_volume",
     "binomial",
@@ -151,7 +145,6 @@ __all__ = [
     "identity_suite",
     "irwin_hall_density",
     "ladder_configs",
-    "lagrange_basis",
     "lagrange_interpolant",
     "lagrange_remainder",
     "lemma1_scan",
@@ -159,8 +152,6 @@ __all__ = [
     "local_maximal_function",
     "lp_norm",
     "main_inequality_scan",
-    "mean_maximal_gradient",
-    "mollified_coefficient",
     "mollified_scan",
     "node_discard_check",
     "parse_field",
@@ -172,7 +163,6 @@ __all__ = [
     "segment_ratio_constant",
     "taylor_remainder",
     "telescope_residual",
-    "tilde_difference",
     "triebel_scan",
     "young_check",
 ]

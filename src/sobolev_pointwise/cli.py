@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .differences import binomial
-from .exceptions import ConfigError, DomainError, EmptyScanError
+from .exceptions import ConfigError, DomainError, EmptyScanError, UnsupportedOrderError
 from .fields import GridSpec, SampledField, parse_field, sample
 from .maximal import (
     MaximalConfig,
@@ -67,7 +67,6 @@ _DEFAULTS = {
     "scan": "lemma1",
     "format": "json",
     "out": None,
-    "workers": 1,
     "radius": 1.0,
     "distance": 1.0,
     "corrupt_binomial": False,
@@ -162,8 +161,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         else:
             resolved[key] = default
     resolved["command"] = args.command
-    if resolved["workers"] is not None and int(resolved["workers"]) < 1:
-        raise ConfigError("--workers must be at least 1")
     return resolved
 
 
@@ -391,9 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="write a JSON (or CSV) report here")
         p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; scans are vectorized "
-                            "and results never depend on it")
 
     p = sub.add_parser("identities", help="run the exact-identity suite")
     common(p)
@@ -461,7 +455,7 @@ def main(argv=None) -> int:
     except EmptyScanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, UnsupportedOrderError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     print(f"done in {time.time() - start:.2f} s", file=sys.stderr)

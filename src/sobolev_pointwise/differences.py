@@ -47,10 +47,8 @@ __all__ = [
     "telescope_residual",
     "NodeFamily",
     "QuadratureRule",
-    "lagrange_basis",
     "lagrange_interpolant",
     "lagrange_remainder",
-    "tilde_difference",
     "taylor_remainder",
     "irwin_hall_density",
 ]
@@ -172,9 +170,6 @@ class NodeFamily:
     def node(self, j: int) -> np.ndarray:
         return np.asarray(self.base) + j * np.asarray(self.step)
 
-    def nodes(self) -> np.ndarray:
-        return np.asarray(self.base) + np.arange(self.count)[:, None] * np.asarray(self.step)
-
     def line_coordinate(self, y) -> float:
         """Coordinate s with y = base + s * step; off-line points are geometry errors."""
         y = _as_point(y, self.dim)
@@ -187,22 +182,6 @@ class NodeFamily:
             raise GeometryError(
                 f"point {y.tolist()} is off the node line (residual {residual:.3e})")
         return s
-
-
-def lagrange_basis(nodes: NodeFamily, j: int, y) -> float:
-    """Value at y of the j-th Lagrange basis polynomial on the node family.
-
-    y must lie on the node line; it is mapped to its line coordinate s,
-    and the basis is prod_{i != j} (s - i) / (j - i) over node indices.
-    """
-    if not 0 <= j < nodes.count:
-        raise ValueError(f"basis index must satisfy 0 <= j < {nodes.count}, got {j}")
-    s = nodes.line_coordinate(y)
-    out = 1.0
-    for i in range(nodes.count):
-        if i != j:
-            out *= (s - i) / (j - i)
-    return out
 
 
 def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
@@ -257,12 +236,6 @@ def lagrange_remainder(f: AnalyticField, x, y, order: int) -> float:
     order = f._check_order(order)
     nodes = NodeFamily.for_remainder(x, y, order)
     return evaluate(f, y) - lagrange_interpolant(f, nodes, y)
-
-
-def tilde_difference(f: AnalyticField, x, y, order: int) -> float:
-    """Signed remainder (-1)^order * lagrange_remainder(f, x, y, order)."""
-    r = lagrange_remainder(f, x, y, order)
-    return r if order % 2 == 0 else -r
 
 
 def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:

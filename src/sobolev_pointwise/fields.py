@@ -617,16 +617,10 @@ class GridSpec:
 
 @dataclass
 class SampledField:
-    """Field values on a `GridSpec`, lexicographic in the grid axes.
-
-    `valid_margin` marks how many boundary layers per axis carry values
-    contaminated by zero padding (after convolution); `None` means every
-    node is valid.
-    """
+    """Field values on a `GridSpec`, lexicographic in the grid axes."""
 
     grid: GridSpec
     values: np.ndarray
-    valid_margin: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -634,17 +628,6 @@ class SampledField:
             raise ConfigError(f"values shape {self.values.shape} does not match grid {self.grid.points}")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("sampled fields must be finite everywhere")
-        if self.valid_margin is not None:
-            self.valid_margin = tuple(int(m) for m in self.valid_margin)
-            if len(self.valid_margin) != self.grid.dim:
-                raise ConfigError("valid_margin must have one entry per axis")
-            if any(2 * m >= p for m, p in zip(self.valid_margin, self.grid.points)):
-                raise ConfigError("valid interior is empty after erosion")
-
-    def interior_slices(self) -> tuple[slice, ...]:
-        if self.valid_margin is None:
-            return tuple(slice(None) for _ in self.grid.points)
-        return tuple(slice(m, p - m) for m, p in zip(self.valid_margin, self.grid.points))
 
     def at(self, pts) -> np.ndarray:
         """Multilinear read-back at points (N, dim) inside the grid box.

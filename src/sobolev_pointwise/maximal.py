@@ -8,23 +8,24 @@ gives a discrete local Hardy-Littlewood maximal function; scaled by the
 lens ratio it yields the coefficient fields used by the inequality scans.
 `ball_averages` averages a whole radius ladder in one pass: one
 cumulative sum along the last grid axis, one run sum per run half-width,
-and one sum per distinct lattice ball.  The same pass can sum each ball
-on a node box only (`_boxed_ball_averages`), bit for bit the whole-grid
-values there: the two-endpoint scans read a rung only where its pairs
-can reach, which under the "reject" boundary is the box shrunk by the
-rung's delta.
+and one sum per distinct lattice ball, each radius on its own node box.
+`local_maximal_function` turns a ladder of nested rungs into one
+(R, *grid) stack of maxima.  The two-endpoint scans read a rung only
+where its pairs can reach, which under the "reject" boundary is the box
+shrunk by the rung's delta, so each rung is built on that box only and
+left NaN outside it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .fields import AnalyticField, GridSpec, SampledField, gradient_magnitude_field
+from .fields import SampledField
 
 __all__ = [
     "ball_volume",
@@ -33,10 +34,8 @@ __all__ = [
     "MaximalConfig",
     "default_radii",
     "ladder_configs",
-    "ball_average",
     "ball_averages",
     "local_maximal_function",
-    "mean_maximal_gradient",
 ]
 
 # Relative slack used when testing whether a lattice offset lies inside a
@@ -271,16 +270,24 @@ def _union(boxes) -> tuple[slice, ...]:
                  for axis in zip(*boxes))
 
 
-def _boxed_ball_averages(u: SampledField, radii,
-                         boxes) -> list[tuple[tuple[slice, ...], np.ndarray]]:
-    """`ball_averages` with each radius needed only on its node box.
+def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
+    """Counting-measure averages of u over lattice balls, one per radius,
+    each on its node box in `boxes` (a slice per axis; the whole grid by
+    default).
 
-    `boxes` holds one node box per radius, a slice per axis.  A lattice
-    ball is summed on the smallest box holding the boxes of all its
-    radii, and each radius gets that box and the average laid out on
-    it.  Every node that is computed gets the additions, in the same
-    order, that it gets on the whole grid, so the averages are the
-    whole-grid ones, sliced.
+    Every grid node within Euclidean distance r of the center
+    contributes with equal weight; near the grid boundary the ball is
+    clipped to the grid.  The field is padded once, at the largest
+    radius, and summed cumulatively along its last axis, so a ball is a
+    sum of last-axis runs.  Each run half-width's run sum is formed once
+    and added, at every lead-axis offset that uses it, into every ball
+    holding it (a summed-area table shared by the whole ladder, after
+    Crow 1984).  A lattice ball is summed only on the smallest box
+    holding the boxes of all its radii.  Its additions always go widths
+    ascending, then in `_ball_offsets` order, so its average depends
+    neither on the other radii of the call nor on the boxes: it is the
+    whole-grid average, sliced.  Radii with the same lattice ball share
+    one array: never update a result in place.
     """
     radii = [float(r) for r in radii]
     if not radii or min(radii) <= 0:
@@ -288,6 +295,8 @@ def _boxed_ball_averages(u: SampledField, radii,
     values = u.values
     spacings = u.grid.spacing
     shape = values.shape
+    if boxes is None:
+        boxes = [tuple(slice(0, n) for n in shape)] * len(radii)
     pad_cells = [int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings]
     balls: dict[tuple, int] = {}
     which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
@@ -323,63 +332,44 @@ def _boxed_ball_averages(u: SampledField, radii,
     del csum, run
     for total, offsets, box in zip(sums, balls, ball_boxes):
         total /= _ball_counts(shape, pad_cells, offsets, box)
-    return [(ball_boxes[b], sums[b]) for b in which]
+    return [sums[b][_within(box, ball_boxes[b])] for b, box in zip(which, boxes)]
 
 
-def ball_averages(u: SampledField, radii) -> list[np.ndarray]:
-    """Counting-measure averages of u over lattice balls, one per radius.
+def local_maximal_function(u: SampledField, configs, boxes) -> np.ndarray:
+    """Local maximal functions of a nonnegative grid field on a ladder of
+    rungs: rung r is the largest ball average over configs[r].radii, on
+    the node box boxes[r] (a slice per axis).
 
-    Every grid node within Euclidean distance r of the center
-    contributes with equal weight; near the grid boundary the ball is
-    clipped to the grid.  The field is padded once, at the largest
-    radius, and summed cumulatively along its last axis, so a ball is a
-    sum of last-axis runs.  Each run half-width's run sum is formed once
-    and added, at every lead-axis offset that uses it, into every ball
-    holding it (a summed-area table shared by the whole ladder, after
-    Crow 1984).  A ball's additions always go widths ascending, then in
-    `_ball_offsets` order, so its average does not depend on the other
-    radii of the call, nor on the node box it is computed on (the
-    coefficient ladder of the scans computes each ball only on the
-    nodes its pairs can read).  Radii with the same lattice ball share
-    one array: never update a result in place.
+    Each rung's radii extend the previous rung's radii (as from
+    `ladder_configs`), and each box lies in the box before it.  One
+    `ball_averages` call covers the top rung's radii, each radius on the
+    box of the first rung holding it, and each rung extends the
+    previous rung's maximum, cut to its own box, by its new radii.
+    Returns the (R, *grid) stack, NaN outside each rung's box, so that
+    a read there fails closed.
     """
-    radii = list(radii)
-    whole = tuple(slice(0, n) for n in u.values.shape)
-    return [avg for _, avg in _boxed_ball_averages(u, radii, [whole] * len(radii))]
-
-
-def ball_average(u: SampledField, radius: float) -> np.ndarray:
-    """Counting-measure average of u over lattice balls of one radius:
-    `ball_averages` for that radius alone."""
-    return ball_averages(u, (radius,))[0]
-
-
-def local_maximal_function(u: SampledField, config: MaximalConfig) -> SampledField:
-    """Largest ball average of a nonnegative grid field over the radius
-    ladder, with every radius averaged in one `ball_averages` call."""
+    radii = configs[-1].radii
     if np.any(u.values < 0):
         raise ValueError("the maximal function expects a nonnegative field")
-    spacing_max = max(u.grid.spacing)
-    if max(config.radii) < spacing_max:
+    if max(radii) < max(u.grid.spacing):
         raise ConfigError(
             "every radius is below the grid spacing; the ladder resolves nothing")
-    out = reduce(np.maximum, ball_averages(u, config.radii))
-    margin = u.valid_margin
-    if margin is not None:
-        extra = [int(math.ceil(max(config.radii) / sp)) for sp in u.grid.spacing]
-        margin = tuple(m + e for m, e in zip(margin, extra))
-    return SampledField(u.grid, out, valid_margin=margin)
-
-
-def mean_maximal_gradient(f: AnalyticField, grid: GridSpec, config: MaximalConfig,
-                          order: int = 1) -> SampledField:
-    """Coefficient field C(n) * M^delta(|grad^order f|) on the grid.
-
-    |grad^order f| comes from `gradient_magnitude_field`: exact for
-    order <= 2 (gradient norm, Hessian spectral norm), a maximum over
-    `default_directions` for order >= 3.  C(n) is `segment_ratio_constant`.
-    """
-    g = gradient_magnitude_field(f, grid, order)
-    m_field = local_maximal_function(g, config)
-    scale = segment_ratio_constant(grid.dim)
-    return SampledField(grid, scale * m_field.values, valid_margin=m_field.valid_margin)
+    if any(lower.radii != upper.radii[:len(lower.radii)]
+           for lower, upper in zip(configs, configs[1:])):
+        raise ConfigError("each rung's radii must extend the previous rung's radii")
+    if any(i.start < o.start or i.stop > o.stop
+           for outer, inner in zip(boxes, boxes[1:]) for o, i in zip(outer, inner)):
+        raise ConfigError("each rung's node box must lie in the box before it")
+    first = [min(r for r, cfg in enumerate(configs) if len(cfg.radii) > i)
+             for i in range(len(radii))]
+    averages = ball_averages(u, radii, [boxes[r] for r in first])
+    stack = np.full((len(configs),) + u.values.shape, np.nan)
+    best, best_box, done = None, None, 0
+    for rung, cfg, box in zip(stack, configs, boxes):
+        if best is not None:
+            best = best[_within(box, best_box)]
+        for avg in averages[done:len(cfg.radii)]:
+            best = avg if best is None else np.maximum(best, avg)
+        best_box, done = box, len(cfg.radii)
+        rung[box] = best
+    return stack

@@ -4,8 +4,9 @@ A mollifier is a nonnegative kernel of small support, sampled on the
 grid lattice and normalized to unit discrete mass.  Convolving a sampled
 field with it smooths the field while, by convexity, never increasing
 any Lp norm of a field supported away from the boundary (the discrete
-Young inequality).  The convolved values within one kernel support of
-the boundary mix with zero padding and are flagged via `valid_margin`.
+Young inequality).  The convolved values within one kernel half-width
+of the boundary mix with zero padding; the mollified scan keeps its
+pairs a kernel margin (`Mollifier.margin_length`) from the walls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fields import GridSpec, SampledField
 __all__ = [
     "Mollifier",
     "convolve",
-    "mollified_coefficient",
     "lp_norm",
     "young_check",
     "YoungReport",
@@ -128,9 +128,9 @@ def _taps_cached(mollifier: Mollifier, spacing: tuple[float, ...]) -> np.ndarray
 def convolve(u: SampledField, mollifier: Mollifier) -> SampledField:
     """Discrete convolution of a sampled field with a mollifier.
 
-    Zero padding supplies out-of-grid values; the returned field's
-    `valid_margin` grows by the kernel half-width so downstream
-    consumers know which boundary layers are contaminated.
+    Zero padding supplies out-of-grid values, so the values within one
+    kernel half-width (`Mollifier.margin_cells`) of the boundary are
+    contaminated; a kernel wider than the grid is refused.
     """
     if mollifier.dim != u.grid.dim:
         raise ConfigError("mollifier dimension does not match the grid")
@@ -141,17 +141,7 @@ def convolve(u: SampledField, mollifier: Mollifier) -> SampledField:
     from scipy import ndimage
 
     out = ndimage.convolve(u.values, taps, mode="constant", cval=0.0)
-    cells = mollifier.margin_cells(u.grid.spacing)
-    old = u.valid_margin or (0,) * u.grid.dim
-    margin = tuple(o + c for o, c in zip(old, cells))
-    return SampledField(u.grid, out, valid_margin=margin)
-
-
-def mollified_coefficient(a_hat: SampledField, mollifier: Mollifier) -> SampledField:
-    """Mollified coefficient field: the convolution of `a_hat` with the kernel."""
-    if np.any(a_hat.values < 0):
-        raise ValueError("coefficient fields must be nonnegative")
-    return convolve(a_hat, mollifier)
+    return SampledField(u.grid, out)
 
 
 def lp_norm(u: SampledField, p: float) -> float:

@@ -39,12 +39,10 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    _boxed_ball_averages,
     _union,
-    _within,
     default_radii,
     ladder_configs,
-    mean_maximal_gradient,
+    local_maximal_function,
     segment_ratio_constant,
 )
 from .mollify import Mollifier, convolve, lp_norm
@@ -214,6 +212,8 @@ class PairSampler:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("need at least one pair")
+        if self.seed < 0:
+            raise ConfigError("the seed must be nonnegative")
         if not 0 < self.min_sep <= self.max_sep:
             raise ConfigError("separations must satisfy 0 < min_sep <= max_sep")
 
@@ -359,8 +359,12 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
     Ratios follow `_ratios`: an infinite ratio (vanishing right side
     under a nonzero left side, or a non-finite side) is always a
     violation and is reported distinctly in the violation records;
-    `n_nonfinite` counts the pairs with a non-finite side.
+    `n_nonfinite` counts the pairs with a non-finite side.  The slack
+    must be a finite number >= 0: a NaN or infinite slack would pass
+    every ratio.
     """
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ConfigError(f"the slack must be a finite number >= 0, got {slack!r}")
     if len(x) == 0:
         raise EmptyScanError("no pairs to report on")
     lhs = np.asarray(lhs, dtype=float)
@@ -446,12 +450,12 @@ class _CoefficientLadder:
     Each rung's radii extend the previous rung's radii (as from
     `_rung_configs`), so the fields are monotone in delta; each pair
     then uses the smallest ladder delta at or above its separation.
-    One `_boxed_ball_averages` call covers the top rung's radii, and
-    each rung extends the previous rung's maximum by its own new radii.
+    The rungs are `local_maximal_function` of |grad^order f|, scaled in
+    place by the lens ratio C(n): one (R, *grid) `stack`, which
+    `coefficient_at` gathers from with the rung as leading index.
 
     Given the sampler's `outer` box, each rung is built only on its node
-    box (`_node_boxes`), the nodes its pairs can touch, and a ball only
-    on the box of the first rung holding its radius; `stack` is NaN
+    box (`_node_boxes`), the nodes its pairs can touch; `stack` is NaN
     outside a rung's box, so a read there fails closed.  Without `outer`
     every rung covers the whole grid.
     """
@@ -464,25 +468,10 @@ class _CoefficientLadder:
         self.boundary = configs[-1].boundary
         self.deltas = np.asarray([c.delta for c in configs])
         self.gradient = gradient_magnitude_field(f, grid, order)
-        scale = segment_ratio_constant(grid.dim)
         margins = self.deltas if self.boundary == "reject" else np.zeros_like(self.deltas)
         self.boxes = _node_boxes(grid, outer, margins)
-        radii = configs[-1].radii
-        first = [min(r for r, cfg in enumerate(configs) if len(cfg.radii) > i)
-                 for i in range(len(radii))]
-        averages = _boxed_ball_averages(self.gradient, radii, [self.boxes[r] for r in first])
-        # the rungs are one (R, *grid) stack, which `coefficient_at`
-        # gathers from with the rung as leading index
-        self.stack = np.full((len(configs),) + grid.points, np.nan)
-        best, best_box, done = None, None, 0
-        for rung, cfg, box in zip(self.stack, configs, self.boxes):
-            if best is not None:
-                best = best[_within(box, best_box)]
-            for avg_box, avg in averages[done:len(cfg.radii)]:
-                part = avg[_within(box, avg_box)]
-                best = part if best is None else np.maximum(best, part)
-            best_box, done = box, len(cfg.radii)
-            np.multiply(scale, best, out=rung[box])
+        self.stack = local_maximal_function(self.gradient, configs, self.boxes)
+        self.stack *= segment_ratio_constant(grid.dim)
 
     @property
     def fields(self) -> list[SampledField]:
@@ -773,13 +762,12 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
 def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> float:
     """Upper bound ||f||_p + ||order^order * a||_p for the class quasinorm.
 
-    `a` is the maximal coefficient field at scale delta = a quarter of
-    the smallest box side.
+    `a` is the one-rung coefficient ladder at scale delta = a quarter of
+    the smallest box side, on the whole grid.
     """
     delta = min(grid.extent) / 4.0
     config = MaximalConfig(delta=delta, radii=default_radii(delta, max(grid.spacing)))
-    a = mean_maximal_gradient(f, grid, config, order)
-    coeff = SampledField(grid, float(order) ** order * a.values)
+    coeff = _CoefficientLadder(f, grid, order, [config]).all_node()
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 
 
@@ -863,6 +851,10 @@ def identity_suite(draws: int = 200, seed: int = 0, *, binom=binomial) -> dict:
     `binom` argument is the fault-injection hook: replacing it with a
     corrupted table must break the suite.
     """
+    if draws < 1:
+        raise ConfigError("the identity suite needs at least one draw")
+    if seed < 0:
+        raise ConfigError("the seed must be nonnegative")
     from .differences import (
         QuadratureRule,
         forward_difference,

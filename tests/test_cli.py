@@ -1,11 +1,15 @@
 """Command-line behavior: subcommands, config precedence, exit codes."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
 from sobolev_pointwise import GridSpec, default_radii
 from sobolev_pointwise.cli import main
+
+CLI_SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sobolev_pointwise" / "cli.py"
 
 
 class TestIdentities:
@@ -145,6 +149,83 @@ class TestConfigFile:
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "--scan", "lemma1",
                      "--config", "/nonexistent/cfg.json"]) == 2
+
+    def test_removed_workers_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert main(["verify", "--scan", "lemma1", "--config", str(cfg)]) == 2
+        assert "workers" in capsys.readouterr().err
+
+
+# Each is a usage error: exit 2 with one line on stderr, never a traceback
+# (exit 1 means a check failed).
+USAGE_ERRORS = [
+    "verify --scan main --m 30",
+    "mollify --m 30",
+    "triebel --m 30",
+    "verify --scan main --m 9 --field pow:alpha=1.5 --grid 0.2:1:101",
+    "verify --seed -1",
+    "identities --seed -1",
+    # a NaN or infinite slack passes the zero-coefficient control, whose
+    # ratios are all inf
+    "triebel --g zero --pairs 10 --slack nan",
+    "triebel --g zero --pairs 10 --slack inf",
+    "triebel --g zero --pairs 10 --slack -0.5",
+    # no draws would print PASS having checked nothing
+    "identities --draws 0",
+    "identities --draws -3",
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", USAGE_ERRORS)
+    def test_exits_two_with_one_line(self, command, capsys):
+        assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: ")
+
+    def test_zero_slack_is_allowed(self, capsys):
+        code = main(["triebel", "--field", "sin:w=2", "--grid", "-1:1:161",
+                     "--m", "2", "--pairs", "80", "--seed", "2", "--slack", "0"])
+        assert code == 0
+
+
+def _dead_knobs(tree: ast.Module) -> list[str]:
+    """`_DEFAULTS` keys that no command reads as cfg["<key>"], and parser
+    dests that are neither `_DEFAULTS` keys nor the parser's own."""
+    defaults = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "_DEFAULTS" for t in node.targets))
+    keys = {k.value for k in defaults.keys}
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg"
+            and isinstance(node.slice, ast.Constant)}
+    dests = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("add_argument", "add_subparsers")):
+            dest = next((k.value.value for k in node.keywords if k.arg == "dest"), None)
+            if dest is None and node.args:
+                dest = node.args[0].value.lstrip("-").replace("-", "_")
+            dests.add(dest)
+    return ([f"unread default {key}" for key in sorted(keys - read)]
+            + [f"dest without default {d}" for d in sorted(dests - keys
+                                                          - {"config", "dump_config", "command"})])
+
+
+class TestNoDeadKnobs:
+    def test_every_default_is_read_and_every_flag_has_a_default(self):
+        assert _dead_knobs(ast.parse(CLI_SOURCE.read_text())) == []
+
+    def test_guard_sees_dead_knobs(self):
+        tree = ast.parse(
+            '_DEFAULTS = {"seed": 0, "workers": 1}\n'
+            "def run(cfg, p, sub):\n"
+            '    sub.add_parser("x").add_argument("--seed", type=int)\n'
+            '    p.add_argument("--dry-run", action="store_true")\n'
+            '    p.add_argument("--cfg-file", dest="config")\n'
+            '    return cfg["seed"] + resolved["workers"]\n')
+        assert _dead_knobs(tree) == ["unread default workers", "dest without default dry_run"]
 
 
 class TestGeometry:

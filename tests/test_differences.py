@@ -20,13 +20,11 @@ from sobolev_pointwise import (
     g_integral,
     g_sum,
     irwin_hall_density,
-    lagrange_basis,
     lagrange_interpolant,
     lagrange_remainder,
     parse_field,
     taylor_remainder,
     telescope_residual,
-    tilde_difference,
 )
 
 
@@ -100,16 +98,6 @@ class TestNodes:
         with pytest.raises(DegeneratePairError):
             NodeFamily.for_remainder((0.5,), (0.5,), 3)
 
-    def test_basis_partition_of_unity(self):
-        nodes = NodeFamily.for_remainder((0.0,), (1.0,), 5)
-        total = sum(lagrange_basis(nodes, j, (0.37,)) for j in range(5))
-        assert total == pytest.approx(1.0, rel=1e-13)
-
-    def test_basis_extrapolation_value(self):
-        # two nodes 0 and 1, first basis function evaluated at 2
-        nodes = NodeFamily.for_remainder((0.0,), (2.0,), 2)
-        assert lagrange_basis(nodes, 0, (2.0,)) == -1.0
-
     def test_interpolant_reproduces_low_degree(self):
         f = parse_field("poly:x0^3 - 2*x0 + 1")
         nodes = NodeFamily.for_remainder((-0.5,), (0.7,), 4)
@@ -125,12 +113,6 @@ class TestRemainder:
         h = ((y[0] - x[0]) / order,)
         direct = forward_difference(f, x, h, order)
         assert rem == pytest.approx(direct, rel=1e-12)
-
-    def test_tilde_difference_sign(self):
-        f = GaussianField(0.8)
-        x, y, order = (-0.4,), (0.5,), 3
-        assert tilde_difference(f, x, y, order) == pytest.approx(
-            (-1.0) ** order * lagrange_remainder(f, x, y, order), rel=1e-14)
 
     def test_taylor_remainder_annihilates_low_degree(self):
         f = parse_field("poly:x0^2*x1 - x1^2 + 3")

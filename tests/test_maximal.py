@@ -1,5 +1,6 @@
 """Ball and lens geometry, and the discrete maximal function."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,25 +19,18 @@ from sobolev_pointwise import (
     MaximalConfig,
     PairSampler,
     SampledField,
-    ball_average,
     ball_averages,
     ball_volume,
     default_radii,
     ladder_configs,
     lens_volume,
     local_maximal_function,
-    mean_maximal_gradient,
     parse_field,
     sample,
     segment_ratio_constant,
 )
-from sobolev_pointwise.maximal import (
-    _RADIUS_SLACK,
-    _ball_counts,
-    _ball_offsets,
-    _boxed_ball_averages,
-)
-from sobolev_pointwise.verify import _rung_configs
+from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
+from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
 
 
 def _pad_cells(spacings, radius):
@@ -93,6 +87,16 @@ def _random_boxes(shape, rng, count=4):
         ends = [sorted(rng.choice(n + 1, 2, replace=False)) for n in shape]
         boxes.append(tuple(slice(int(a), int(b)) for a, b in ends))
     return boxes
+
+
+def _ball_average(u, radius):
+    return ball_averages(u, (radius,))[0]
+
+
+def _whole(u, configs):
+    """`local_maximal_function` with every rung on the whole grid."""
+    return local_maximal_function(u, configs, [tuple(slice(0, n) for n in u.grid.points)]
+                                  * len(configs))
 
 
 def _brute_ball_average(u, radius):
@@ -197,7 +201,7 @@ class TestBallAverage:
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
         for radius in (1.5 * grid.spacing[0], 3.2 * grid.spacing[0]):
-            fast = ball_average(u, radius)
+            fast = _ball_average(u, radius)
             slow = _brute_ball_average(u, radius)
             np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
 
@@ -240,12 +244,12 @@ class TestBallAverage:
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
         for radius in np.geomspace(min(grid.spacing), 0.9, 7):
             sums, counts = _cumsum_ball_sums(u, radius)
-            np.testing.assert_allclose(ball_average(u, radius), sums / counts,
+            np.testing.assert_allclose(_ball_average(u, radius), sums / counts,
                                        rtol=1e-13, atol=1e-15)
 
     def test_constant_field_is_fixed_point(self, grid_2d):
         u = SampledField(grid_2d, np.full(grid_2d.points, 3.5))
-        np.testing.assert_allclose(ball_average(u, 0.3), 3.5, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_ball_average(u, 0.3), 3.5, rtol=0, atol=1e-13)
 
 
 class TestBallAverages:
@@ -255,7 +259,7 @@ class TestBallAverages:
         radii = [float(r) for r in np.geomspace(min(grid.spacing), 0.9, 7)]
         together = ball_averages(u, radii)
         for k, radius in enumerate(radii):
-            np.testing.assert_array_equal(together[k], ball_average(u, radius))
+            np.testing.assert_array_equal(together[k], _ball_average(u, radius))
         for subset in (radii[::2], radii[1:4], radii[::-1]):
             for avg, radius in zip(ball_averages(u, subset), subset):
                 np.testing.assert_array_equal(avg, together[radii.index(radius)])
@@ -266,9 +270,8 @@ class TestBallAverages:
         radii = [float(r) for r in np.geomspace(min(grid.spacing), 0.9, 7)]
         whole = ball_averages(u, radii)
         boxes = _random_boxes(grid.points, rng, count=len(radii))[-len(radii):]
-        for k, (box, avg) in enumerate(_boxed_ball_averages(u, radii, boxes)):
-            assert all(b.start <= s.start and s.stop <= b.stop for s, b in zip(boxes[k], box))
-            assert np.array_equal(avg, whole[k][box])
+        for k, avg in enumerate(ball_averages(u, radii, boxes)):
+            assert np.array_equal(avg, whole[k][boxes[k]])
 
     def test_radii_sharing_a_lattice_ball_share_the_average(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 21, 2)
@@ -285,7 +288,7 @@ class TestBallAverages:
         with pytest.raises(ConfigError):
             ball_averages(u, (0.1, 0.0))
         with pytest.raises(ConfigError):
-            ball_average(u, -0.1)
+            ball_averages(u, (-0.1,))
 
     def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 201, 2)
@@ -309,51 +312,81 @@ class TestMaximalFunction:
     def _config(self, grid, delta=0.3):
         return MaximalConfig(delta=delta, radii=default_radii(delta, grid.spacing[0]))
 
+    def _maximal(self, u, config):
+        return _whole(u, [config])[0]
+
     def test_dominates_each_ball_average(self, grid_1d, rng):
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
         config = self._config(grid_1d)
-        m = local_maximal_function(u, config)
+        m = self._maximal(u, config)
         for radius in config.radii:
-            assert np.all(m.values >= ball_average(u, radius) - 1e-14)
+            assert np.all(m >= _ball_average(u, radius) - 1e-14)
 
     def test_rejects_negative_input(self, grid_1d):
         u = SampledField(grid_1d, np.linspace(-1.0, 1.0, grid_1d.points[0]))
         with pytest.raises(ValueError):
-            local_maximal_function(u, self._config(grid_1d))
+            self._maximal(u, self._config(grid_1d))
 
     def test_sublinearity(self, grid_1d, rng):
         config = self._config(grid_1d)
         a = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
         b = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
         both = SampledField(grid_1d, a.values + b.values)
-        lhs = local_maximal_function(both, config).values
-        rhs = (local_maximal_function(a, config).values
-               + local_maximal_function(b, config).values)
+        lhs = self._maximal(both, config)
+        rhs = self._maximal(a, config) + self._maximal(b, config)
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_homogeneity(self, grid_1d, rng):
         config = self._config(grid_1d)
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
         scaled = SampledField(grid_1d, 4.0 * u.values)
-        np.testing.assert_allclose(local_maximal_function(scaled, config).values,
-                                   4.0 * local_maximal_function(u, config).values,
+        np.testing.assert_allclose(self._maximal(scaled, config),
+                                   4.0 * self._maximal(u, config),
                                    rtol=1e-13, atol=1e-15)
 
     def test_monotone_in_delta(self, grid_1d, rng):
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
         configs = ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0])
-        prev = None
-        for config in configs:
-            cur = local_maximal_function(u, config).values
-            if prev is not None:
-                assert np.all(cur >= prev - 1e-14)
-            prev = cur
+        stack = _whole(u, configs)
+        for rung, config in enumerate(configs):
+            if rung:
+                assert np.all(stack[rung] >= stack[rung - 1])
+            np.testing.assert_array_equal(stack[rung], self._maximal(u, config))
 
     def test_all_radii_below_spacing_rejected(self, grid_1d):
         u = SampledField(grid_1d, np.ones(grid_1d.points))
         config = MaximalConfig(delta=0.001, radii=(0.0005, 0.001))
         with pytest.raises(ConfigError):
-            local_maximal_function(u, config)
+            self._maximal(u, config)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_rungs_are_maxima_of_their_ball_averages_on_their_boxes(self, grid, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        sp = max(grid.spacing)
+        configs = ladder_configs((2.2 * sp, 3.5 * sp, 5.0 * sp), sp)
+        boxes = [tuple(slice(k, n - 2 * k) for n in grid.points) for k in range(len(configs))]
+        stack = local_maximal_function(u, configs, boxes)
+        for rung, box, config in zip(stack, boxes, configs):
+            best = functools.reduce(np.maximum, [_ball_average(u, r) for r in config.radii])
+            assert np.array_equal(rung[box], best[box])
+            outside = np.ones(grid.points, dtype=bool)
+            outside[box] = False
+            assert np.all(np.isnan(rung[outside]))
+
+    def test_rejects_rungs_that_do_not_nest(self, grid_1d):
+        u = SampledField(grid_1d, np.ones(grid_1d.points))
+        configs = ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0])
+        with pytest.raises(ConfigError):
+            _whole(u, configs[::-1])
+        skipped = MaximalConfig(0.4, configs[0].radii[:-1] + configs[-1].radii[-1:])
+        with pytest.raises(ConfigError):
+            _whole(u, [configs[0], skipped])
+
+    def test_rejects_boxes_that_do_not_nest(self, grid_1d):
+        u = SampledField(grid_1d, np.ones(grid_1d.points))
+        configs = ladder_configs((0.1, 0.2), grid_1d.spacing[0])
+        with pytest.raises(ConfigError):
+            local_maximal_function(u, configs, [(slice(5, 50),), (slice(4, 60),)])
 
 
 class TestLadderConfigs:
@@ -376,18 +409,20 @@ class TestLadderConfigs:
             MaximalConfig(delta=0.1, radii=(0.05,), boundary="wrap")
 
 
-class TestMeanMaximalGradient:
+class TestOneRungCoefficient:
+    """The coefficient C(n) * M^delta(|grad f|) of a one-rung ladder."""
+
     def test_linear_field_gives_constant(self, grid_1d):
         f = parse_field("poly:3*x0")
         config = MaximalConfig(delta=0.3, radii=default_radii(0.3, grid_1d.spacing[0]))
-        a = mean_maximal_gradient(f, grid_1d, config)
+        a = _CoefficientLadder(f, grid_1d, 1, [config]).stack[0]
         want = segment_ratio_constant(1) * 3.0
-        np.testing.assert_allclose(a.values, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(a, want, rtol=1e-13, atol=0)
 
     def test_gaussian_field_is_positive_and_bounded(self, grid_2d):
         f = GaussianField(1.0, dim=2)
         config = MaximalConfig(delta=0.3, radii=default_radii(0.3, grid_2d.spacing[0]))
-        a = mean_maximal_gradient(f, grid_2d, config)
+        a = _CoefficientLadder(f, grid_2d, 1, [config]).stack[0]
         grad_max = np.sqrt(2 / math.e) * np.sqrt(2)  # coarse bound on |grad|
-        assert np.all(a.values > 0)
-        assert np.all(a.values <= segment_ratio_constant(2) * grad_max + 1e-12)
+        assert np.all(a > 0)
+        assert np.all(a <= segment_ratio_constant(2) * grad_max + 1e-12)

@@ -17,7 +17,6 @@ from sobolev_pointwise import (
     convolve,
     default_epsilons,
     lp_norm,
-    mollified_coefficient,
     sample,
     young_check,
 )
@@ -64,38 +63,43 @@ class TestMollifier:
             Mollifier(0.1, 1, profile="box")
 
 
+def _interior(v, phi):
+    """The nodes farther than the kernel half-width from the walls: the
+    values zero padding does not reach."""
+    cells = phi.margin_cells(v.grid.spacing)
+    return tuple(slice(c, n - c) for c, n in zip(cells, v.grid.points))
+
+
 class TestConvolve:
     def test_preserves_constants_in_the_interior(self, grid_1d):
         u = SampledField(grid_1d, np.ones(grid_1d.points))
         phi = Mollifier(0.1, 1)
         v = convolve(u, phi)
-        inner = v.values[v.interior_slices()]
-        np.testing.assert_allclose(inner, 1.0, rtol=0, atol=1e-12)
-
-    def test_margin_grows_by_kernel_half_width(self, grid_1d):
-        u = SampledField(grid_1d, np.ones(grid_1d.points))
-        phi = Mollifier(0.1, 1)
-        cells = phi.margin_cells(grid_1d.spacing)
-        assert convolve(u, phi).valid_margin[0] == cells[0]
-        prior = SampledField(grid_1d, np.ones(grid_1d.points), valid_margin=(3,))
-        assert convolve(prior, phi).valid_margin[0] == 3 + cells[0]
+        np.testing.assert_allclose(v.values[_interior(v, phi)], 1.0, rtol=0, atol=1e-12)
 
     def test_smooths_towards_the_mean(self, grid_1d, rng):
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
-        v = convolve(u, Mollifier(0.2, 1))
-        inner = v.interior_slices()
+        phi = Mollifier(0.2, 1)
+        v = convolve(u, phi)
+        inner = _interior(v, phi)
         assert v.values[inner].std() < u.values[inner].std()
 
     def test_linear_functions_are_reproduced(self, grid_1d):
         u = SampledField(grid_1d, 2.0 * grid_1d.axes[0] + 0.5)
-        v = convolve(u, Mollifier(0.1, 1))
-        inner = v.interior_slices()
+        phi = Mollifier(0.1, 1)
+        v = convolve(u, phi)
+        inner = _interior(v, phi)
         np.testing.assert_allclose(v.values[inner], u.values[inner],
                                    rtol=1e-12, atol=1e-12)
 
-    def test_mollified_coefficient_stays_nonnegative(self, grid_2d, rng):
+    def test_kernel_wider_than_the_grid_is_refused(self):
+        grid = GridSpec((0.0,), (0.1,), (11,))
+        with pytest.raises(ConfigError):
+            convolve(SampledField(grid, np.ones(grid.points)), Mollifier(0.1, 1))
+
+    def test_nonnegative_field_stays_nonnegative(self, grid_2d, rng):
         a = SampledField(grid_2d, rng.uniform(0.0, 2.0, size=grid_2d.points))
-        b = mollified_coefficient(a, Mollifier(0.2, 2))
+        b = convolve(a, Mollifier(0.2, 2))
         assert np.all(b.values >= -1e-15)
 
 

@@ -14,6 +14,7 @@ from scipy import stats
 
 from sobolev_pointwise import (
     Box,
+    ConfigError,
     Domain,
     EmptyScanError,
     GaussianField,
@@ -24,7 +25,7 @@ from sobolev_pointwise import (
     SampledField,
     SinusoidField,
     all_node_coefficient,
-    ball_average,
+    ball_averages,
     build_report,
     hatl_scan,
     identity_suite,
@@ -93,6 +94,10 @@ class TestPairSampler:
         batch = sampler.draw(margin_of=lambda d: np.full_like(d, 0.25))
         for pts in (batch.x, batch.y):
             assert np.all(np.abs(pts) <= 1.0 - 0.25 + 1e-12)
+
+    def test_negative_seed_is_rejected(self, grid_1d):
+        with pytest.raises(ConfigError):
+            PairSampler(_domain(grid_1d), 16, -1, 0.05, 0.4)
 
     def test_infeasible_request_raises(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 16, 0, 3.0, 4.0)
@@ -219,6 +224,14 @@ class TestReports:
         assert math.isinf(r.max_ratio)
         assert r.n_violations == 1
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -0.01])
+    def test_slack_that_passes_everything_is_rejected(self, slack):
+        # the zero-coefficient control has infinite ratios, which a NaN or
+        # infinite slack would let through
+        with pytest.raises(ConfigError):
+            build_report({}, np.zeros((1, 1)), np.ones((1, 1)),
+                         np.array([1.0]), np.array([0.0]), slack)
+
     def test_quantiles_are_order_statistics(self):
         r = self._report()
         observed = r.ratio.tolist()
@@ -294,7 +307,7 @@ class TestCoefficientLadder:
         prev = None
         for cfg, fld in zip(ladder.configs, ladder.fields):
             best = functools.reduce(np.maximum,
-                                    [ball_average(ladder.gradient, r) for r in cfg.radii])
+                                    ball_averages(ladder.gradient, cfg.radii))
             np.testing.assert_array_equal(fld.values, scale * best)
             if prev is not None:
                 assert np.all(fld.values >= prev)
@@ -439,6 +452,13 @@ class TestScans:
         assert report.params["radii_master"] == [0.4]
         assert report.params["deltas"] == [0.4]
 
+    def test_maximal_config_below_the_grid_spacing_is_rejected(self, grid_1d):
+        # every radius below the spacing: each ball is its center node alone
+        sampler = PairSampler(_domain(grid_1d), 100, 2, 0.001, 0.002)
+        config = MaximalConfig(delta=0.002, radii=(0.001, 0.002))
+        with pytest.raises(ConfigError):
+            main_inequality_scan(SinusoidField((2.0,)), 1, grid_1d, sampler, config)
+
     def test_scan_is_deterministic(self, grid_1d):
         def run():
             sampler = PairSampler(_domain(grid_1d), 150, 9, 0.05, 0.4)
@@ -547,6 +567,11 @@ class TestIdentitySuite:
     def test_draw_count_is_recorded(self):
         suite = identity_suite(draws=25, seed=0)
         assert suite["draws"] == 25
+
+    @pytest.mark.parametrize("draws, seed", [(0, 0), (-3, 0), (10, -1)])
+    def test_no_draws_or_a_negative_seed_is_rejected(self, draws, seed):
+        with pytest.raises(ConfigError):
+            identity_suite(draws=draws, seed=seed)
 
     def test_corrupted_coefficients_fail(self):
         from sobolev_pointwise import binomial
