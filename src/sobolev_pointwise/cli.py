@@ -36,6 +36,7 @@ from .verify import (
     Box,
     Domain,
     PairSampler,
+    _checked_slack,
     all_node_coefficient,
     hatl_scan,
     identity_suite,
@@ -186,6 +187,14 @@ def _sampler(cfg: dict, grid: GridSpec) -> PairSampler:
                        float(cfg["min_sep"]), float(cfg["max_sep"]))
 
 
+def _scan_slack(cfg: dict, field, order: int) -> float:
+    """The slack, checked with the scan order before any sampling or scan."""
+    if order < 1:
+        raise ConfigError("the scan needs order >= 1")
+    field._check_order(order)
+    return _checked_slack(float(cfg["slack"]))
+
+
 def _write_report(report, cfg: dict) -> None:
     if not cfg["out"]:
         return
@@ -229,7 +238,7 @@ def _cmd_verify(cfg: dict) -> int:
         raise ConfigError("--scan lemma1 is the order-1 scan; use --scan main for --m "
                           f"{cfg['m']}")
     order = 1 if scan == "lemma1" else int(cfg["m"])
-    slack = float(cfg["slack"])
+    slack = _scan_slack(cfg, field, order)
     config = None
     if cfg["delta"] is not None:
         if scan == "node_discard":
@@ -298,6 +307,7 @@ def _young_support(sampled: SampledField, phi: Mollifier) -> SampledField | None
 def _cmd_mollify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     order = int(cfg["m"])
+    slack = _scan_slack(cfg, field, order)
     profile = str(cfg["profile"])
     explicit = _parse_float_list(cfg["eps"], "eps")
     epsilons = explicit or list(default_epsilons(grid, profile, float(cfg["max_sep"])))
@@ -325,7 +335,7 @@ def _cmd_mollify(cfg: dict) -> int:
             all_ok = all_ok and rep.passed
         sampler = _sampler(cfg, grid)
         scan = mollified_scan(field, order, eps, grid, sampler,
-                              slack=float(cfg["slack"]), profile=profile)
+                              slack=slack, profile=profile)
         _print_report(f"mollified eps={eps:g}", scan)
         reports["scans"].append(scan.to_dict())
         all_ok = all_ok and scan.passed
@@ -341,6 +351,7 @@ def _cmd_mollify(cfg: dict) -> int:
 def _cmd_triebel(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     order = int(cfg["m"])
+    slack = _scan_slack(cfg, field, order)
     s = float(cfg["s"]) if cfg["s"] is not None else float(order)
     sampler = _sampler(cfg, grid)
     if str(cfg["g"]) == "zero":
@@ -349,7 +360,7 @@ def _cmd_triebel(cfg: dict) -> int:
         g = all_node_coefficient(field, order, grid, sampler)
     else:
         raise ConfigError(f"unknown coefficient choice {cfg['g']!r} (use auto or zero)")
-    report = triebel_scan(field, order, s, g, sampler, slack=float(cfg["slack"]))
+    report = triebel_scan(field, order, s, g, sampler, slack=slack)
     _print_report("triebel", report)
     _write_report(report, cfg)
     return 0 if report.passed else 1

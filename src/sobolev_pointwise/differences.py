@@ -11,6 +11,12 @@ exactly; the alternating-sign sum `g_sum` equals (-1)^l times it; and the
 iterated integral reproduces it to quadrature accuracy.  These identities
 are what the verification suites pin down numerically.
 
+`forward_difference`, `g_sum` and `lagrange_remainder` take one point or
+(N, dim) batches, and run on the float kernels `_node_sum` and
+`_lagrange_sum` that also score the scans.  A one-point call gives the
+float of one row of a batch, except that a polynomial at one point reads
+its nodes exactly.
+
 Polynomial fields are evaluated, restricted to lines and interpolated
 exactly: every float is a dyadic rational, so all the coordinates of one
 call go to integers at a common scale 2^-K, the rational coefficients to
@@ -64,65 +70,92 @@ def binomial(l: int, j: int) -> int:
     return math.comb(l, j)
 
 
-def _signed_node_sum(f: AnalyticField, x, h, order: int, binom) -> float:
-    """sum_j (-1)^j C(order, j) f(x + j h), evaluated node by node."""
-    x = _as_point(x, f.dim)
-    h = _as_point(h, f.dim)
+def _node_reader(f, order: int, points):
+    """The checked order, `points` as arrays, whether they are single
+    points (dim,) (a number when dim is 1) rather than batches (N, dim),
+    and how the kernels read f at nodes: a sampled field by its read-back
+    `at`, an analytic field at a single point by `value` (exact for a
+    polynomial, otherwise `value_batch` on that point, bit for bit), and
+    a batch by `value_batch`.  A single point thus runs the float
+    operations of one row of a batch."""
+    sampled = not isinstance(f, AnalyticField)
+    if sampled and not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise UnsupportedOrderError(f"the order must be a nonnegative integer, got {order!r}")
+    order, dim = (int(order), f.grid.dim) if sampled else (f._check_order(order), f.dim)
+    single = np.ndim(points[0]) < 2
+    arrays = [_as_point(p, dim) if single else np.asarray(p, dtype=float) for p in points]
+    if not single and any(a.shape != (len(arrays[0]), dim) for a in arrays):
+        raise ValueError(f"expected points of shape ({dim},) or batches of shape (N, {dim})")
+    if sampled:
+        return order, arrays, single, f.at
+    return order, arrays, single, f.value if single else f.value_batch
+
+
+def _node_sum(value_at, x: np.ndarray, h: np.ndarray, coeffs):
+    """sum_j coeffs[j] v(x + j h) at a point or a batch, node by node."""
     total = 0.0
-    for j in range(order + 1):
-        term = binom(order, j) * evaluate(f, x + j * h)
-        total = total + term if j % 2 == 0 else total - term
+    for j, c in enumerate(coeffs):
+        total += c * value_at(x + j * h)
     return total
 
 
-def forward_difference(f: AnalyticField, x, h, order: int, *, binom=binomial) -> float:
-    """l-th forward difference sum_j (-1)^(l-j) C(l, j) f(x + j h).
-
-    Order 0 returns f(x); a zero step with order >= 1 returns 0.  The
-    `binom` argument is a fault-injection hook for negative-control
-    tests and must behave like `binomial` in normal use.
-    """
-    order = f._check_order(order)
-    if order == 0:
-        return evaluate(f, x)
-    h = _as_point(h, f.dim)
-    if not np.any(h):
-        return 0.0
-    signed = _signed_node_sum(f, x, h, order, binom)
-    return signed if order % 2 == 0 else -signed
+def _lagrange_sum(value_at, base: np.ndarray, step: np.ndarray, y: np.ndarray,
+                  count: int) -> np.ndarray:
+    """Float interpolant sum_j L_j(s) v(base + j step), j < count, at the
+    line coordinate s of y, at a point or a batch, node by node."""
+    s = np.einsum("...n,...n->...", y - base, step) / np.einsum("...n,...n->...", step, step)
+    total = 0.0
+    for j in range(count):
+        w = 1.0
+        for i in range(count):
+            if i != j:
+                w = w * (s - i) / (j - i)
+        total += value_at(base + j * step) * w
+    return total
 
 
-def g_sum(f: AnalyticField, x, h, order: int, *, binom=binomial) -> float:
+def g_sum(f, x, h, order: int, *, binom=binomial):
     """Alternating node sum sum_j (-1)^j C(l, j) f(x + j h).
 
-    Equals (-1)^l * forward_difference exactly (the same floats with a
-    final negation).  Follows the same order-0 / zero-step conventions.
+    `f` is an analytic or a sampled field; x and h are one point each or
+    (N, dim) batches, and a batch gives an (N,) array.  Order 0 returns
+    f(x); a zero step with order >= 1 returns 0.  The `binom` argument is
+    a fault-injection hook for negative-control tests and must behave
+    like `binomial` in normal use.
     """
-    order = f._check_order(order)
+    order, (x, h), single, value_at = _node_reader(f, order, (x, h))
     if order == 0:
-        return evaluate(f, x)
-    h = _as_point(h, f.dim)
-    if not np.any(h):
-        return 0.0
-    return _signed_node_sum(f, x, h, order, binom)
+        total = value_at(x)
+    else:
+        signs = [(-1) ** j * binom(order, j) for j in range(order + 1)]
+        total = np.where(h.any(axis=-1), _node_sum(value_at, x, h, signs), 0.0)
+    return float(np.ravel(total)[0]) if single else total
+
+
+def forward_difference(f, x, h, order: int, *, binom=binomial):
+    """l-th forward difference sum_j (-1)^(l-j) C(l, j) f(x + j h).
+
+    This is (-1)^l * `g_sum`, the same floats with a final negation, so
+    the sign law between the two holds exactly; the conventions and
+    arguments are those of `g_sum`.
+    """
+    signed = g_sum(f, x, h, order, binom=binom)
+    return signed if order % 2 == 0 else -signed
 
 
 def telescope_residual(f: AnalyticField, x, h, order: int, *, binom=binomial) -> float:
     """Residual of the two-term recursion tying order l-1 sums to the order l difference.
 
-    Returns g_sum(f, x, h, l-1) - g_sum(f, x+h, h, l-1) - (-1)^l * forward_difference(f, x, h, l),
-    which is zero in exact arithmetic by Pascal's rule.  Callers bound it
-    by 1e-12 * (1 + |forward_difference|).
+    Returns g_sum(f, x, h, l-1) - g_sum(f, x+h, h, l-1) - g_sum(f, x, h, l), where the
+    last sum is (-1)^l * forward_difference(f, x, h, l) exactly; this is
+    zero in exact arithmetic by Pascal's rule.
     """
     if order < 1:
         raise UnsupportedOrderError("the telescoping recursion needs order >= 1")
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
-    lhs = g_sum(f, x, h, order - 1, binom=binom) - g_sum(f, x + h, h, order - 1, binom=binom)
-    rhs = forward_difference(f, x, h, order, binom=binom)
-    if order % 2 != 0:
-        rhs = -rhs
-    return lhs - rhs
+    return (g_sum(f, x, h, order - 1, binom=binom) - g_sum(f, x + h, h, order - 1, binom=binom)
+            - g_sum(f, x, h, order, binom=binom))
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +229,15 @@ def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
         (count-1)! L_j(a / b) = (-1)^(count-1-j) C(count-1, j)
                                 prod_{i != j} (a - i b) / b^(count-1).
 
-    Other fields use float arithmetic.
+    Other fields use the float weight kernel the batch remainder runs.
     """
     if nodes.dim != f.dim:
         raise ConfigError("node family dimension does not match the field")
-    s_float = nodes.line_coordinate(y)
+    y = _as_point(y, f.dim)
+    nodes.line_coordinate(y)  # GeometryError when y is off the node line
     count = nodes.count
     if isinstance(f, PolynomialField):
-        (base, step, yi, *xs), scale = _dyadic(nodes.base, nodes.step, _as_point(y, f.dim),
+        (base, step, yi, *xs), scale = _dyadic(nodes.base, nodes.step, y,
                                                *(nodes.node(j) for j in range(count)))
         a = sum((v - o) * st for v, o, st in zip(yi, base, step))
         b = sum(st * st for st in step)
@@ -215,27 +249,29 @@ def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
                     weight *= a - i * b
             total += f._scaled_value(node, scale) * weight
         return total / (f._scaled_den(scale) * b ** (count - 1) * math.factorial(count - 1))
-    total = 0.0
-    for j in range(count):
-        weight = 1.0
-        for i in range(count):
-            if i != j:
-                weight *= (s_float - i) / (j - i)
-        total += evaluate(f, nodes.node(j)) * weight
-    return total
+    return float(_lagrange_sum(f.value, np.asarray(nodes.base), np.asarray(nodes.step), y,
+                               count))
 
 
-def lagrange_remainder(f: AnalyticField, x, y, order: int) -> float:
+def lagrange_remainder(f: AnalyticField, x, y, order: int):
     """Interpolation remainder f(y) - L(y) on the equispaced remainder nodes.
 
     The interpolant uses the `order` nodes x + j (y - x) / order for
     j < order, so the remainder equals forward_difference(f, x, h, order)
     with h = (y - x) / order -- computed here by the dual interpolation
-    route, never by the alternating sum.
+    route, never by the alternating sum.  x and y are one point each or
+    (N, dim) batches, as in `g_sum`; a polynomial at one point takes the
+    exact route of `lagrange_interpolant`.
     """
-    order = f._check_order(order)
-    nodes = NodeFamily.for_remainder(x, y, order)
-    return evaluate(f, y) - lagrange_interpolant(f, nodes, y)
+    order, (x, y), single, value_at = _node_reader(f, order, (x, y))
+    if single and isinstance(f, PolynomialField):
+        return evaluate(f, y) - lagrange_interpolant(f, NodeFamily.for_remainder(x, y, order), y)
+    if order < 1:
+        raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
+    if (x == y).all(axis=-1).any():
+        raise DegeneratePairError("the remainder form needs distinct endpoints")
+    remainder = value_at(y) - _lagrange_sum(value_at, x, (y - x) / order, y, order)
+    return float(np.ravel(remainder)[0]) if single else remainder
 
 
 def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:

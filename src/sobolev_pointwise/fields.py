@@ -2,8 +2,9 @@
 
 A field is a smooth function R^n -> R from a small closed-form family
 (polynomials with rational coefficients, Gaussians, radial powers,
-separable sinusoids).  Every field can evaluate itself exactly at a point,
-give every partial derivative of one order at a batch of points
+separable sinusoids).  Every field can evaluate itself at a batch of
+points (`value_batch`, of which a single-point `value` is a batch of
+one), give every partial derivative of one order at a batch of points
 (`partials_batch`), restrict itself to a line s |-> f(x + s*h) and
 differentiate that restriction to high order, and rasterize itself onto
 a regular grid.  Polynomial fields do all scalar work exactly, in
@@ -202,8 +203,9 @@ class _PartialsLine:
 class AnalyticField:
     """Base class for the closed-form field family.
 
-    Subclasses provide `dim`, exact point evaluation, vectorized batch
-    evaluation, and vectorized partial derivatives.  Line restrictions
+    Subclasses provide `dim`, vectorized batch evaluation and vectorized
+    partial derivatives; only `PolynomialField` adds an exact point
+    evaluation of its own.  Line restrictions
     take their derivatives from the partials (`_PartialsLine`); only
     `PolynomialField` overrides them, with its exact integer line.
     """
@@ -212,7 +214,9 @@ class AnalyticField:
     max_order: int = MAX_DERIVATIVE_ORDER
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        """`value_batch` on the one point x, so a point and a batch agree
+        bit for bit; `PolynomialField` overrides it with its exact value."""
+        return float(self.value_batch(_as_point(x, self.dim)[None])[0])
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -430,13 +434,9 @@ class GaussianField(AnalyticField):
         self.a = float(a)
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        pt = _as_point(x, self.dim)
-        return math.exp(-self.a * float(np.dot(pt, pt)))
-
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return np.exp(-self.a * np.sum(pts * pts, axis=-1))
+        return np.exp(-self.a * (pts * pts).sum(axis=-1))
 
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -477,14 +477,12 @@ class PowerField(AnalyticField):
         nearest = np.clip(0.0, lo, hi)
         return float(np.dot(nearest, nearest)) >= self.exclusion ** 2
 
-    def value(self, x) -> float:
-        pt = self._check_point(x)
-        return float(np.dot(pt, pt)) ** (self.alpha / 2.0)
-
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
-        if np.any(r2 < self.exclusion ** 2):
+        # an array even for one point (dim,): a numpy scalar's ** rounds
+        # differently from the array power in about 5% of cases
+        r2 = np.asarray((pts * pts).sum(axis=-1))
+        if (r2 < self.exclusion ** 2).any():
             raise DomainError("points fall inside the excluded ball at the origin")
         return r2 ** (self.alpha / 2.0)
 
@@ -529,13 +527,9 @@ class SinusoidField(AnalyticField):
             raise ConfigError("sinusoid needs a nonempty vector of frequencies")
         self.dim = int(self.omegas.size)
 
-    def value(self, x) -> float:
-        pt = _as_point(x, self.dim)
-        return float(np.prod(np.sin(self.omegas * pt)))
-
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return np.prod(np.sin(self.omegas * pts), axis=-1)
+        return np.sin(self.omegas * pts).prod(axis=-1)
 
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         # per-axis factors w^k sin(w x + k pi/2)
@@ -699,7 +693,9 @@ def _gather(values: np.ndarray, cells, rung: np.ndarray | None = None) -> np.nda
 
 
 def evaluate(f: AnalyticField, x) -> float:
-    """Exact value of `f` at the point `x` (domain checked)."""
+    """Value of `f` at the point `x` (domain checked): exact, rounded once,
+    for polynomials; for every other kind `evaluate_batch` on that one
+    point, bit for bit."""
     f._check_point(x)
     return f.value(x)
 
@@ -725,7 +721,8 @@ def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -
 
 
 def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
-    """Rasterize `f` on `grid` node by node via the exact scalar path.
+    """Rasterize `f` on `grid`: polynomials node by node on their exact
+    route, every other kind in one `value_batch` call.
 
     Read-back at a node reproduces `evaluate` bit for bit.
     """
@@ -734,9 +731,10 @@ def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
     if not f.contains_box(grid.lo, grid.hi):
         raise DomainError(f"grid box {grid.lo}..{grid.hi} is not inside the domain of {f}")
     flat = grid.flat_points
-    vals = np.empty(len(flat))
-    for i in range(len(flat)):
-        vals[i] = f.value(flat[i])
+    if isinstance(f, PolynomialField):
+        vals = np.array([f.value(pt) for pt in flat])
+    else:
+        vals = f.value_batch(flat)
     return SampledField(grid, vals.reshape(grid.points))
 
 

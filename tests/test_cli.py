@@ -185,6 +185,29 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("command", [
+        "verify --slack nan",
+        "verify --scan main --m 30",
+        "verify --scan main --m 0",
+        "mollify --slack nan",
+        "mollify --m 30",
+        "triebel --slack inf",
+        "triebel --m 30",
+    ])
+    def test_checked_before_any_work(self, command, capsys, monkeypatch):
+        from sobolev_pointwise import cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("sample", "young_check", "all_node_coefficient", "main_inequality_scan",
+                     "node_discard_check", "hatl_scan", "mollified_scan", "triebel_scan"):
+            monkeypatch.setattr(cli, name, work)
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert "[young]" not in captured.out
+        assert captured.err.startswith("configuration error: ")
+
     def test_zero_slack_is_allowed(self, capsys):
         code = main(["triebel", "--field", "sin:w=2", "--grid", "-1:1:161",
                      "--m", "2", "--pairs", "80", "--seed", "2", "--slack", "0"])

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rational_reference import value_fraction
 
 from sobolev_pointwise import (
     DegeneratePairError,
     GaussianField,
     NodeFamily,
     PolynomialField,
+    PowerField,
     QuadratureRule,
     SinusoidField,
     binomial,
@@ -23,6 +25,7 @@ from sobolev_pointwise import (
     lagrange_interpolant,
     lagrange_remainder,
     parse_field,
+    sample,
     taylor_remainder,
     telescope_residual,
 )
@@ -123,6 +126,54 @@ class TestRemainder:
         x, y = (0.0,), (0.5,)
         # the cubic jet of t^4 at 0 is 0, so the remainder is y^4 exactly
         assert taylor_remainder(f, x, y, 4) == 0.5 ** 4
+
+
+class TestBatches:
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("f", [GaussianField(1.1, 2), PowerField(1.5, 2),
+                                   SinusoidField((2.0, 3.0))], ids=str)
+    def test_one_point_gives_its_batch_row(self, f, order, rng):
+        x = rng.uniform(0.3, 1.2, (30, 2))
+        y = rng.uniform(0.3, 1.2, (30, 2))
+        h = (y - x) / order
+        for fn, a, b in ((forward_difference, x, h), (g_sum, x, h), (lagrange_remainder, x, y)):
+            batch = fn(f, a, b, order)
+            assert batch.shape == (30,)
+            assert np.array_equal(batch, [fn(f, p, q, order) for p, q in zip(a, b)])
+
+    def test_polynomial_point_reads_exact_values_and_batch_float_ones(self):
+        f = parse_field("poly:x0^3*x1 - 1/3*x1^2")
+        x, h = np.array([0.3, -0.7]), np.array([0.11, 0.05])
+        nodes = [x + j * h for j in range(4)]
+
+        def signed_sum(values):
+            total = 0.0
+            for j, v in enumerate(values):
+                total = total + binomial(3, j) * v if j % 2 == 0 else total - binomial(3, j) * v
+            return -total
+
+        exact = [float(value_fraction(f, node)) for node in nodes]
+        assert forward_difference(f, x, h, 3) == signed_sum(exact)
+        batch = [f.value_batch(node[None])[0] for node in nodes]
+        assert forward_difference(f, x[None], h[None], 3)[0] == signed_sum(batch)
+
+    def test_sampled_field_reads_back_its_nodes(self, grid_1d):
+        u = sample(parse_field("poly:x0^2"), grid_1d)
+        got = forward_difference(u, [[0.0], [-0.5]], [[0.1], [0.2]], 2)
+        np.testing.assert_allclose(got, [0.02, 0.08], rtol=1e-13)
+
+    def test_zero_step_rows_vanish(self):
+        f = SinusoidField((2.0,))
+        got = forward_difference(f, [[0.3], [0.3]], [[0.0], [0.1]], 3)
+        assert got[0] == 0.0
+        assert got[1] == forward_difference(f, (0.3,), (0.1,), 3)
+
+    def test_bad_batches_are_rejected(self):
+        f = SinusoidField((2.0,))
+        with pytest.raises(ValueError):
+            forward_difference(f, np.zeros((3, 1)), np.ones((2, 1)), 2)
+        with pytest.raises(DegeneratePairError):
+            lagrange_remainder(f, [[0.1], [0.2]], [[0.4], [0.2]], 2)
 
 
 class TestIntegralForm:

@@ -198,15 +198,37 @@ class TestAnalyticLines:
         with pytest.raises(DomainError):
             gradient_magnitude_field(f, grid, 1)
 
-    def test_evaluate_batch_matches_scalar(self, rng):
-        f = SinusoidField((2.0, 3.0))
-        pts = rng.uniform(-1, 1, size=(40, 2))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
+    def test_evaluate_batch_matches_scalar(self, rng, kind, dim):
+        f, lo, hi = _float_field(kind, dim)
+        pts = rng.uniform(lo, hi, size=(400, dim))
         batch = evaluate_batch(f, pts)
         scalar = np.array([evaluate(f, p) for p in pts])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(batch, scalar)
+        assert np.array_equal([evaluate_batch(f, p) for p in pts], scalar)
+
+
+def _float_field(kind: str, dim: int):
+    """A field of a kind without an exact route, and a box in its domain."""
+    if kind == "gauss":
+        return GaussianField(1.3, dim), -1.0, 1.0
+    if kind == "pow":
+        return PowerField(1.5, dim), 0.2, 1.3
+    return SinusoidField((2.0, 3.0, 1.5)[:dim]), -1.0, 1.0
 
 
 class TestGridAndSampling:
+    @pytest.mark.parametrize("dim, points", [(1, 201), (2, 41), (3, 11)])
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
+    def test_sample_reads_back_evaluate_bit_for_bit(self, kind, dim, points):
+        f, lo, hi = _float_field(kind, dim)
+        grid = GridSpec.cube(lo, hi, points, dim)
+        u = sample(f, grid)
+        flat = grid.flat_points
+        assert np.array_equal(u.values.ravel(), [evaluate(f, p) for p in flat])
+        assert np.array_equal(u.at(flat), u.values.ravel())
+
     def test_axes_include_endpoints(self, grid_1d):
         axis = grid_1d.axes[0]
         assert axis[0] == -1.0 and axis[-1] == 1.0

@@ -280,12 +280,13 @@ class TestReports:
         assert r.to_dict()["n_nonfinite"] == 1
 
     def test_node_discard_counts_nonfinite_main_ratios(self, grid_1d, monkeypatch):
-        from sobolev_pointwise import verify
+        from sobolev_pointwise import differences
 
-        def nan_remainder(f, x, y, order):
-            return np.full(len(x), math.nan)
+        def nan_interpolant(value_at, base, step, y, count):
+            return np.full(len(base), math.nan)
 
-        monkeypatch.setattr(verify, "_remainder_batch", nan_remainder)
+        # the main remainder goes NaN; the node-discard difference does not
+        monkeypatch.setattr(differences, "_lagrange_sum", nan_interpolant)
         sampler = PairSampler(_domain(grid_1d), 20, 5, 0.05, 0.4)
         report = node_discard_check(SinusoidField((2.0,)), 2, grid_1d, sampler)
         assert report.params["main_violations"] == 20
@@ -572,6 +573,30 @@ class TestIdentitySuite:
     def test_no_draws_or_a_negative_seed_is_rejected(self, draws, seed):
         with pytest.raises(ConfigError):
             identity_suite(draws=draws, seed=seed)
+
+    @pytest.mark.parametrize("seed", [389, 685, 844])
+    def test_telescoping_roundoff_is_not_a_failure(self, seed):
+        # a tolerance of 1e-12 (1 + |difference|) failed these seeds on
+        # float roundoff alone; the corrupted table must still fail them
+        from sobolev_pointwise.cli import _corrupted_binomial
+
+        assert identity_suite(draws=200, seed=seed)["passed"]
+        corrupted = identity_suite(draws=200, seed=seed, binom=_corrupted_binomial)
+        assert not corrupted["identities"]["telescoping"]["passed"]
+
+    def test_a_broken_weight_kernel_fails(self, monkeypatch):
+        # the scans' remainder kernel with its nodes at (y - x) / (m + 1)
+        from sobolev_pointwise import differences
+
+        kernel = differences._lagrange_sum
+
+        def mutant(value_at, base, step, y, count):
+            return kernel(value_at, base, step * count / (count + 1), y, count)
+
+        monkeypatch.setattr(differences, "_lagrange_sum", mutant)
+        for seed in range(10):
+            suite = identity_suite(draws=50, seed=seed)
+            assert not suite["identities"]["lagrange_vs_difference"]["passed"], seed
 
     def test_corrupted_coefficients_fail(self):
         from sobolev_pointwise import binomial
