@@ -18,9 +18,10 @@ for n in (1, 2, 3, 4):
     print(f"unit ball volume, dim {n}: {ball_volume(n, 1.0):.12f}")
 
 # The overlap of two balls of radius r at center distance d is a lens.
-# Closed forms exist in dimensions up to three; higher dimensions
-# integrate the cross-sectional cap profile.  At distance zero the lens
-# is the whole ball, beyond d = 2r it vanishes.
+# Dimensions up to three have elementary closed forms; higher ones sum
+# two caps, each a regularized incomplete beta function of the cap
+# height.  At distance zero the lens is the whole ball, beyond d = 2r it
+# vanishes.
 
 print()
 for d in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):

@@ -176,7 +176,7 @@ def _field_and_grid(cfg: dict):
     dim = cfg["dim"]
     if dim is None and ";" in grid_text:
         dim = len([c for c in grid_text.split(";") if c.strip()])
-    field = parse_field(str(cfg["field"]), dim=int(dim) if dim else None)
+    field = parse_field(str(cfg["field"]), dim=int(dim) if dim is not None else None)
     grid = _parse_grid(grid_text, field.dim)
     return field, grid
 
@@ -266,9 +266,12 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 def _cmd_geometry(cfg: dict) -> int:
-    dims = [int(cfg["dim"])] if cfg["dim"] else [1, 2, 3]
+    dims = [int(cfg["dim"])] if cfg["dim"] is not None else [1, 2, 3]
     radius = float(cfg["radius"])
     distance = float(cfg["distance"])
+    if not (min(dims) >= 1 and 0 < radius < math.inf and 0 <= distance < math.inf):
+        raise ConfigError("geometry needs dim >= 1, a finite radius > 0 and a finite "
+                          "distance >= 0")
     rows = []
     for n in dims:
         rows.append({
@@ -308,14 +311,17 @@ def _cmd_mollify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     order = int(cfg["m"])
     slack = _scan_slack(cfg, field, order)
+    sampler = _sampler(cfg, grid)
     profile = str(cfg["profile"])
     explicit = _parse_float_list(cfg["eps"], "eps")
-    epsilons = explicit or list(default_epsilons(grid, profile, float(cfg["max_sep"])))
+    epsilons = explicit or list(default_epsilons(grid, profile, sampler.max_sep))
     exponents = _parse_float_list(cfg["p"], "p") or [1.0, 2.0, math.inf]
+    if not all(p > 0 for p in exponents):
+        raise ConfigError("norm exponents must be positive or inf")
+    phis = [Mollifier(eps, grid.dim, profile=profile) for eps in epsilons]
     sampled = sample(field, grid)
-    checks = [(eps, _young_support(sampled, Mollifier(eps, grid.dim, profile=profile)))
-              for eps in epsilons]
-    empty = [eps for eps, u in checks if u is None]
+    checks = [(phi, _young_support(sampled, phi)) for phi in phis]
+    empty = [phi.epsilon for phi, u in checks if u is None]
     # a default scale with nothing to check is dropped; a requested one is infeasible
     if empty and (explicit or len(empty) == len(checks)):
         raise EmptyScanError(
@@ -323,17 +329,16 @@ def _cmd_mollify(cfg: dict) -> int:
             "from the walls, so the Young check has no field to check")
     all_ok = True
     reports = {"young": [], "scans": []}
-    for eps, u in checks:
+    for phi, u in checks:
         if u is None:
             continue
-        phi = Mollifier(eps, grid.dim, profile=profile)
+        eps = phi.epsilon
         for p in exponents:
             rep = young_check(u, phi, p)
             state = "PASS" if rep.passed else "FAIL"
             print(f"[young] eps={eps:g} p={p:g} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} {state}")
             reports["young"].append({"eps": eps, **rep.to_dict()})
             all_ok = all_ok and rep.passed
-        sampler = _sampler(cfg, grid)
         scan = mollified_scan(field, order, eps, grid, sampler,
                               slack=slack, profile=profile)
         _print_report(f"mollified eps={eps:g}", scan)

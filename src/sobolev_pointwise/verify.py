@@ -225,8 +225,8 @@ class PairSampler:
             raise ConfigError("need at least one pair")
         if self.seed < 0:
             raise ConfigError("the seed must be nonnegative")
-        if not 0 < self.min_sep <= self.max_sep:
-            raise ConfigError("separations must satisfy 0 < min_sep <= max_sep")
+        if not 0 < self.min_sep <= self.max_sep < math.inf:
+            raise ConfigError("separations must be finite and satisfy 0 < min_sep <= max_sep")
 
     def draw(self, margin_of=None) -> PairBatch:
         rng = np.random.default_rng(self.seed)

@@ -208,6 +208,28 @@ class TestUsageErrors:
         assert "[young]" not in captured.out
         assert captured.err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("command", [
+        "geometry --dim 0",
+        "geometry --dim -1",
+        "geometry --radius 0",
+        "geometry --distance -1",
+        "geometry --radius nan",
+        "geometry --radius inf",
+        "mollify --p 0",
+        "mollify --p -1",
+        "mollify --p nan",
+        "mollify --eps nan",
+        "mollify --eps inf",
+        "verify --max-sep inf",
+        "verify --dim 0",
+    ])
+    def test_bad_values_exit_two_before_any_output(self, command, capsys):
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("configuration error: ")
+        assert "[young]" not in captured.out and "[geometry]" not in captured.out
+
     def test_zero_slack_is_allowed(self, capsys):
         code = main(["triebel", "--field", "sin:w=2", "--grid", "-1:1:161",
                      "--m", "2", "--pairs", "80", "--seed", "2", "--slack", "0"])

@@ -1,10 +1,12 @@
 """Every name imported by the package modules and the demos is used,
-every private module-level name of the package is referred to, and scans
-never load scipy."""
+every private module-level name of the package is referred to, and the
+package runs on numpy alone: no module imports scipy, and no command or
+scan loads it."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -90,7 +92,46 @@ def test_guard_sees_an_unreferenced_private_definition():
     assert _unreferenced_private([a, b]) == ["_SPARE", "_self_only"]
 
 
-SCAN_WITHOUT_SCIPY = """
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """Imports of scipy anywhere in a module, inside functions included."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_imports_scipy(path):
+    assert _scipy_imports(ast.parse(path.read_text())) == []
+
+
+def test_guard_sees_a_scipy_import():
+    tree = ast.parse("import numpy\nimport scipy.special as sp\n\n\n"
+                     "def f():\n    from scipy import ndimage\n    return ndimage\n\n\n"
+                     "class A:\n    def g(self):\n        import scipy\n"
+                     "from .scipy_like import x\n")
+    assert _scipy_imports(tree) == ["scipy.special (line 2)", "scipy (line 6)",
+                                    "scipy (line 12)"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+# Every CLI command, and library scans in one to four dimensions, in one
+# process: none of them may load scipy.
+NUMPY_ONLY = """
 import sys
 
 from sobolev_pointwise import (Box, Domain, GaussianField, GridSpec, PairSampler, SinusoidField,
@@ -102,15 +143,30 @@ for dim, points in ((1, 201), (2, 41), (3, 21)):
     sampler = PairSampler(Domain(Box.of_grid(grid)), 100, dim, 0.1, 0.4)
     assert main_inequality_scan(SinusoidField((2.0,) * dim), 2, grid, sampler).passed
     assert node_discard_check(GaussianField(1.0, dim), 2, grid, sampler).passed
+grid = GridSpec.cube(-1.0, 1.0, 9, 4)
+sampler = PairSampler(Domain(Box.of_grid(grid)), 100, 4, 0.5, 0.6)
+assert main_inequality_scan(SinusoidField((1.0,) * 4), 1, grid, sampler).passed
 assert identity_suite(5)["draws"] == 5
-assert main(["verify", "--scan", "main", "--m", "2", "--field", "sin:w=2",
-             "--grid", "-1:1:101", "--pairs", "100"]) == 0
+commands = [
+    ["identities", "--draws", "5"],
+    *(["verify", "--scan", scan, "--m", "1" if scan == "lemma1" else "2",
+       "--field", "sin:w=2", "--grid", "-1:1:101", "--pairs", "100"]
+      for scan in ("lemma1", "main", "node-discard", "hatl")),
+    ["triebel", "--field", "sin:w=2", "--grid", "-1:1:161", "--m", "2", "--pairs", "80"],
+    ["mollify", "--field", "sin:w=3", "--grid", "-1:1:161", "--m", "1", "--pairs", "80",
+     "--eps", "0.2,0.1"],
+    ["mollify", "--field", "sin:w=3", "--grid", "-2:2:401", "--m", "1", "--pairs", "80",
+     "--profile", "gauss", "--eps", "0.2"],
+    ["geometry", "--dim", "6"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_scans_and_the_identity_suite_never_load_scipy():
+def test_no_command_and_no_scan_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", SCAN_WITHOUT_SCIPY], env=env,
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"

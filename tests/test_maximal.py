@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from sobolev_pointwise import (
     sample,
     segment_ratio_constant,
 )
+from lens_reference import betainc_volume, cap_profile_volume
 from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
 from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
 
@@ -150,12 +152,35 @@ class TestLensVolume:
         assert lens_volume(2, 1.0, 2.5) == 0.0
 
     def test_quadrature_matches_closed_form(self):
-        for n in (2, 3):
+        for n in range(2, 9):
             for r in (0.5, 1.0, 1.7):
                 for d in (0.2 * r, r, 1.6 * r):
-                    closed = lens_volume(n, r, d, method="closed")
-                    quad = lens_volume(n, r, d, method="quadrature")
+                    closed = lens_volume(n, r, d)
+                    quad = cap_profile_volume(n, r, d)
                     assert quad == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_incomplete_beta(self, n):
+        # the 2-D closed form 2r^2 acos(t) - (d/2) sqrt(4r^2 - d^2) cancels
+        # as d -> 2r: 7.2e-9 relative at d = 1.9999 r (kept bit for bit)
+        bound = 1e-8 if n == 2 else 1e-11
+        for r in (0.3, 1.0, 2.0):
+            for d in (0.0, 0.1, 0.5 * r, r, 1.5 * r, 1.9 * r, 1.99 * r, 1.9999 * r):
+                want = betainc_volume(n, r, d)
+                assert abs(lens_volume(n, r, d) - want) <= bound * want, (r, d)
+
+    @pytest.mark.parametrize("n", [12, 24, 48, 100])
+    def test_high_dimensions_match_the_incomplete_beta(self, n):
+        for d in (0.1, 0.5, 1.0, 1.2, 1.4, 1.5, 1.9):
+            want = betainc_volume(n, 1.0, d)
+            assert abs(lens_volume(n, 1.0, d) - want) <= 1e-13 * want, d
+
+    @pytest.mark.parametrize("radius, distance", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_input_raises(self, radius, distance):
+        for n in (2, 4, 7):
+            with pytest.raises(ValueError):
+                lens_volume(n, radius, distance)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.floats(0.2, 2.0), st.floats(0.0, 1.8),
@@ -177,6 +202,17 @@ class TestLensVolume:
 class TestSegmentConstant:
     def test_line_value_is_exact(self):
         assert segment_ratio_constant(1) == 2.0
+
+    def test_closed_form_values_are_pinned(self):
+        assert [segment_ratio_constant(n) for n in (1, 2, 3)] == [2.0, 2.5575302428478484, 3.2]
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_within_four_ulp_of_the_incomplete_beta(self, n):
+        with mp.workdps(50):
+            want = 1 / mp.betainc(mp.mpf(n + 1) / 2, mp.mpf(1) / 2, 0, mp.mpf(3) / 4,
+                                  regularized=True)
+            got = segment_ratio_constant(n)
+            assert abs(got - want) <= 4 * math.ulp(float(want))
 
     def test_three_dimensional_value(self):
         assert segment_ratio_constant(3) == pytest.approx(3.2, abs=1e-12)

@@ -62,6 +62,11 @@ class TestMollifier:
         with pytest.raises(ConfigError):
             Mollifier(0.1, 1, profile="box")
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+    def test_scale_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ConfigError):
+            Mollifier(epsilon, 1)
+
 
 def _interior(v, phi):
     """The nodes farther than the kernel half-width from the walls: the
@@ -101,6 +106,31 @@ class TestConvolve:
         a = SampledField(grid_2d, rng.uniform(0.0, 2.0, size=grid_2d.points))
         b = convolve(a, Mollifier(0.2, 2))
         assert np.all(b.values >= -1e-15)
+
+    @pytest.mark.parametrize("profile", ["bump", "gauss"])
+    @pytest.mark.parametrize("grid, epsilon", [
+        (GridSpec.cube(-1.0, 1.0, 201, 1), 0.1),
+        (GridSpec((-1.0, -0.5), (1.0, 1.5), (41, 57)), 0.2),
+        (GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 1.2), (21, 25, 31)), 0.4),
+    ], ids=["1d", "2d", "3d-unequal"])
+    def test_matches_scipy_ndimage(self, grid, epsilon, profile, rng):
+        from scipy import ndimage
+
+        phi = Mollifier(epsilon / 3.0 if profile == "gauss" else epsilon, grid.dim, profile)
+        u = SampledField(grid, rng.normal(size=grid.points))
+        want = ndimage.convolve(u.values, phi.taps(grid.spacing), mode="constant", cval=0.0)
+        got = convolve(u, phi).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_is_a_convolution_not_a_correlation(self, grid_1d, monkeypatch):
+        from scipy import ndimage
+
+        taps = np.zeros(9)
+        taps[[1, 6]] = (0.25, 0.75)
+        monkeypatch.setattr(Mollifier, "taps", lambda self, spacing: taps)
+        u = SampledField(grid_1d, np.sin(3.0 * grid_1d.axes[0]))
+        want = ndimage.convolve(u.values, taps, mode="constant", cval=0.0)
+        np.testing.assert_array_equal(convolve(u, Mollifier(0.1, 1)).values, want)
 
 
 class TestLpNorm:

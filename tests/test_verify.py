@@ -99,6 +99,12 @@ class TestPairSampler:
         with pytest.raises(ConfigError):
             PairSampler(_domain(grid_1d), 16, -1, 0.05, 0.4)
 
+    @pytest.mark.parametrize("min_sep, max_sep", [
+        (0.05, math.inf), (math.nan, 0.4), (0.05, math.nan), (0.0, 0.4), (0.4, 0.05)])
+    def test_separations_must_be_finite_and_ordered(self, grid_1d, min_sep, max_sep):
+        with pytest.raises(ConfigError):
+            PairSampler(_domain(grid_1d), 16, 0, min_sep, max_sep)
+
     def test_infeasible_request_raises(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 16, 0, 3.0, 4.0)
         with pytest.raises(EmptyScanError):
