@@ -56,7 +56,6 @@ from .fields import (
     default_directions,
     directional_derivative,
     evaluate,
-    evaluate_batch,
     gradient_magnitude_field,
     parse_field,
     random_polynomial,
@@ -95,7 +94,6 @@ from .verify import (
     mollified_scan,
     node_discard_check,
     quasinorm_upper,
-    report_schema,
     triebel_scan,
 )
 
@@ -136,7 +134,6 @@ __all__ = [
     "default_radii",
     "directional_derivative",
     "evaluate",
-    "evaluate_batch",
     "forward_difference",
     "g_integral",
     "g_sum",
@@ -157,7 +154,6 @@ __all__ = [
     "parse_field",
     "quasinorm_upper",
     "random_polynomial",
-    "report_schema",
     "sample",
     "scan_corpus",
     "segment_ratio_constant",

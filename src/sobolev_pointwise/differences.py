@@ -13,9 +13,10 @@ are what the verification suites pin down numerically.
 
 `forward_difference`, `g_sum` and `lagrange_remainder` take one point or
 (N, dim) batches, and run on the float kernels `_node_sum` and
-`_lagrange_sum` that also score the scans.  A one-point call gives the
-float of one row of a batch, except that a polynomial at one point reads
-its nodes exactly.
+`_lagrange_sum` that also score the scans.  A single point is a batch of
+one, so it gives the float of one row of a batch, except that a
+polynomial at one point takes its exact route: the difference from its
+exact node values, the remainder from the exact interpolant.
 
 Polynomial fields are evaluated, restricted to lines and interpolated
 exactly: every float is a dyadic rational, so all the coordinates of one
@@ -71,24 +72,20 @@ def binomial(l: int, j: int) -> int:
 
 
 def _node_reader(f, order: int, points):
-    """The checked order, `points` as arrays, whether they are single
-    points (dim,) (a number when dim is 1) rather than batches (N, dim),
-    and how the kernels read f at nodes: a sampled field by its read-back
-    `at`, an analytic field at a single point by `value` (exact for a
-    polynomial, otherwise `value_batch` on that point, bit for bit), and
-    a batch by `value_batch`.  A single point thus runs the float
-    operations of one row of a batch."""
+    """The checked order, `points` as (N, dim) batches, whether they were
+    single points (dim,) (a number when dim is 1), each then a batch of
+    one, and how the kernels read f at nodes: a sampled field by its
+    read-back `at`, an analytic one by `value_batch`.  A single point thus
+    runs the float operations of one row of a batch."""
     sampled = not isinstance(f, AnalyticField)
     if sampled and not (isinstance(order, (int, np.integer)) and order >= 0):
         raise UnsupportedOrderError(f"the order must be a nonnegative integer, got {order!r}")
     order, dim = (int(order), f.grid.dim) if sampled else (f._check_order(order), f.dim)
     single = np.ndim(points[0]) < 2
-    arrays = [_as_point(p, dim) if single else np.asarray(p, dtype=float) for p in points]
-    if not single and any(a.shape != (len(arrays[0]), dim) for a in arrays):
+    arrays = [_as_point(p, dim)[None] if single else np.asarray(p, dtype=float) for p in points]
+    if any(a.shape != (len(arrays[0]), dim) for a in arrays):
         raise ValueError(f"expected points of shape ({dim},) or batches of shape (N, {dim})")
-    if sampled:
-        return order, arrays, single, f.at
-    return order, arrays, single, f.value if single else f.value_batch
+    return order, arrays, single, f.at if sampled else f.value_batch
 
 
 def _node_sum(value_at, x: np.ndarray, h: np.ndarray, coeffs):
@@ -118,29 +115,39 @@ def g_sum(f, x, h, order: int, *, binom=binomial):
     """Alternating node sum sum_j (-1)^j C(l, j) f(x + j h).
 
     `f` is an analytic or a sampled field; x and h are one point each or
-    (N, dim) batches, and a batch gives an (N,) array.  Order 0 returns
-    f(x); a zero step with order >= 1 returns 0.  The `binom` argument is
-    a fault-injection hook for negative-control tests and must behave
-    like `binomial` in normal use.
+    (N, dim) batches, and a batch gives an (N,) array.  A polynomial at
+    one point sums its exact node values in integers, rounded once; every
+    other call sums float node values.  Order 0 returns f(x); a zero step
+    with order >= 1 returns 0.  The `binom` argument is a fault-injection
+    hook for negative-control tests and must behave like `binomial` in
+    normal use.
     """
     order, (x, h), single, value_at = _node_reader(f, order, (x, h))
+    signs = [(-1) ** j * binom(order, j) for j in range(order + 1)]
+    if single and isinstance(f, PolynomialField):
+        # the nodes x + j h are exact integers at the dyadic scale of x and h
+        (xs, hs), scale = _dyadic(x[0], h[0])
+        if order and not h.any():
+            return 0.0
+        total = sum(c * f._scaled_value([a + j * b for a, b in zip(xs, hs)], scale)
+                    for j, c in enumerate(signs))
+        return total / f._scaled_den(scale)
     if order == 0:
         total = value_at(x)
     else:
-        signs = [(-1) ** j * binom(order, j) for j in range(order + 1)]
         total = np.where(h.any(axis=-1), _node_sum(value_at, x, h, signs), 0.0)
-    return float(np.ravel(total)[0]) if single else total
+    return float(total[0]) if single else total
 
 
 def forward_difference(f, x, h, order: int, *, binom=binomial):
     """l-th forward difference sum_j (-1)^(l-j) C(l, j) f(x + j h).
 
-    This is (-1)^l * `g_sum`, the same floats with a final negation, so
-    the sign law between the two holds exactly; the conventions and
-    arguments are those of `g_sum`.
+    This is (-1)^l * `g_sum`, the same floats with a final negation 0.0 - g
+    (an exact zero stays +0.0), so the sign law between the two holds
+    exactly; the conventions and arguments are those of `g_sum`.
     """
     signed = g_sum(f, x, h, order, binom=binom)
-    return signed if order % 2 == 0 else -signed
+    return signed if order % 2 == 0 else 0.0 - signed
 
 
 def telescope_residual(f: AnalyticField, x, h, order: int, *, binom=binomial) -> float:
@@ -229,7 +236,8 @@ def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
         (count-1)! L_j(a / b) = (-1)^(count-1-j) C(count-1, j)
                                 prod_{i != j} (a - i b) / b^(count-1).
 
-    Other fields use the float weight kernel the batch remainder runs.
+    Other fields read one batch row of the float weight kernel the batch
+    remainder runs.
     """
     if nodes.dim != f.dim:
         raise ConfigError("node family dimension does not match the field")
@@ -249,8 +257,8 @@ def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
                     weight *= a - i * b
             total += f._scaled_value(node, scale) * weight
         return total / (f._scaled_den(scale) * b ** (count - 1) * math.factorial(count - 1))
-    return float(_lagrange_sum(f.value, np.asarray(nodes.base), np.asarray(nodes.step), y,
-                               count))
+    return float(_lagrange_sum(f.value_batch, np.asarray([nodes.base]),
+                               np.asarray([nodes.step]), y[None], count)[0])
 
 
 def lagrange_remainder(f: AnalyticField, x, y, order: int):
@@ -265,13 +273,14 @@ def lagrange_remainder(f: AnalyticField, x, y, order: int):
     """
     order, (x, y), single, value_at = _node_reader(f, order, (x, y))
     if single and isinstance(f, PolynomialField):
+        x, y = x[0], y[0]
         return evaluate(f, y) - lagrange_interpolant(f, NodeFamily.for_remainder(x, y, order), y)
     if order < 1:
         raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
     if (x == y).all(axis=-1).any():
         raise DegeneratePairError("the remainder form needs distinct endpoints")
     remainder = value_at(y) - _lagrange_sum(value_at, x, (y - x) / order, y, order)
-    return float(np.ravel(remainder)[0]) if single else remainder
+    return float(remainder[0]) if single else remainder
 
 
 def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:

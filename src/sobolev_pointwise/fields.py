@@ -44,7 +44,6 @@ __all__ = [
     "GridSpec",
     "SampledField",
     "evaluate",
-    "evaluate_batch",
     "directional_derivative",
     "sample",
     "gradient_magnitude_field",
@@ -694,15 +693,10 @@ def _gather(values: np.ndarray, cells, rung: np.ndarray | None = None) -> np.nda
 
 def evaluate(f: AnalyticField, x) -> float:
     """Value of `f` at the point `x` (domain checked): exact, rounded once,
-    for polynomials; for every other kind `evaluate_batch` on that one
+    for polynomials; for every other kind `value_batch` on that one
     point, bit for bit."""
     f._check_point(x)
     return f.value(x)
-
-
-def evaluate_batch(f: AnalyticField, pts: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation at an array of points, shape (..., dim)."""
-    return f.value_batch(np.asarray(pts, dtype=float))
 
 
 def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -> float:

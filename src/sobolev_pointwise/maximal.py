@@ -79,7 +79,8 @@ def lens_volume(dim: int, radius: float, distance: float) -> float:
     """Volume of the intersection of two balls of equal radius.
 
     The centers sit `distance` apart; `distance >= 2 * radius` gives 0.
-    Closed forms cover dim <= 3.  Above, the lens is V_n(r) I_x((n+1)/2, 1/2)
+    Closed forms cover dim <= 3, dim 2 while x >= 1/2 (its terms cancel as
+    d -> 2r).  Otherwise the lens is V_n(r) I_x((n+1)/2, 1/2)
     with t = d/(2r), x = 1 - t^2 and I the regularized incomplete beta (S. Li,
     Asian J. Math. Stat. 4(1), 2011): from I_x(1, 1/2) = 1 - t (odd n) or
     I_x(1/2, 1/2) = (2/pi) acos t (even n), each step a -> a + 1 subtracts
@@ -98,14 +99,14 @@ def lens_volume(dim: int, radius: float, distance: float) -> float:
     if distance >= 2.0 * radius:
         return 0.0
     r, d = radius, distance
+    t = d / (2.0 * r)
+    x = (2.0 * r - d) / (2.0 * r) * (1.0 + t)  # 1 - t^2, with 1 - t rounded once
     if dim == 1:
         return 2.0 * r - d
-    if dim == 2:
-        return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
+    if dim == 2 and x >= 0.5:
+        return 2.0 * r * r * math.acos(t) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
     if dim == 3:
         return math.pi * (4.0 * r + d) * (2.0 * r - d) ** 2 / 12.0
-    t = d / (2.0 * r)
-    x = (2.0 * r - d) / (2.0 * r) * (1.0 + t)  # 1 - t, rounded once
     a, value = (1.0, 1.0 - t) if dim % 2 else (0.5, 2.0 * math.acos(t) / math.pi)
     step = (0.5 if dim % 2 else 2.0 / math.pi) * x ** a * t
     while a < (dim + 1) / 2.0:

@@ -11,8 +11,8 @@ from one seeded generator, so reports are byte-for-byte reproducible.
 The identity suite exercises the algebraic layer instead, through the
 same `differences` functions: interpolation remainder versus forward
 difference, the telescoping recursion, the iterated-integral
-representation, difference annihilation on low-degree polynomials, and
-the exact sign law.
+representation, difference annihilation on low-degree polynomials (exact
+through `forward_difference` itself), and the exact sign law.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "quasinorm_upper",
     "mollified_scan",
     "identity_suite",
-    "report_schema",
 ]
 
 _SAMPLE_BATCH = 8192
@@ -410,50 +409,6 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
         violations=violations,
         x=x, y=y, lhs=lhs, rhs=rhs, ratio=ratio,
     )
-
-
-def report_schema() -> dict:
-    """JSON schema of the report files written by the scans."""
-    number = {"type": "number"}
-    return {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "title": "Inequality scan report",
-        "description": (
-            "Ratio statistics of a pointwise inequality scan.  Ratios may be "
-            "Infinity when the right-hand side vanishes or either side is not "
-            "finite, and violation records may then hold NaN sides; files use "
-            "the non-strict JSON Infinity and NaN tokens for them."),
-        "type": "object",
-        "required": ["params", "n_pairs", "n_violations", "n_nonfinite",
-                     "max_ratio", "quantiles", "slack", "violations"],
-        "properties": {
-            "params": {"type": "object"},
-            "n_pairs": {"type": "integer", "minimum": 0},
-            "n_violations": {"type": "integer", "minimum": 0},
-            "n_nonfinite": {"type": "integer", "minimum": 0},
-            "max_ratio": number,
-            "quantiles": {
-                "type": "object",
-                "required": ["p50", "p90", "p99"],
-                "properties": {"p50": number, "p90": number, "p99": number},
-            },
-            "slack": number,
-            "violations": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["x", "y", "lhs", "rhs", "ratio"],
-                    "properties": {
-                        "x": {"type": "array", "items": number},
-                        "y": {"type": "array", "items": number},
-                        "lhs": number,
-                        "rhs": number,
-                        "ratio": number,
-                    },
-                },
-            },
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -816,15 +771,6 @@ def _draw_pair(rng, lo, hi, min_sep=0.05):
     raise EmptyScanError("could not draw a separated pair")
 
 
-def _exact_difference(poly: PolynomialField, x, h, order: int, binom) -> float:
-    """Forward difference sum_j (-1)^(order-j) binom(order, j) poly(x + j h)
-    at the exact nodes x + j h, summed in integers over the line's
-    denominator and rounded once."""
-    line = poly.line_restriction(x, h)
-    nodes = [sum(a * j ** k for k, a in enumerate(line.coeffs)) for j in range(order + 1)]
-    return sum((-1) ** (order - j) * binom(order, j) * v for j, v in enumerate(nodes)) / line.den
-
-
 # the telescoping residual's bound in units of roundoff u = 2^-53
 _TELESCOPE_C = 16
 
@@ -845,8 +791,8 @@ def identity_suite(draws: int = 200, seed: int = 0, *, binom=binomial) -> dict:
     """Battery of exact algebraic identities at machine-precision tolerances.
 
     Residuals are relative to 1 + the identity's own magnitude, except
-    telescoping, relative to `_telescope_scale`, and annihilation, which
-    is summed exactly in integers and must be 0.  The
+    telescoping, relative to `_telescope_scale`, and annihilation, an exact
+    polynomial `forward_difference` that must be 0.  The
     `binom` argument is the fault-injection hook: replacing it with a
     corrupted table must break the suite.
     """
@@ -914,7 +860,7 @@ def identity_suite(draws: int = 200, seed: int = 0, *, binom=binomial) -> dict:
         low = random_polynomial(rng, dim, exact_degree=order - 1)
         xa = rng.uniform(-1.0, 1.0, dim)
         ha = rng.uniform(-0.4, 0.4, dim)
-        bump("annihilation", _exact_difference(low, xa, ha, order, binom))
+        bump("annihilation", forward_difference(low, xa, ha, order, binom=binom))
         ya = rng.uniform(-1.0, 1.0, dim)
         if not np.array_equal(xa, ya):
             bump("taylor_annihilation", taylor_remainder(low, xa, ya, order))

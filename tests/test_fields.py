@@ -22,7 +22,6 @@ from sobolev_pointwise import (
     default_directions,
     directional_derivative,
     evaluate,
-    evaluate_batch,
     g_integral,
     gradient_magnitude_field,
     parse_field,
@@ -200,13 +199,13 @@ class TestAnalyticLines:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
-    def test_evaluate_batch_matches_scalar(self, rng, kind, dim):
+    def test_value_batch_matches_scalar(self, rng, kind, dim):
         f, lo, hi = _float_field(kind, dim)
         pts = rng.uniform(lo, hi, size=(400, dim))
-        batch = evaluate_batch(f, pts)
+        batch = f.value_batch(pts)
         scalar = np.array([evaluate(f, p) for p in pts])
         assert np.array_equal(batch, scalar)
-        assert np.array_equal([evaluate_batch(f, p) for p in pts], scalar)
+        assert np.array_equal([f.value_batch(p) for p in pts], scalar)
 
 
 def _float_field(kind: str, dim: int):

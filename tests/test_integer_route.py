@@ -18,13 +18,15 @@ from sobolev_pointwise import (
     GridSpec,
     NodeFamily,
     PolynomialField,
+    binomial,
+    forward_difference,
+    g_sum,
     lagrange_interpolant,
     lagrange_remainder,
     random_polynomial,
     sample,
     taylor_remainder,
 )
-from sobolev_pointwise.verify import _exact_difference
 
 # non-dyadic coefficients, so the common denominator q is not a power of 2
 COEFFS = [Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(11, 6), Fraction(-1),
@@ -105,22 +107,51 @@ class TestBitForBit:
         assert_same_float(taylor_remainder(f, x, y, order),
                           float(ref.taylor_remainder(f, x, y, order)))
 
-    def test_exact_difference(self, f, order, x, y):
+    def test_forward_difference(self, f, order, x, y):
         h = (y - x) / order
-        assert_same_float(_exact_difference(f, x, h, order, math.comb),
-                          float(ref.exact_difference(f, x, h, order)))
+        exact = ref.exact_difference(f, x, h, order)
+        assert_same_float(forward_difference(f, x, h, order), float(exact))
+        assert_same_float(g_sum(f, x, h, order), float((-1) ** order * exact))
 
 
-def test_exact_difference_keeps_the_binomial_hook():
+def test_forward_difference_keeps_the_binomial_hook():
     def bad(l, j):
         return math.comb(l, j) + (1 if (l, j) == (4, 2) else 0)
 
     f = PolynomialField({(3,): Fraction(1, 3), (1,): Fraction(-5, 7)})
     x, h = np.array([0.3]), np.array([0.11])
-    assert _exact_difference(f, x, h, 4, math.comb) == 0.0
-    got = _exact_difference(f, x, h, 4, bad)
+    assert_same_float(forward_difference(f, x, h, 4), 0.0)
+    got = forward_difference(f, x, h, 4, binom=bad)
     assert got != 0.0
     assert_same_float(got, float(ref.exact_difference(f, x, h, 4, bad)))
+
+
+def _corrupted(l, j):
+    """A binomial table off by one at j = 0, so each sum gains +-f(x)."""
+    return binomial(l, j) + (j == 0)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_low_degree_differences_are_exactly_zero(dim, order):
+    rng = np.random.default_rng(10 * dim + order)
+    for _ in range(20):
+        f = random_polynomial(rng, dim, exact_degree=order - 1)
+        x, h = rng.uniform(-1.2, 1.2, dim), rng.uniform(-0.4, 0.4, dim)
+        assert_same_float(forward_difference(f, x, h, order), 0.0)
+        assert_same_float(g_sum(f, x, h, order), 0.0)
+        assert forward_difference(f, x, h, order, binom=_corrupted) != 0.0
+        assert g_sum(f, x, h, order, binom=_corrupted) != 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_step_is_zero_whatever_the_binomial(dim):
+    f = _poly(np.random.default_rng(dim), dim, 4)
+    x, h = np.full(dim, 0.3), np.zeros(dim)
+    for order in range(1, 7):
+        for fn in (forward_difference, g_sum):
+            assert_same_float(fn(f, x, h, order, binom=_corrupted), 0.0)
+            assert_same_float(fn(f, x[None], h[None], order, binom=_corrupted), [0.0])
 
 
 @pytest.mark.parametrize("dim, points", [(1, 101), (2, 21), (3, 7)])
@@ -173,7 +204,7 @@ def test_nonfinite_coordinates_raise_as_the_rational_route_does(bad, axis):
          lambda a, b: ref.taylor_remainder(f, a, b, 2)),
         (lambda a, b: lagrange_remainder(f, a, b, 3),
          lambda a, b: ref.lagrange_remainder(f, a, b, 3)),
-        (lambda a, b: _exact_difference(f, a, b, 3, math.comb),
+        (lambda a, b: forward_difference(f, a, b, 3),
          lambda a, b: ref.exact_difference(f, a, b, 3)),
     ]
     calls = [(f.value, lambda a: ref.value_fraction(f, a), (bad_pt,)),

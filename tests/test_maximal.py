@@ -161,13 +161,19 @@ class TestLensVolume:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_incomplete_beta(self, n):
-        # the 2-D closed form 2r^2 acos(t) - (d/2) sqrt(4r^2 - d^2) cancels
-        # as d -> 2r: 7.2e-9 relative at d = 1.9999 r (kept bit for bit)
-        bound = 1e-8 if n == 2 else 1e-11
         for r in (0.3, 1.0, 2.0):
             for d in (0.0, 0.1, 0.5 * r, r, 1.5 * r, 1.9 * r, 1.99 * r, 1.9999 * r):
                 want = betainc_volume(n, r, d)
-                assert abs(lens_volume(n, r, d) - want) <= bound * want, (r, d)
+                assert abs(lens_volume(n, r, d) - want) <= 1e-11 * want, (r, d)
+
+    def test_two_dimensional_lens_does_not_cancel_near_tangency(self):
+        # the closed form 2r^2 acos(t) - (d/2) sqrt(4r^2 - d^2) lost 7.2e-9
+        # relative at d = 1.9999 r; below x = 1/2 the series takes over
+        for r in (0.3, 1.0, 2.0):
+            for q in (1.5, 1.9, 1.99, 1.9999):
+                want = betainc_volume(2, r, q * r)
+                assert abs(lens_volume(2, r, q * r) - want) <= 1e-14 * want, (r, q)
+        assert segment_ratio_constant(2) == 2.5575302428478484
 
     @pytest.mark.parametrize("n", [12, 24, 48, 100])
     def test_high_dimensions_match_the_incomplete_beta(self, n):
