@@ -78,6 +78,14 @@ class TestVerify:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_large_feasible_request_exits_zero(self, capsys):
+        # about 22% of uniform-in-box proposals were kept here, and a fixed
+        # cap of 1M proposals stopped at 219k of the 300k pairs
+        code = main(["verify", "--scan", "main", "--m", "1", "--field", "sin:w=2,1.5,1",
+                     "--grid", "-1:1:21", "--dim", "3", "--pairs", "300000"])
+        assert code == 0
+        assert "pairs=300000 violations=0" in capsys.readouterr().out
+
     def test_infeasible_scan_exits_three(self, capsys):
         code = main(["verify", "--scan", "lemma1", "--field", "sin:w=2",
                      "--grid", "-1:1:161", "--min-sep", "3.0", "--max-sep", "4.0",

@@ -306,7 +306,7 @@ class TestGridGather:
         sampler = PairSampler(Domain(Box.of_grid(grid)), 3000, 4, 0.1, 0.8)
         ladder = _CoefficientLadder(GaussianField(1.3, 3), grid, 2,
                                     _rung_configs(sampler, grid, None))
-        pairs = sampler.draw(ladder.margin_of)
+        pairs = sampler.draw(ladder.deltas, ladder.margins)
         idx = ladder.delta_index(pairs.dist)
         assert len(set(idx.tolist())) > 1
 

@@ -88,11 +88,33 @@ class TestPairSampler:
         assert np.all(dist >= 0.1) and np.all(dist <= 0.3)
         np.testing.assert_allclose(dist, batch.dist, rtol=0, atol=0)
 
-    def test_points_respect_margin_callback(self, grid_2d):
+    def test_points_respect_the_margin(self, grid_2d):
         sampler = PairSampler(_domain(grid_2d), 128, 5, 0.05, 0.3)
-        batch = sampler.draw(margin_of=lambda d: np.full_like(d, 0.25))
+        batch = sampler.draw([0.3], [0.25])
         for pts in (batch.x, batch.y):
             assert np.all(np.abs(pts) <= 1.0 - 0.25 + 1e-12)
+
+    def test_a_piece_without_room_draws_nothing(self, grid_2d):
+        # separations above 0.2 need a margin of 1 on a side of 2
+        batch = PairSampler(_domain(grid_2d), 500, 5, 0.05, 0.4).draw([0.2, 0.4], [0.1, 1.0])
+        assert np.all(batch.dist <= 0.2)
+        assert np.all(np.abs(np.concatenate([batch.x, batch.y])) <= 0.9)
+
+    def test_no_room_at_any_separation_raises_before_drawing(self, grid_2d):
+        sampler = PairSampler(_domain(grid_2d), 10, 0, 0.05, 0.4)
+        with pytest.raises(EmptyScanError, match="no room"):
+            sampler.draw([0.2, 0.4], [1.0, 1.5])
+
+    def test_one_point_band(self, grid_2d):
+        batch = PairSampler(_domain(grid_2d), 200, 2, 0.2, 0.2).draw([0.1, 0.3], [0.1, 0.3])
+        assert np.all(batch.dist == 0.2)
+        assert np.all(np.abs(np.concatenate([batch.x, batch.y])) <= 0.7)
+
+    @pytest.mark.parametrize("ends, margins", [
+        ([], []), ([0.4], [0.1, 0.2]), ([0.3, 0.2], [0.1, 0.2]), ([0.4], [-0.1])])
+    def test_malformed_margin_steps_are_rejected(self, grid_2d, ends, margins):
+        with pytest.raises(ConfigError):
+            PairSampler(_domain(grid_2d), 10, 0, 0.05, 0.4).draw(ends, margins)
 
     def test_negative_seed_is_rejected(self, grid_1d):
         with pytest.raises(ConfigError):
@@ -132,6 +154,21 @@ class TestPairSampler:
         assert report.n_nonfinite == 0
 
 
+class TestProposalEfficiency:
+    """The proposal knows the rung margins: at most 1.7 proposals per kept
+    pair on a 41^3 scan and 1.3 on a 2001-node 1-D scan (6.55 and 1.72
+    with x uniform in the whole box; `attempts` counts whole batches)."""
+
+    @pytest.mark.parametrize("dim, points, pairs, limit",
+                             [(3, 41, 5000, 1.7), (1, 2001, 100_000, 1.3)])
+    def test_proposals_per_kept_pair(self, dim, points, pairs, limit):
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        sampler = PairSampler(_domain(grid), pairs, 1, 0.05, 0.4)
+        report = main_inequality_scan(SinusoidField((2.0, 1.5, 1.0)[:dim]), 2, grid, sampler)
+        assert report.n_pairs == pairs
+        assert report.params["attempts"] / report.n_pairs <= limit
+
+
 def _reference_pairs(domain, count, seed, min_sep, max_sep, margin_of):
     """Independent uniform endpoints in the outer box, kept by the
     sampler's tests, with the hole checked at 256 segment points."""
@@ -156,23 +193,50 @@ def _reference_pairs(domain, count, seed, min_sep, max_sep, margin_of):
 
 
 class TestSamplerLaw:
-    @pytest.mark.parametrize("dim, hole", [(1, False), (2, False), (2, True), (3, False)])
-    def test_matches_independent_uniform_endpoints(self, dim, hole):
+    """The kept pairs against independent uniform endpoints kept by the
+    same tests: KS on the separation and on each coordinate of x, y and
+    the midpoint, and chi^2 on the rung occupancy.  Every margin shape the
+    scans pass is covered: the rung deltas, the rung deltas plus
+    `mollified_scan`'s kernel margin, and one `clip` rung with margin 0."""
+
+    CASES = [(1, False, 0.0, "reject"), (2, False, 0.0, "reject"), (2, True, 0.0, "reject"),
+             (3, False, 0.0, "reject"), (1, False, 0.2, "reject"), (2, False, 0.1, "reject"),
+             (2, True, 0.0, "clip"), (3, False, 0.0, "clip")]
+
+    @pytest.mark.parametrize("dim, hole, extra, boundary", CASES)
+    def test_matches_independent_uniform_endpoints(self, dim, hole, extra, boundary):
         grid = GridSpec.cube(-1.0, 1.0, {1: 201, 2: 41, 3: 21}[dim], dim)
         outer = Box.of_grid(grid)
         domain = Domain(outer, Box((-0.3,) * dim, (0.2,) * dim) if hole else None)
         min_sep, max_sep, count = 0.05, 0.4, 4000
         sampler = PairSampler(domain, count, 11, min_sep, max_sep)
-        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1,
-                                    _rung_configs(sampler, grid, None))
-        batch = sampler.draw(ladder.margin_of)
-        ref_x, ref_y = _reference_pairs(domain, count, 12, min_sep, max_sep,
-                                        ladder.margin_of)
-        samples = [(batch.dist, np.linalg.norm(ref_y - ref_x, axis=1))]
+        configs = _rung_configs(sampler, grid, None)
+        if boundary == "clip":
+            configs = [MaximalConfig(delta=max_sep, radii=configs[-1].radii, boundary="clip")]
+        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, configs)
+        batch = sampler.draw(ladder.deltas, ladder.margins + extra)
+
+        def margin_of(d):
+            if boundary == "clip":
+                return np.full_like(d, extra)
+            return ladder.deltas[ladder.delta_index(d)] + extra
+
+        ref_x, ref_y = _reference_pairs(domain, count, 12, min_sep, max_sep, margin_of)
+        ref_dist = np.linalg.norm(ref_y - ref_x, axis=1)
+        samples = [(batch.dist, ref_dist)]
         samples += [(batch.x[:, k], ref_x[:, k]) for k in range(dim)]
         samples += [(batch.y[:, k], ref_y[:, k]) for k in range(dim)]
+        samples += [(batch.x[:, k] + batch.y[:, k], ref_x[:, k] + ref_y[:, k])
+                    for k in range(dim)]
         for new, ref in samples:
             assert stats.ks_2samp(new, ref).pvalue > 1e-3
+        # rung occupancy of the kept pairs, as a 2 x R contingency table
+        rungs = len(ladder.deltas)
+        table = np.array([np.bincount(ladder.delta_index(d), minlength=rungs)
+                          for d in (batch.dist, ref_dist)])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
 class TestSegmentGeometry:
@@ -380,7 +444,7 @@ class TestNodeBoxes:
         room = np.subtract(outer.hi, outer.lo) > 2 * boxed.deltas[0]
         if boundary == "reject" and not np.all(room):
             return
-        pairs = sampler.draw(boxed.margin_of)
+        pairs = sampler.draw(boxed.deltas, boxed.margins)
         rhs = boxed.endpoint_rhs(pairs)
         assert np.all(np.isfinite(rhs))
         assert np.array_equal(rhs, full.endpoint_rhs(pairs))
@@ -535,6 +599,35 @@ class TestClosedFormRatios:
         e0 = np.abs(step[:, 0]) / np.linalg.norm(step, axis=1)
         err = np.abs(report.ratio - bound * e0 ** m)
         assert np.max(err) <= 1e-10 * bound
+
+    # In 1-D with s = m and g constant, every triebel ratio is
+    # m! |h|^m / (|h|^m (m + 1) g) and every hatl ratio m! |h|^m / (|y - x|^m 2 g)
+    # with |h| = |y - x| / m: the constants (m + 1), 2 and m^m end to end.
+    CONTROLS = [(triebel_scan, m, g, math.factorial(m) / ((m + 1) * g))
+                for m, g in [(1, 1.0), (2, 1.0), (3, 2.0)]]
+    CONTROLS += [(hatl_scan, m, 1.0, math.factorial(m) / (2 * m ** m)) for m in (1, 2, 3)]
+
+    @staticmethod
+    def _control(grid_1d, scan, m, g):
+        sampler = PairSampler(_domain(grid_1d), 300, 21, 0.05, 0.4)
+        field = SampledField(grid_1d, np.full(grid_1d.points, g))
+        return scan(parse_field(f"poly:x0^{m}"), m, float(m), field, sampler)
+
+    @pytest.mark.parametrize("scan, m, g, ratio", CONTROLS,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_triebel_and_hatl_ratios_match_closed_form(self, grid_1d, scan, m, g, ratio):
+        report = self._control(grid_1d, scan, m, g)
+        assert report.passed
+        assert report.n_pairs == 300
+        assert np.max(np.abs(report.ratio - ratio)) <= 1e-10 * ratio
+
+    @pytest.mark.parametrize("scan, m, g, ratio", CONTROLS,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_a_quarter_of_the_tight_g_fails_every_pair(self, grid_1d, scan, m, g, ratio):
+        # g * ratio puts every ratio at exactly 1; a quarter of it at 4
+        report = self._control(grid_1d, scan, m, g * ratio / 4.0)
+        assert report.n_violations == report.n_pairs == 300
+        assert np.max(np.abs(report.ratio - 4.0)) <= 1e-10 * 4.0
 
 
 class TestQuasinorm:
