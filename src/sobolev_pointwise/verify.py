@@ -77,9 +77,9 @@ __all__ = [
 ]
 
 _SAMPLE_BATCH = 8192
-# The acceptance a `PairSampler.draw` budgets for where no positive lower
-# bound is known (a hole, or a band wider than a side of the shrunk box).
-_ACCEPTANCE_FLOOR = 1e-3
+# A `PairSampler.draw` gives up once its proposals have kept 64 pairs fewer
+# than this share of them.
+_ACCEPTANCE_FLOOR = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +228,16 @@ class PairSampler:
     [-1, 1]^3, 0.71 of proposals are kept (0.83 in 1-D), where x uniform
     in the whole box kept 0.20 (0.58).
 
-    A draw makes at most 2 (count + 64) / p proposals and then raises
-    `EmptyScanError`.  On a box without a hole, p is a closed-form lower
-    bound on the acceptance (`_acceptance_bound`), so a feasible request
-    fails with probability below e^-64; where that bound is 0, p is
-    `_ACCEPTANCE_FLOOR`.  `attempts` counts proposals; identical
-    settings always reproduce the same pairs.
+    A piece none of whose separations fits in its shrunk box (empty, or
+    with a diagonal below the piece's start) gets no proposals, and a
+    draw with no other piece raises `EmptyScanError` at once.  Otherwise
+    a draw raises it once its proposals have kept 64 pairs fewer than
+    `_ACCEPTANCE_FLOOR` (0.01%) of them: after 79 batches (647,168
+    proposals) when nothing is kept, while a request whose acceptance is
+    twice the floor or more is stopped with probability below e^-40,
+    whatever its count.
+    `attempts` counts proposals; identical settings always reproduce the
+    same pairs.
     """
 
     domain: Domain
@@ -266,21 +270,22 @@ class PairSampler:
         band = r_hi ** dim - r_lo ** dim
         # min_sep == max_sep: the one piece holding it takes every r
         mass = band if band.any() else (np.arange(len(ends)) == _step(ends, self.max_sep))
-        weight = mass * np.prod(np.maximum(shrunk, 0.0), axis=1)
+        room = np.maximum(shrunk, 0.0)
+        fits = r_lo <= np.linalg.norm(room, axis=1)
+        weight = mass * np.prod(room, axis=1) * fits
         if not np.any(weight > 0):
-            raise EmptyScanError("the margins leave no room at any separation in "
-                                 f"[{self.min_sep}, {self.max_sep}]")
+            raise EmptyScanError("no separation in "
+                                 f"[{self.min_sep}, {self.max_sep}] fits in the "
+                                 "domain shrunk by its margin")
         cum = np.cumsum(weight)
         last = int(np.flatnonzero(weight)[-1])
-        bound = self._acceptance_bound(r_lo, r_hi, shrunk, weight)
-        budget = 2.0 * (self.count + 64) / (bound if bound > 0 else _ACCEPTANCE_FLOOR)
         rng = np.random.default_rng(self.seed)
         xs, ys = np.empty((self.count, dim)), np.empty((self.count, dim))
         ds = np.empty(self.count)
         found = 0
         attempts = 0
         while found < self.count:
-            if attempts >= budget:
+            if attempts * _ACCEPTANCE_FLOOR > found + 64:
                 raise EmptyScanError(
                     f"only {found} of {self.count} admissible pairs found in "
                     f"{attempts} attempts; the margins or separations leave "
@@ -310,31 +315,6 @@ class PairSampler:
             ds[found:found + len(take)] = d[take]
             found += len(take)
         return PairBatch(x=xs, y=ys, dist=ds, attempts=attempts)
-
-    def _acceptance_bound(self, r_lo, r_hi, shrunk, weight) -> float:
-        """Lower bound on the share of `draw`'s proposals kept, 0 with a hole.
-
-        With x uniform in a box of sides L, y = x + r u stays in it with
-        chance prod_i (1 - r |u_i| / L_i) >= prod_i max(0, 1 - r / L_i).
-        Each piece adds its weight share times the mean of that bound
-        over its r, a polynomial in r up to min_i L_i.
-        """
-        if self.domain.hole is not None:
-            return 0.0
-        dim = self.domain.dim
-        total = 0.0
-        for a, b, sides, w in zip(r_lo, r_hi, shrunk, weight / weight.sum()):
-            # a one-point band (b == a) gets 0: rounding alone rejects much of it
-            top = min(b, sides.min())
-            if w == 0 or top <= a:
-                continue
-            # prod_i (1 - r / L_i) = sum_k c_k r^k, so the integral against
-            # n r^(n-1) is sum_k n c_k r^(n+k) / (n + k)
-            c = np.poly(sides)[::-1] / np.prod(-sides)
-            power = dim + np.arange(dim + 1)
-            total += w * dim * np.sum(c * (top ** power - a ** power) / power) / (
-                b ** dim - a ** dim)
-        return total
 
     def to_dict(self) -> dict:
         return {

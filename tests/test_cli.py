@@ -93,6 +93,13 @@ class TestVerify:
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_large_infeasible_scan_exits_three_before_drawing(self, capsys):
+        code = main(["verify", "--scan", "lemma1", "--field", "sin:w=2",
+                     "--grid", "-1:1:161", "--min-sep", "3.0", "--max-sep", "4.0",
+                     "--pairs", "300000"])
+        assert code == 3
+        assert "no separation in [3.0, 4.0] fits" in capsys.readouterr().err
+
     def test_hole_domain(self, capsys):
         code = main(["verify", "--scan", "main", "--m", "1",
                      "--field", "poly:x0*x1", "--dim", "2", "--grid", "-1:1:81",

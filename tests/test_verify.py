@@ -100,10 +100,15 @@ class TestPairSampler:
         assert np.all(batch.dist <= 0.2)
         assert np.all(np.abs(np.concatenate([batch.x, batch.y])) <= 0.9)
 
-    def test_no_room_at_any_separation_raises_before_drawing(self, grid_2d):
-        sampler = PairSampler(_domain(grid_2d), 10, 0, 0.05, 0.4)
-        with pytest.raises(EmptyScanError, match="no room"):
-            sampler.draw([0.2, 0.4], [1.0, 1.5])
+    @pytest.mark.parametrize("count, min_sep, max_sep, ends, margins", [
+        (10, 0.05, 0.4, [0.2, 0.4], [1.0, 1.5]),  # every shrunk box is empty
+        (300_000, 3.0, 4.0, [math.inf], [0.0]),  # the band is beyond the diagonal
+    ])
+    def test_no_room_at_any_separation_raises_before_drawing(
+            self, grid_2d, count, min_sep, max_sep, ends, margins):
+        sampler = PairSampler(_domain(grid_2d), count, 0, min_sep, max_sep)
+        with pytest.raises(EmptyScanError, match="no separation"):
+            sampler.draw(ends, margins)
 
     def test_one_point_band(self, grid_2d):
         batch = PairSampler(_domain(grid_2d), 200, 2, 0.2, 0.2).draw([0.1, 0.3], [0.1, 0.3])
@@ -130,6 +135,16 @@ class TestPairSampler:
         sampler = PairSampler(_domain(grid_1d), 16, 0, 3.0, 4.0)
         with pytest.raises(EmptyScanError):
             sampler.draw()
+
+    def test_large_request_that_keeps_nothing_stops_early(self):
+        # the box shrunk by 0.1 lies inside the hole dilated by 0.1, which no
+        # piece weight sees: the draw stops once 64 pairs fewer than 0.01%
+        # of its proposals are kept, not at a budget that grows with count
+        grid = GridSpec.cube(-1.0, 1.0, 21, 2)
+        domain = Domain(Box.of_grid(grid), hole=Box((-0.9, -0.9), (0.9, 0.9)))
+        sampler = PairSampler(domain, 300_000, 0, 0.05, 0.4)
+        with pytest.raises(EmptyScanError, match="only 0 of 300000 .* in 647168 attempts"):
+            sampler.draw([math.inf], [0.1])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
