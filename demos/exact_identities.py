@@ -10,7 +10,6 @@ representation of the difference as an integral of a derivative.
 
 from sobolev_pointwise import (
     GaussianField,
-    NodeFamily,
     QuadratureRule,
     forward_difference,
     g_integral,
@@ -53,8 +52,7 @@ for order in (2, 3, 4):
 # the defect at y is the forward difference with step (y - x) / l.
 
 x, y, order = (-0.4,), (0.5,), 3
-nodes = NodeFamily.for_remainder(x, y, order)
-interp = lagrange_interpolant(g, nodes, y)
+interp = lagrange_interpolant(g, x, y, order)
 defect = g.value(y) - interp
 step = ((y[0] - x[0]) / order,)
 print("interpolation defect:   ", defect)

@@ -24,7 +24,6 @@ rounded once, so the algebraic identities hold to the last bit.
 """
 
 from .differences import (
-    NodeFamily,
     QuadratureRule,
     binomial,
     forward_difference,
@@ -38,11 +37,9 @@ from .differences import (
 )
 from .exceptions import (
     ConfigError,
-    DegenerateNodesError,
     DegeneratePairError,
     DomainError,
     EmptyScanError,
-    GeometryError,
     UnsupportedOrderError,
 )
 from .fields import (
@@ -84,6 +81,7 @@ from .verify import (
     Box,
     Domain,
     InequalityReport,
+    PairBatch,
     PairSampler,
     all_node_coefficient,
     build_report,
@@ -103,18 +101,16 @@ __all__ = [
     "AnalyticField",
     "Box",
     "ConfigError",
-    "DegenerateNodesError",
     "DegeneratePairError",
     "Domain",
     "DomainError",
     "EmptyScanError",
     "GaussianField",
-    "GeometryError",
     "GridSpec",
     "InequalityReport",
     "MaximalConfig",
     "Mollifier",
-    "NodeFamily",
+    "PairBatch",
     "PairSampler",
     "PolynomialField",
     "PowerField",

@@ -402,8 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-config", action="store_true", dest="dump_config",
                        help="print the resolved configuration before running")
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="write a JSON (or CSV) report here")
-        p.add_argument("--format", choices=["json", "csv"])
+        p.add_argument("--out", help="write the report here")
 
     p = sub.add_parser("identities", help="run the exact-identity suite")
     common(p)
@@ -415,6 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an inequality scan")
     common(p)
     scan_options(p)
+    p.add_argument("--format", choices=["json", "csv"], help="csv: one row per sampled pair")
     p.add_argument("--scan", choices=["lemma1", "main", "node-discard", "hatl"])
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
@@ -436,6 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triebel", help="all-node-sum bound scan")
     common(p)
     scan_options(p)
+    p.add_argument("--format", choices=["json", "csv"], help="csv: one row per sampled pair")
     p.add_argument("--s", type=float)
     p.add_argument("--g", choices=["auto", "zero"],
                    help="coefficient field: auto builds m^m times the maximal "

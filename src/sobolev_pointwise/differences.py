@@ -11,19 +11,21 @@ exactly; the alternating-sign sum `g_sum` equals (-1)^l times it; and the
 iterated integral reproduces it to quadrature accuracy.  These identities
 are what the verification suites pin down numerically.
 
-`forward_difference`, `g_sum` and `lagrange_remainder` take one point or
+Every function takes its geometry as points: a base x with a step h,
+or the two endpoints x and y of the remainder.  `forward_difference`,
+`g_sum`, `lagrange_interpolant` and `lagrange_remainder` take one point or
 (N, dim) batches, and run on the float kernels `_node_sum` and
 `_lagrange_sum` that also score the scans.  A single point is a batch of
 one, so it gives the float of one row of a batch, except that a
 polynomial at one point takes its exact route: the difference from its
-exact node values, the remainder from the exact interpolant.
+exact node values, the interpolant and remainder from exact weights.
 
-Polynomial fields are evaluated, restricted to lines and interpolated
-exactly: every float is a dyadic rational, so all the coordinates of one
-call go to integers at a common scale 2^-K, the rational coefficients to
-integers over their common denominator, and each result is one integer
-over a known denominator, rounded once by Python's correctly rounded
-int / int division.  That is the float `Fraction` arithmetic would give,
+Polynomial fields are evaluated, differentiated along lines and
+interpolated exactly: every float is a dyadic rational, so all the
+coordinates of one call go to integers at a common scale 2^-K, the
+rational coefficients to integers over their common denominator, and
+each result is one integer over a known denominator, rounded once by
+Python's correctly rounded int / int division.  That is the float `Fraction` arithmetic would give,
 bit for bit, so identity residuals reflect only the final rounding.
 """
 
@@ -36,15 +38,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import (
-    ConfigError,
-    DegenerateNodesError,
-    DegeneratePairError,
-    DomainError,
-    GeometryError,
-    UnsupportedOrderError,
+from .exceptions import ConfigError, DegeneratePairError, DomainError, UnsupportedOrderError
+from .fields import (
+    AnalyticField,
+    PolynomialField,
+    PowerField,
+    _as_point,
+    _dyadic,
+    _line_derivatives,
+    evaluate,
 )
-from .fields import AnalyticField, PolynomialField, PowerField, _as_point, _dyadic, evaluate
 
 __all__ = [
     "binomial",
@@ -52,7 +55,6 @@ __all__ = [
     "g_sum",
     "g_integral",
     "telescope_residual",
-    "NodeFamily",
     "QuadratureRule",
     "lagrange_interpolant",
     "lagrange_remainder",
@@ -166,120 +168,66 @@ def telescope_residual(f: AnalyticField, x, h, order: int, *, binom=binomial) ->
 
 
 # ---------------------------------------------------------------------------
-# node families and Lagrange interpolation
+# Lagrange interpolation
 
 
-@dataclass(frozen=True)
-class NodeFamily:
-    """Equispaced nodes base + j * step for j = 0, ..., count - 1."""
+def lagrange_interpolant(f, x, y, order: int):
+    """Degree order-1 Lagrange interpolant at y on the nodes x + j h, j < order.
 
-    base: tuple[float, ...]
-    step: tuple[float, ...]
-    count: int
+    The step h = (y - x) / order is rounded once, so the nodes are the
+    floats x + j h.  x and y are one point each or (N, dim) batches, as in
+    `g_sum`; a row whose step is all zero -- x == y, or y - x so small that
+    the division underflows -- raises `DegeneratePairError`.
 
-    def __post_init__(self):
-        base = tuple(float(v) for v in np.atleast_1d(self.base))
-        step = tuple(float(v) for v in np.atleast_1d(self.step))
-        if len(base) != len(step):
-            raise DegenerateNodesError("node base and step must have the same dimension")
-        if self.count < 1:
-            raise DegenerateNodesError("a node family needs at least one node")
-        if not any(step):
-            raise DegenerateNodesError("node step must be nonzero")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "count", int(self.count))
-
-    @classmethod
-    def for_remainder(cls, x, y, order: int) -> "NodeFamily":
-        """Nodes for the order-th interpolation remainder at y: step exactly (y - x) / order."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if order < 1:
-            raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
-        if x.shape != y.shape:
-            raise DegeneratePairError("x and y must have the same dimension")
-        if np.array_equal(x, y):
-            raise DegeneratePairError("the remainder form needs distinct endpoints")
-        return cls(tuple(x), tuple((y - x) / order), order)
-
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-    def node(self, j: int) -> np.ndarray:
-        return np.asarray(self.base) + j * np.asarray(self.step)
-
-    def line_coordinate(self, y) -> float:
-        """Coordinate s with y = base + s * step; off-line points are geometry errors."""
-        y = _as_point(y, self.dim)
-        d = y - np.asarray(self.base)
-        step = np.asarray(self.step)
-        step2 = float(step @ step)
-        s = float(d @ step) / step2
-        residual = float(np.linalg.norm(d - s * step))
-        if residual > 1e-9 * math.sqrt(step2):
-            raise GeometryError(
-                f"point {y.tolist()} is off the node line (residual {residual:.3e})")
-        return s
-
-
-def lagrange_interpolant(f: AnalyticField, nodes: NodeFamily, y) -> float:
-    """Degree count-1 Lagrange interpolant of f on the node family, at y.
-
-    Polynomial fields are interpolated exactly, with a single final
-    rounding: the base, step, y and the float nodes go to integers at one
+    A polynomial at one point is interpolated exactly, with a single
+    final rounding: x, h, y and the float nodes go to integers at one
     dyadic scale (`_dyadic`), so the line coordinate of y is a ratio a / b
-    of integers, and the basis weights multiplied through by (count-1)!
+    of integers, and the basis weights multiplied through by (order-1)!
     are integers,
 
-        (count-1)! L_j(a / b) = (-1)^(count-1-j) C(count-1, j)
-                                prod_{i != j} (a - i b) / b^(count-1).
+        (order-1)! L_j(a / b) = (-1)^(order-1-j) C(order-1, j)
+                                prod_{i != j} (a - i b) / b^(order-1).
 
-    Other fields read one batch row of the float weight kernel the batch
-    remainder runs.
+    Every other call runs the float weight kernel `_lagrange_sum`.
     """
-    if nodes.dim != f.dim:
-        raise ConfigError("node family dimension does not match the field")
-    y = _as_point(y, f.dim)
-    nodes.line_coordinate(y)  # GeometryError when y is off the node line
-    count = nodes.count
-    if isinstance(f, PolynomialField):
-        (base, step, yi, *xs), scale = _dyadic(nodes.base, nodes.step, y,
-                                               *(nodes.node(j) for j in range(count)))
-        a = sum((v - o) * st for v, o, st in zip(yi, base, step))
-        b = sum(st * st for st in step)
+    order, (x, y), single, value_at = _node_reader(f, order, (x, y))
+    if order < 1:
+        raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
+    h = (y - x) / order
+    if not h.any(axis=-1).all():
+        raise DegeneratePairError("the remainder nodes need a nonzero step (y - x) / order")
+    if single and isinstance(f, PolynomialField):
+        x, h, y = x[0], h[0], y[0]
+        (xs, hs, ys, *nodes), scale = _dyadic(x, h, y, *(x + j * h for j in range(order)))
+        a = sum((v - o) * st for v, o, st in zip(ys, xs, hs))
+        b = sum(st * st for st in hs)
         total = 0
-        for j, node in enumerate(xs):
-            weight = (-1) ** (count - 1 - j) * math.comb(count - 1, j)
-            for i in range(count):
+        for j, node in enumerate(nodes):
+            weight = (-1) ** (order - 1 - j) * math.comb(order - 1, j)
+            for i in range(order):
                 if i != j:
                     weight *= a - i * b
             total += f._scaled_value(node, scale) * weight
-        return total / (f._scaled_den(scale) * b ** (count - 1) * math.factorial(count - 1))
-    return float(_lagrange_sum(f.value_batch, np.asarray([nodes.base]),
-                               np.asarray([nodes.step]), y[None], count)[0])
+        return total / (f._scaled_den(scale) * b ** (order - 1) * math.factorial(order - 1))
+    interp = _lagrange_sum(value_at, x, h, y, order)
+    return float(interp[0]) if single else interp
 
 
-def lagrange_remainder(f: AnalyticField, x, y, order: int):
+def lagrange_remainder(f, x, y, order: int):
     """Interpolation remainder f(y) - L(y) on the equispaced remainder nodes.
 
-    The interpolant uses the `order` nodes x + j (y - x) / order for
-    j < order, so the remainder equals forward_difference(f, x, h, order)
-    with h = (y - x) / order -- computed here by the dual interpolation
-    route, never by the alternating sum.  x and y are one point each or
-    (N, dim) batches, as in `g_sum`; a polynomial at one point takes the
-    exact route of `lagrange_interpolant`.
+    L is `lagrange_interpolant` on the `order` nodes x + j (y - x) / order,
+    so the remainder equals forward_difference(f, x, h, order) with
+    h = (y - x) / order -- computed here by the dual interpolation route,
+    never by the alternating sum.  The arguments and the zero-step rule
+    are those of `lagrange_interpolant`; a polynomial at one point takes
+    its exact route.
     """
     order, (x, y), single, value_at = _node_reader(f, order, (x, y))
     if single and isinstance(f, PolynomialField):
-        x, y = x[0], y[0]
-        return evaluate(f, y) - lagrange_interpolant(f, NodeFamily.for_remainder(x, y, order), y)
-    if order < 1:
-        raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
-    if (x == y).all(axis=-1).any():
-        raise DegeneratePairError("the remainder form needs distinct endpoints")
-    remainder = value_at(y) - _lagrange_sum(value_at, x, (y - x) / order, y, order)
+        return evaluate(f, y[0]) - lagrange_interpolant(f, x[0], y[0], order)
+    interp = lagrange_interpolant(f, x, y, order)  # a zero step raises before f is read
+    remainder = value_at(y) - interp
     return float(remainder[0]) if single else remainder
 
 
@@ -299,12 +247,11 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
         # s = 1 hits y exactly; the j-th jet term d^j/ds^j / j! at s = 0 is
         # the s^j coefficient, so the remainder is the sum of the others
         (xs, ys), scale = _dyadic(x, y)
-        line = f._scaled_line(xs, [b - a for a, b in zip(xs, ys)], scale)
-        return sum(line.coeffs[order:]) / line.den
-    line = f.line_restriction(x, y - x)
+        coeffs, den = f._scaled_line(xs, [b - a for a, b in zip(xs, ys)], scale)
+        return sum(coeffs[order:]) / den
     jet = 0.0
     for j in range(order):
-        jet += line.deriv(j, 0.0) / math.factorial(j)
+        jet += float(_line_derivatives(f, x, y - x, j, np.zeros(1))[0]) / math.factorial(j)
     return evaluate(f, y) - jet
 
 
@@ -384,7 +331,6 @@ def g_integral(f: AnalyticField, x, h, order: int, rule: QuadratureRule | None =
         raise DomainError("integration segment crosses the excluded ball at the origin")
     if rule is None:
         rule = QuadratureRule.gauss_tensor()
-    line = f.line_restriction(x, h)
     t, w = _legendre01(rule.order)
     if rule.kind == "gauss_tensor":
         if rule.order ** order > _MAX_TENSOR_NODES:
@@ -396,9 +342,10 @@ def g_integral(f: AnalyticField, x, h, order: int, rule: QuadratureRule | None =
         for _ in range(order):
             s = (s[:, None] + t[None, :]).ravel()
             weights = (weights[:, None] * w[None, :]).ravel()
-        return float(weights @ line.deriv_array(order, s))
+        return float(weights @ _line_derivatives(f, x, h, order, s))
+    s = np.arange(order)[:, None] + t  # panel k holds the nodes k + t
+    derivs = _line_derivatives(f, x, h, order, s.ravel()).reshape(s.shape)
     total = 0.0
-    for k in range(order):
-        s = k + t
-        total += float(np.sum(w * irwin_hall_density(order, s) * line.deriv_array(order, s)))
+    for panel, d in zip(s, derivs):
+        total += float(np.sum(w * irwin_hall_density(order, panel) * d))
     return total

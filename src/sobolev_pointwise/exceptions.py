@@ -9,16 +9,8 @@ class UnsupportedOrderError(ValueError):
     """A derivative or difference order exceeds what the field supports."""
 
 
-class DegenerateNodesError(ValueError):
-    """An interpolation node family has zero step or too few nodes."""
-
-
 class DegeneratePairError(ValueError):
-    """A point pair with x == y was passed where distinct points are required."""
-
-
-class GeometryError(ValueError):
-    """An evaluation point is inconsistent with the requested geometry."""
+    """A point pair x, y whose remainder step (y - x) / order is zero, x == y included."""
 
 
 class ConfigError(ValueError):

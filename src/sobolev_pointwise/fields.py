@@ -5,10 +5,10 @@ A field is a smooth function R^n -> R from a small closed-form family
 separable sinusoids).  Every field can evaluate itself at a batch of
 points (`value_batch`, of which a single-point `value` is a batch of
 one), give every partial derivative of one order at a batch of points
-(`partials_batch`), restrict itself to a line s |-> f(x + s*h) and
-differentiate that restriction to high order, and rasterize itself onto
-a regular grid.  Polynomial fields do all scalar work exactly, in
-integers: every float is a dyadic rational, so the coordinates of one
+(`partials_batch`), differentiate along a line s |-> f(x + s*h) to high
+order (`directional_derivative`), and rasterize itself onto a regular
+grid.  Polynomial fields do all scalar work exactly, in integers:
+every float is a dyadic rational, so the coordinates of one
 call go to integers at a common scale 2^-K (`_dyadic`), the coefficients
 to integers over their common denominator q, and a value or line
 coefficient is one integer over q 2^(K d), rounded once by Python's
@@ -49,6 +49,7 @@ __all__ = [
     "gradient_magnitude_field",
     "default_directions",
     "parse_field",
+    "random_polynomial",
     "scan_corpus",
 ]
 
@@ -126,40 +127,12 @@ def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# line restrictions
+# line derivatives
 
 
-class _RationalLine:
-    """Restriction of a rational polynomial to a line: s^k has the exact
-    coefficient coeffs[k] / den, with integer coeffs and den."""
-
-    def __init__(self, coeffs: list[int], den: int):
-        self.coeffs = coeffs  # coeffs[k] multiplies s^k
-        self.den = den
-
-    def deriv(self, order: int, t: float) -> float:
-        [[tn]], scale = _dyadic([t])
-        top = len(self.coeffs) - 1 - order
-        if top < 0:
-            return 0.0
-        # sum_k coeffs[k] perm(k, order) t^(k-order), homogenized over 2^(scale top)
-        total = sum(self.coeffs[order + j] * math.perm(order + j, order) * tn ** j
-                    << scale * (top - j) for j in range(top + 1))
-        return total / (self.den << scale * top)
-
-    def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        cs = [self.coeffs[k] * math.perm(k, order) / self.den
-              for k in range(order, len(self.coeffs))]
-        out = np.zeros_like(ts)
-        for c in reversed(cs):
-            out = out * ts + c
-        return out
-
-
-# Points per block in `_PartialsLine` and `gradient_magnitude_field`.  The
-# partials and the eigenvalue temporaries of a block stay this size, so
-# peak memory is the points and the output, however many there are.
+# Points per block in `_line_derivatives` and `gradient_magnitude_field`.
+# The partials and the eigenvalue temporaries of a block stay this size,
+# so peak memory is the points and the output, however many there are.
 _NODE_BLOCK = 8192
 
 
@@ -171,28 +144,31 @@ def _line_weights(order: int, dirs: np.ndarray) -> np.ndarray:
                      for beta in _compositions(order, dirs.shape[1])], axis=1)
 
 
-class _PartialsLine:
-    """Restriction of a field to the line s |-> x + s h, differentiated
-    through the field's `partials_batch` and `_line_weights`."""
+def _line_derivatives(f: "AnalyticField", x: np.ndarray, h: np.ndarray, order: int,
+                      ts) -> np.ndarray:
+    """Float order-th derivatives of s |-> f(x + s h) at each point of `ts`.
 
-    def __init__(self, field: "AnalyticField", x: np.ndarray, h: np.ndarray):
-        self.field = field
-        self.x = x
-        self.h = h
-
-    def deriv(self, order: int, t: float) -> float:
-        return float(self.deriv_array(order, np.array([float(t)]))[0])
-
-    def deriv_array(self, order: int, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        weights = _line_weights(order, self.h[None, :])
-        out = np.empty(len(ts))
-        for start in range(0, len(ts), _NODE_BLOCK):
-            block = slice(start, start + _NODE_BLOCK)
-            parts = self.field.partials_batch(self.x + ts[block, None] * self.h, order)
-            # einsum, not a BLAS product (see `_derivative_magnitude`)
-            out[block] = np.einsum("dk,kn->dn", weights, parts)[0]
+    A polynomial runs Horner's rule on its exact line coefficients
+    (`_scaled_line`), each rounded once; every other kind contracts its
+    order-th partials at x + t h with `_line_weights`, `_NODE_BLOCK`
+    points at a time.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if isinstance(f, PolynomialField):
+        (xs, hs), scale = _dyadic(x, h)
+        coeffs, den = f._scaled_line(xs, hs, scale)
+        out = np.zeros_like(ts)
+        for k in reversed(range(order, len(coeffs))):
+            out = out * ts + coeffs[k] * math.perm(k, order) / den
         return out
+    weights = _line_weights(order, h[None, :])
+    out = np.empty(len(ts))
+    for start in range(0, len(ts), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        parts = f.partials_batch(x + ts[block, None] * h, order)
+        # einsum, not a BLAS product (see `_derivative_magnitude`)
+        out[block] = np.einsum("dk,kn->dn", weights, parts)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +180,9 @@ class AnalyticField:
 
     Subclasses provide `dim`, vectorized batch evaluation and vectorized
     partial derivatives; only `PolynomialField` adds an exact point
-    evaluation of its own.  Line restrictions
-    take their derivatives from the partials (`_PartialsLine`); only
-    `PolynomialField` overrides them, with its exact integer line.
+    evaluation of its own.  Derivatives along a line come from the
+    partials (`_line_derivatives`), except a polynomial's, which come from
+    its exact integer line coefficients.
     """
 
     dim: int
@@ -219,9 +195,6 @@ class AnalyticField:
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def line_restriction(self, x, h):
-        return _PartialsLine(self, self._check_point(x), _as_point(h, self.dim))
 
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         """Every order-th partial derivative at points of shape (N, dim).
@@ -258,7 +231,7 @@ class PolynomialField(AnalyticField):
     """Multivariate polynomial with rational coefficients, exact at every step.
 
     Coefficients map exponent tuples to `Fraction` values.  Scalar
-    evaluation and line restrictions run on the cached integer form
+    evaluation and line coefficients run on the cached integer form
     (q, d, c_alpha q) at a common dyadic scale of the call's coordinates,
     homogenized to degree d, so algebraic identities hold exactly after a
     single final rounding, the same float as `Fraction` arithmetic.
@@ -345,12 +318,9 @@ class PolynomialField(AnalyticField):
             out += mono
         return out
 
-    def line_restriction(self, x, h) -> _RationalLine:
-        (xs, hs), scale = _dyadic(_as_point(x, self.dim), _as_point(h, self.dim))
-        return self._scaled_line(xs, hs, scale)
-
-    def _scaled_line(self, xs: list[int], hs: list[int], scale: int) -> _RationalLine:
-        """Restriction to s |-> (xs + s hs) / 2^scale, exact."""
+    def _scaled_line(self, xs: list[int], hs: list[int], scale: int) -> tuple[list[int], int]:
+        """Restriction to s |-> (xs + s hs) / 2^scale, exact: (coeffs, den)
+        with integer coeffs[k] / den the coefficient of s^k."""
         total = [0] * (self._integer_form[1] + 1)
         for exps, p, deficit in self._integer_form[2]:
             term = [p << scale * deficit]
@@ -364,7 +334,7 @@ class PolynomialField(AnalyticField):
                     term = nxt
             for k, a in enumerate(term):
                 total[k] += a
-        return _RationalLine(total, self._scaled_den(scale))
+        return total, self._scaled_den(scale)
 
     def partial(self, beta: tuple[int, ...]) -> "PolynomialField":
         return _poly_partial(self, tuple(int(b) for b in beta))
@@ -711,7 +681,18 @@ def directional_derivative(f: AnalyticField, x, h, order: int, t: float = 0.0) -
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     f._check_point(x + t * h)
-    return f.line_restriction(x, h).deriv(order, t)
+    if isinstance(f, PolynomialField):
+        (xs, hs), scale = _dyadic(x, h)
+        coeffs, den = f._scaled_line(xs, hs, scale)
+        [[tn]], tscale = _dyadic([t])
+        top = len(coeffs) - 1 - order
+        if top < 0:
+            return 0.0
+        # sum_k coeffs[k] perm(k, order) t^(k-order), homogenized over 2^(tscale top)
+        total = sum(coeffs[order + j] * math.perm(order + j, order) * tn ** j
+                    << tscale * (top - j) for j in range(top + 1))
+        return total / (den << tscale * top)
+    return float(_line_derivatives(f, x, h, order, np.array([float(t)]))[0])
 
 
 def sample(f: AnalyticField, grid: GridSpec) -> SampledField:

@@ -586,8 +586,10 @@ def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
     `main_inequality_scan` builds for the same sampler and config, so g
     is the field `node_discard_check` checks against, bit for bit.  A
     `MaximalConfig` is used as given: its delta, radii and boundary.
+    Only the top rung is built: a ball average does not depend on the
+    other radii of its call, and the maximum over them is exact.
     """
-    ladder = _CoefficientLadder(f, grid, order, _rung_configs(sampler, grid, config))
+    ladder = _CoefficientLadder(f, grid, order, _rung_configs(sampler, grid, config)[-1:])
     return ladder.all_node()
 
 

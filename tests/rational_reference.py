@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from sobolev_pointwise.differences import NodeFamily
 from sobolev_pointwise.fields import PolynomialField, _as_point
 
 
@@ -83,24 +82,25 @@ def _basis_fraction(count: int, j: int, s: Fraction) -> Fraction:
     return out
 
 
-def lagrange_interpolant(f: PolynomialField, nodes: NodeFamily, y) -> Fraction:
-    """Node values at the float nodes, basis weights at the exact line
-    coordinate of y."""
-    nodes.line_coordinate(y)
-    base = [Fraction(v) for v in nodes.base]
-    step = [Fraction(v) for v in nodes.step]
-    dy = [Fraction(v) - b for v, b in zip(_as_point(y, f.dim), base)]
+def lagrange_interpolant(f: PolynomialField, x, y, order: int) -> Fraction:
+    """Node values at the float nodes x + j h, with h = (y - x) / order
+    rounded once, and basis weights at the exact line coordinate of y."""
+    x = _as_point(x, f.dim)
+    y = _as_point(y, f.dim)
+    h = (y - x) / order
+    base = [Fraction(v) for v in x]
+    step = [Fraction(v) for v in h]
+    dy = [Fraction(v) - b for v, b in zip(y, base)]
     step2 = sum(st * st for st in step)
     s = sum(d * st for d, st in zip(dy, step)) / step2
     total = Fraction(0)
-    for j in range(nodes.count):
-        total += value_fraction(f, nodes.node(j)) * _basis_fraction(nodes.count, j, s)
+    for j in range(order):
+        total += value_fraction(f, x + j * h) * _basis_fraction(order, j, s)
     return total
 
 
 def lagrange_remainder(f: PolynomialField, x, y, order: int) -> float:
-    nodes = NodeFamily.for_remainder(x, y, order)
-    return float(value_fraction(f, y)) - float(lagrange_interpolant(f, nodes, y))
+    return float(value_fraction(f, y)) - float(lagrange_interpolant(f, x, y, order))
 
 
 def taylor_remainder(f: PolynomialField, x, y, order: int) -> Fraction:

@@ -288,6 +288,22 @@ class TestNoDeadKnobs:
         assert _dead_knobs(tree) == ["unread default workers", "dest without default dry_run"]
 
 
+class TestFormatFlag:
+    @pytest.mark.parametrize("command", ["geometry", "identities --draws 5", "mollify"])
+    def test_commands_writing_json_only_refuse_it(self, command, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_triebel_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "triebel.csv"
+        assert main(["triebel", "--field", "sin:w=2", "--grid", "-1:1:161", "--m", "2",
+                     "--pairs", "80", "--seed", "2", "--out", str(out), "--format", "csv"]) == 0
+        assert len(out.read_text().strip().splitlines()) == 81
+
+
 class TestGeometry:
     def test_default_table(self, capsys):
         assert main(["geometry"]) == 0

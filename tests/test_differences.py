@@ -12,7 +12,6 @@ from rational_reference import exact_difference
 from sobolev_pointwise import (
     DegeneratePairError,
     GaussianField,
-    NodeFamily,
     PolynomialField,
     PowerField,
     QuadratureRule,
@@ -92,20 +91,25 @@ class TestForwardDifference:
 
 
 class TestNodes:
-    def test_nodes_interpolate_between_endpoints(self):
-        nodes = NodeFamily.for_remainder((0.0,), (1.0,), 4)
-        got = [nodes.node(j)[0] for j in range(4)]
-        np.testing.assert_allclose(got, [0.0, 0.25, 0.5, 0.75], rtol=0, atol=0)
-
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegeneratePairError):
-            NodeFamily.for_remainder((0.5,), (0.5,), 3)
+            lagrange_interpolant(parse_field("poly:x0^2"), (0.5,), (0.5,), 3)
+
+    @pytest.mark.parametrize("f", [parse_field("poly:x0^3 - x0"), GaussianField(1.0)])
+    def test_zero_step_is_refused_on_every_route(self, f):
+        # (y - x) / 3 underflows to 0 although x != y
+        x, y = (0.0,), (5e-324,)
+        with pytest.raises(DegeneratePairError):
+            lagrange_interpolant(f, x, y, 3)
+        with pytest.raises(DegeneratePairError):
+            lagrange_remainder(f, x, y, 3)
+        with pytest.raises(DegeneratePairError):
+            lagrange_remainder(f, [[0.1], x], [[0.4], y], 3)
 
     def test_interpolant_reproduces_low_degree(self):
         f = parse_field("poly:x0^3 - 2*x0 + 1")
-        nodes = NodeFamily.for_remainder((-0.5,), (0.7,), 4)
         y = (0.31,)
-        assert lagrange_interpolant(f, nodes, y) == pytest.approx(f.value(y), rel=1e-14)
+        assert lagrange_interpolant(f, (-0.5,), y, 4) == pytest.approx(f.value(y), rel=1e-14)
 
 
 class TestRemainder:

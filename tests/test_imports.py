@@ -170,3 +170,20 @@ def test_no_command_and_no_scan_loads_scipy():
     done = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_package_exports_are_the_module_exports():
+    import inspect
+
+    import sobolev_pointwise
+    from sobolev_pointwise import differences, exceptions, fields, maximal, mollify, verify
+
+    names = set()
+    for module in (differences, fields, maximal, mollify, verify):
+        names.update(module.__all__)
+    names.update(name for name, obj in vars(exceptions).items()
+                 if inspect.isclass(obj) and issubclass(obj, Exception)
+                 and obj.__module__ == exceptions.__name__)
+    assert sorted(sobolev_pointwise.__all__) == sorted(names)
+    assert len(sobolev_pointwise.__all__) == len(names)
+    assert all(hasattr(sobolev_pointwise, name) for name in names)

@@ -16,9 +16,9 @@ import pytest
 import rational_reference as ref
 from sobolev_pointwise import (
     GridSpec,
-    NodeFamily,
     PolynomialField,
     binomial,
+    directional_derivative,
     forward_difference,
     g_sum,
     lagrange_interpolant,
@@ -27,6 +27,7 @@ from sobolev_pointwise import (
     sample,
     taylor_remainder,
 )
+from sobolev_pointwise.fields import _line_derivatives
 
 # non-dyadic coefficients, so the common denominator q is not a power of 2
 COEFFS = [Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(11, 6), Fraction(-1),
@@ -88,18 +89,17 @@ class TestBitForBit:
 
     def test_line_derivatives(self, f, order, x, y):
         h = y - x
-        line = f.line_restriction(x, h)
         want = ref.line_restriction(f, x, h)
         ts = np.array([0.0, -0.0, 1.0, 0.37, -1.5, 2.0 ** -40])
         for r in range(order + 2):
             for t in ts:
-                assert_same_float(line.deriv(r, t), float(ref.deriv_fraction(want, r, Fraction(t))))
-            assert_same_float(line.deriv_array(r, ts), ref.deriv_array(want, r, ts))
+                assert_same_float(directional_derivative(f, x, h, r, t),
+                                  float(ref.deriv_fraction(want, r, Fraction(t))))
+            assert_same_float(_line_derivatives(f, x, h, r, ts), ref.deriv_array(want, r, ts))
 
     def test_lagrange(self, f, order, x, y):
-        nodes = NodeFamily.for_remainder(x, y, order)
-        assert_same_float(lagrange_interpolant(f, nodes, y),
-                          float(ref.lagrange_interpolant(f, nodes, y)))
+        assert_same_float(lagrange_interpolant(f, x, y, order),
+                          float(ref.lagrange_interpolant(f, x, y, order)))
         assert_same_float(lagrange_remainder(f, x, y, order),
                           ref.lagrange_remainder(f, x, y, order))
 
@@ -176,8 +176,7 @@ def test_random_polynomial_draws_what_the_rational_reference_draws(dim, exact_de
 def test_zero_polynomial():
     f = PolynomialField({}, dim=2)
     assert_same_float(f.value((0.25, -3.0)), 0.0)
-    line = f.line_restriction((0.25, -3.0), (1.0, 0.5))
-    assert_same_float(line.deriv(0, 0.5), 0.0)
+    assert_same_float(directional_derivative(f, (0.25, -3.0), (1.0, 0.5), 0, 0.5), 0.0)
     assert_same_float(taylor_remainder(f, (0.25, -3.0), (1.0, 0.5), 2), 0.0)
 
 
@@ -198,8 +197,10 @@ def test_nonfinite_coordinates_raise_as_the_rational_route_does(bad, axis):
     bad_pt = good.copy()
     bad_pt[axis] = bad
     two_point = [  # (new route, reference) taking two points
-        (lambda a, b: f.line_restriction(a, b).deriv(0, 0.0),
+        (lambda a, b: directional_derivative(f, a, b, 0),
          lambda a, b: ref.line_restriction(f, a, b)),
+        (lambda a, b: lagrange_interpolant(f, a, b, 3),
+         lambda a, b: ref.lagrange_interpolant(f, a, b, 3)),
         (lambda a, b: taylor_remainder(f, a, b, 2),
          lambda a, b: ref.taylor_remainder(f, a, b, 2)),
         (lambda a, b: lagrange_remainder(f, a, b, 3),
@@ -208,7 +209,7 @@ def test_nonfinite_coordinates_raise_as_the_rational_route_does(bad, axis):
          lambda a, b: ref.exact_difference(f, a, b, 3)),
     ]
     calls = [(f.value, lambda a: ref.value_fraction(f, a), (bad_pt,)),
-             (lambda t: f.line_restriction(good, other).deriv(1, t), Fraction, (bad,))]
+             (lambda t: directional_derivative(f, good, other, 1, t), Fraction, (bad,))]
     calls += [(new, old, args) for new, old in two_point
               for args in ((bad_pt, other), (other, bad_pt))]
     with np.errstate(invalid="ignore"):
