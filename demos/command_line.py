@@ -29,9 +29,10 @@ def run(*args):
 
 run("identities", "--draws", "100")
 
-# Scans are configured by flags; a JSON config file can hold shared
-# defaults, with explicit flags taking precedence.  Reports land in
-# JSON (aggregates plus violating pairs) or CSV (every pair).
+# Scans are configured by flags; a JSON config file (--config) can hold
+# defaults for one command's own options, with explicit flags taking
+# precedence.  Reports land in JSON (aggregates plus violating pairs) or
+# CSV (every pair).
 
 out = Path(tempfile.mkdtemp()) / "scan.json"
 run("verify", "--scan", "main", "--m", "2", "--field", "sin:w=2.5",

@@ -5,8 +5,9 @@ Subcommands: `identities` (exact algebraic identities), `verify`
 constant), `mollify` (Young checks plus mollified scans), and `triebel`
 (the all-node-sum bound with a supplied coefficient choice).
 
-Options can come from a JSON config file (`--config`); explicit flags
-win over the file, the file wins over built-in defaults.  Exit codes:
+Each subcommand declares its own options with their defaults.  A JSON
+config file (`--config`) holds values for them, which replace those
+defaults; explicit flags win over the file.  Exit codes:
 0 all checks passed, 1 a check failed, 2 usage or configuration error,
 3 infeasible configuration (nothing admissible to scan).
 """
@@ -36,7 +37,7 @@ from .verify import (
     Box,
     Domain,
     PairSampler,
-    _checked_slack,
+    _check_scan,
     all_node_coefficient,
     hatl_scan,
     identity_suite,
@@ -45,33 +46,6 @@ from .verify import (
     node_discard_check,
     triebel_scan,
 )
-
-_DEFAULTS = {
-    "draws": 200,
-    "seed": 0,
-    "pairs": 2000,
-    "m": 1,
-    "s": None,
-    "p": "1,2,inf",
-    "delta": None,
-    "eps": None,
-    "min_sep": 0.05,
-    "max_sep": 0.4,
-    "slack": 0.05,
-    "dim": None,
-    "grid": "-1:1:201",
-    "domain": "full",
-    "field": "sin:w=3",
-    "g": "auto",
-    "profile": "bump",
-    "boundary": None,
-    "scan": "lemma1",
-    "format": "json",
-    "out": None,
-    "radius": 1.0,
-    "distance": 1.0,
-    "corrupt_binomial": False,
-}
 
 
 def _corrupted_binomial(l: int, j: int) -> int:
@@ -118,91 +92,83 @@ def _parse_domain(text: str, grid: GridSpec) -> Domain:
     raise ConfigError(f"unknown domain spec {text!r} (use 'full' or 'hole=lo:hi')")
 
 
-def _parse_float_list(text, name: str) -> list[float]:
-    if text is None:
-        return []
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    out = []
-    for piece in str(text).split(","):
-        piece = piece.strip()
-        if not piece:
+def _parse_float_list(text: str | None, name: str) -> list[float]:
+    try:
+        return [float(piece) for piece in (text or "").split(",") if piece.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse the {name} list {text!r}") from exc
+
+
+def _own_options(command: argparse.ArgumentParser) -> dict:
+    """A subcommand's options by dest, but for --help, --config and --dump-config."""
+    return {a.dest: a for a in command._actions
+            if a.dest not in ("help", "config", "dump_config")}
+
+
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """The JSON object in `path` as defaults of `command`: each key one of
+    its own options, each value read as its flag would read that text (so
+    2.5 is no --pairs), and a null keeps the default."""
+    try:
+        with open(path) as handle:
+            file_cfg = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("the config file must hold a JSON object")
+    options = _own_options(command)
+    unknown = set(file_cfg) - set(options)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command.prog}: {sorted(unknown)}")
+    defaults = {}
+    for key, value in file_cfg.items():
+        action = options[key]
+        if value is None:
             continue
-        if piece.lower() in ("inf", "infinity"):
-            out.append(math.inf)
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be true or false")
         else:
             try:
-                out.append(float(piece))
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse {name} entry {piece!r}") from exc
-    return out
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge explicit flags over the config file over the defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as handle:
-                file_cfg = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("the config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        explicit = getattr(args, key, None)
-        if explicit is not None and explicit is not False:
-            resolved[key] = explicit
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
-    resolved["command"] = args.command
-    return resolved
-
-
-def _dump_config(cfg: dict, requested: bool) -> None:
-    if requested:
-        print(json.dumps({k: v for k, v in cfg.items() if k != "command"},
-                         sort_keys=True, indent=2, default=str))
+                value = (action.type or str)(str(value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"config key {key!r} must be one of "
+                                  f"{list(action.choices)}, got {value!r}")
+        defaults[key] = value
+    return defaults
 
 
 def _field_and_grid(cfg: dict):
-    grid_text = str(cfg["grid"])
-    dim = cfg["dim"]
+    grid_text, dim = cfg["grid"], cfg["dim"]
     if dim is None and ";" in grid_text:
         dim = len([c for c in grid_text.split(";") if c.strip()])
-    field = parse_field(str(cfg["field"]), dim=int(dim) if dim is not None else None)
+    field = parse_field(cfg["field"], dim=dim)
     grid = _parse_grid(grid_text, field.dim)
     return field, grid
 
 
 def _sampler(cfg: dict, grid: GridSpec) -> PairSampler:
-    domain = _parse_domain(str(cfg["domain"]), grid)
-    return PairSampler(domain, int(cfg["pairs"]), int(cfg["seed"]),
-                       float(cfg["min_sep"]), float(cfg["max_sep"]))
+    domain = _parse_domain(cfg["domain"], grid)
+    return PairSampler(domain, cfg["pairs"], cfg["seed"], cfg["min_sep"], cfg["max_sep"])
 
 
-def _scan_slack(cfg: dict, field, order: int) -> float:
-    """The slack, checked with the scan order before any sampling or scan."""
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
-    field._check_order(order)
-    return _checked_slack(float(cfg["slack"]))
+def _write_json(path: str | None, data) -> None:
+    """Write `data` as sorted, indented JSON to `path`, if one was given."""
+    if path:
+        with open(path, "w") as handle:
+            json.dump(data, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+        print(f"report written to {path}")
 
 
 def _write_report(report, cfg: dict) -> None:
-    if not cfg["out"]:
-        return
-    if str(cfg["format"]).lower() == "csv":
+    if cfg["out"] and cfg["format"] == "csv":
         report.write_csv(cfg["out"])
+        print(f"report written to {cfg['out']}")
     else:
-        report.write_json(cfg["out"])
-    print(f"report written to {cfg['out']}")
+        _write_json(cfg["out"], report.to_dict())
 
 
 def _print_report(label: str, report) -> None:
@@ -214,16 +180,12 @@ def _print_report(label: str, report) -> None:
 
 def _cmd_identities(cfg: dict) -> int:
     binom = _corrupted_binomial if cfg["corrupt_binomial"] else binomial
-    suite = identity_suite(draws=int(cfg["draws"]), seed=int(cfg["seed"]), binom=binom)
+    suite = identity_suite(draws=cfg["draws"], seed=cfg["seed"], binom=binom)
     for name, entry in sorted(suite["identities"].items()):
         state = "PASS" if entry["passed"] else "FAIL"
         print(f"[identities] {name}: max_residual={entry['max_residual']:.3e} "
               f"tolerance={entry['tolerance']:g} {state}")
-    if cfg["out"]:
-        with open(cfg["out"], "w") as handle:
-            json.dump(suite, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"report written to {cfg['out']}")
+    _write_json(cfg["out"], suite)
     print("identities:", "PASS" if suite["passed"] else "FAIL")
     return 0 if suite["passed"] else 1
 
@@ -231,19 +193,20 @@ def _cmd_identities(cfg: dict) -> int:
 def _cmd_verify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
     sampler = _sampler(cfg, grid)
-    scan = str(cfg["scan"]).replace("-", "_")
+    scan = cfg["scan"].replace("-", "_")
     if cfg["s"] is not None and scan != "hatl":
         raise ConfigError("--s applies only to --scan hatl")
-    if scan == "lemma1" and int(cfg["m"]) != 1:
+    if scan == "lemma1" and cfg["m"] != 1:
         raise ConfigError("--scan lemma1 is the order-1 scan; use --scan main for --m "
                           f"{cfg['m']}")
-    order = 1 if scan == "lemma1" else int(cfg["m"])
-    slack = _scan_slack(cfg, field, order)
+    order = 1 if scan == "lemma1" else cfg["m"]
+    slack = cfg["slack"]
+    _check_scan(field, order, slack)
     config = None
     if cfg["delta"] is not None:
         if scan == "node_discard":
             raise ConfigError("--delta does not apply to --scan node-discard")
-        delta = float(cfg["delta"])
+        delta = cfg["delta"]
         config = MaximalConfig(
             delta=delta, radii=default_radii(delta, max(grid.spacing)),
             boundary=cfg["boundary"] or "reject")
@@ -253,22 +216,18 @@ def _cmd_verify(cfg: dict) -> int:
         report = main_inequality_scan(field, order, grid, sampler, config, slack=slack)
     elif scan == "node_discard":
         report = node_discard_check(field, order, grid, sampler, slack=slack)
-    elif scan == "hatl":
-        s = float(cfg["s"]) if cfg["s"] is not None else float(order)
+    else:
+        s = cfg["s"] if cfg["s"] is not None else float(order)
         g = all_node_coefficient(field, order, grid, sampler, config)
         report = hatl_scan(field, order, s, g, sampler, slack=slack)
-    else:
-        raise ConfigError(f"unknown scan {cfg['scan']!r} "
-                          "(use lemma1, main, node-discard, or hatl)")
     _print_report(scan, report)
     _write_report(report, cfg)
     return 0 if report.passed else 1
 
 
 def _cmd_geometry(cfg: dict) -> int:
-    dims = [int(cfg["dim"])] if cfg["dim"] is not None else [1, 2, 3]
-    radius = float(cfg["radius"])
-    distance = float(cfg["distance"])
+    dims = [cfg["dim"]] if cfg["dim"] is not None else [1, 2, 3]
+    radius, distance = cfg["radius"], cfg["distance"]
     if not (min(dims) >= 1 and 0 < radius < math.inf and 0 <= distance < math.inf):
         raise ConfigError("geometry needs dim >= 1, a finite radius > 0 and a finite "
                           "distance >= 0")
@@ -283,12 +242,7 @@ def _cmd_geometry(cfg: dict) -> int:
         print(f"[geometry] dim={n} ball({radius:g})={rows[-1]['ball_volume']:.12g} "
               f"lens({radius:g},{distance:g})={rows[-1]['lens_volume']:.12g} "
               f"C={rows[-1]['segment_ratio_constant']:.12g}")
-    if cfg["out"]:
-        with open(cfg["out"], "w") as handle:
-            json.dump({"radius": radius, "distance": distance, "rows": rows},
-                      handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"report written to {cfg['out']}")
+    _write_json(cfg["out"], {"radius": radius, "distance": distance, "rows": rows})
     return 0
 
 
@@ -309,10 +263,9 @@ def _young_support(sampled: SampledField, phi: Mollifier) -> SampledField | None
 
 def _cmd_mollify(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
-    order = int(cfg["m"])
-    slack = _scan_slack(cfg, field, order)
+    order, slack, profile = cfg["m"], cfg["slack"], cfg["profile"]
+    _check_scan(field, order, slack)
     sampler = _sampler(cfg, grid)
-    profile = str(cfg["profile"])
     explicit = _parse_float_list(cfg["eps"], "eps")
     epsilons = explicit or list(default_epsilons(grid, profile, sampler.max_sep))
     exponents = _parse_float_list(cfg["p"], "p") or [1.0, 2.0, math.inf]
@@ -344,27 +297,21 @@ def _cmd_mollify(cfg: dict) -> int:
         _print_report(f"mollified eps={eps:g}", scan)
         reports["scans"].append(scan.to_dict())
         all_ok = all_ok and scan.passed
-    if cfg["out"]:
-        with open(cfg["out"], "w") as handle:
-            json.dump(reports, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"report written to {cfg['out']}")
+    _write_json(cfg["out"], reports)
     print("mollify:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
 
 def _cmd_triebel(cfg: dict) -> int:
     field, grid = _field_and_grid(cfg)
-    order = int(cfg["m"])
-    slack = _scan_slack(cfg, field, order)
-    s = float(cfg["s"]) if cfg["s"] is not None else float(order)
+    order, slack = cfg["m"], cfg["slack"]
+    _check_scan(field, order, slack)
+    s = cfg["s"] if cfg["s"] is not None else float(order)
     sampler = _sampler(cfg, grid)
-    if str(cfg["g"]) == "zero":
+    if cfg["g"] == "zero":
         g = SampledField(grid, np.zeros(grid.points))
-    elif str(cfg["g"]) == "auto":
-        g = all_node_coefficient(field, order, grid, sampler)
     else:
-        raise ConfigError(f"unknown coefficient choice {cfg['g']!r} (use auto or zero)")
+        g = all_node_coefficient(field, order, grid, sampler)
     report = triebel_scan(field, order, s, g, sampler, slack=slack)
     _print_report("triebel", report)
     _write_report(report, cfg)
@@ -380,68 +327,71 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name; each subcommand
+    declares its own options with their defaults."""
     parser = argparse.ArgumentParser(
         prog="sobolev-pointwise",
         description="Finite-difference identities and pointwise inequality scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scan_options(p):
-        p.add_argument("--field")
-        p.add_argument("--grid")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--pairs", type=int)
-        p.add_argument("--min-sep", type=float, dest="min_sep")
-        p.add_argument("--max-sep", type=float, dest="max_sep")
-        p.add_argument("--slack", type=float)
-        p.add_argument("--domain")
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--dump-config", action="store_true", dest="dump_config",
-                       help="print the resolved configuration before running")
-        p.add_argument("--seed", type=int)
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file of this command's options; "
+                                        "explicit flags win")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the command's options before running")
         p.add_argument("--out", help="write the report here")
+        return p
 
-    p = sub.add_parser("identities", help="run the exact-identity suite")
-    common(p)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--corrupt-binomial", action="store_true", dest="corrupt_binomial",
+    def scan_command(name, help):
+        p = command(name, help)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--field", default="sin:w=3")
+        p.add_argument("--grid", default="-1:1:201")
+        p.add_argument("--dim", type=int)
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--pairs", type=int, default=2000)
+        p.add_argument("--min-sep", type=float, default=0.05)
+        p.add_argument("--max-sep", type=float, default=0.4)
+        p.add_argument("--slack", type=float, default=0.05)
+        p.add_argument("--domain", default="full")
+        return p
+
+    p = command("identities", "run the exact-identity suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--draws", type=int, default=200)
+    p.add_argument("--corrupt-binomial", action="store_true",
                    help="fault injection: corrupt one binomial coefficient "
                         "(the suite must then fail)")
 
-    p = sub.add_parser("verify", help="run an inequality scan")
-    common(p)
-    scan_options(p)
-    p.add_argument("--format", choices=["json", "csv"], help="csv: one row per sampled pair")
-    p.add_argument("--scan", choices=["lemma1", "main", "node-discard", "hatl"])
+    p = scan_command("verify", "run an inequality scan")
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="csv: one row per sampled pair")
+    p.add_argument("--scan", choices=["lemma1", "main", "node-discard", "hatl"],
+                   default="lemma1")
     p.add_argument("--s", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--boundary", choices=["reject", "clip"])
 
-    p = sub.add_parser("geometry", help="ball and lens volumes, segment constant")
-    common(p)
+    p = command("geometry", "ball and lens volumes, segment constant")
     p.add_argument("--dim", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--distance", type=float)
+    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--distance", type=float, default=1.0)
 
-    p = sub.add_parser("mollify", help="Young checks and mollified scans")
-    common(p)
-    scan_options(p)
+    p = scan_command("mollify", "Young checks and mollified scans")
     p.add_argument("--eps", help="comma list of mollifier scales")
-    p.add_argument("--p", help="comma list of norm exponents (inf allowed)")
-    p.add_argument("--profile", choices=["bump", "gauss"])
+    p.add_argument("--p", default="1,2,inf", help="comma list of norm exponents (inf allowed)")
+    p.add_argument("--profile", choices=["bump", "gauss"], default="bump")
 
-    p = sub.add_parser("triebel", help="all-node-sum bound scan")
-    common(p)
-    scan_options(p)
-    p.add_argument("--format", choices=["json", "csv"], help="csv: one row per sampled pair")
+    p = scan_command("triebel", "all-node-sum bound scan")
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="csv: one row per sampled pair")
     p.add_argument("--s", type=float)
-    p.add_argument("--g", choices=["auto", "zero"],
+    p.add_argument("--g", choices=["auto", "zero"], default="auto",
                    help="coefficient field: auto builds m^m times the maximal "
                         "coefficient, zero is the negative control")
-    return parser
+    return parser, sub.choices
 
 
 # Values for these flags may start with a dash (negative grid bounds,
@@ -462,12 +412,20 @@ def _join_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_values(sys.argv[1:] if argv is None else argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    command = commands[args.command]
     start = time.time()
     try:
-        cfg = _resolve(args)
-        _dump_config(cfg, getattr(args, "dump_config", False))
+        if args.config:
+            # the file's values become the command's defaults, so flags still win
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
+        cfg = vars(args)
+        if args.dump_config:
+            print(json.dumps({key: cfg[key] for key in _own_options(command)},
+                             sort_keys=True, indent=2))
         code = _COMMANDS[args.command](cfg)
     except EmptyScanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -73,16 +73,16 @@ def binomial(l: int, j: int) -> int:
     return math.comb(l, j)
 
 
-def _node_reader(f, order: int, points):
-    """The checked order, `points` as (N, dim) batches, whether they were
-    single points (dim,) (a number when dim is 1), each then a batch of
-    one, and how the kernels read f at nodes: a sampled field by its
-    read-back `at`, an analytic one by `value_batch`.  A single point thus
-    runs the float operations of one row of a batch."""
+def _node_reader(f, order: int, points, least: int = 0):
+    """The order, checked to be at least `least`; `points` as (N, dim)
+    batches; whether they were single points (dim,) (a number when dim is
+    1), each then a batch of one; and how the kernels read f at nodes: a
+    sampled field by its read-back `at`, an analytic one by `value_batch`.
+    A single point thus runs the float operations of one row of a batch."""
     sampled = not isinstance(f, AnalyticField)
-    if sampled and not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise UnsupportedOrderError(f"the order must be a nonnegative integer, got {order!r}")
-    order, dim = (int(order), f.grid.dim) if sampled else (f._check_order(order), f.dim)
+    if sampled and not (isinstance(order, (int, np.integer)) and order >= least):
+        raise UnsupportedOrderError(f"the order must be an integer >= {least}, got {order!r}")
+    order, dim = (int(order), f.grid.dim) if sampled else (f._check_order(order, least), f.dim)
     single = np.ndim(points[0]) < 2
     arrays = [_as_point(p, dim)[None] if single else np.asarray(p, dtype=float) for p in points]
     if any(a.shape != (len(arrays[0]), dim) for a in arrays):
@@ -98,11 +98,27 @@ def _node_sum(value_at, x: np.ndarray, h: np.ndarray, coeffs):
     return total
 
 
+def _line_coordinate(base: np.ndarray, step: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """s with y = base + s step, as (y - base).step / step.step, on (N, dim)
+    batches; a row whose step.step underflows below the smallest normal
+    float is first scaled, exactly, by 2^-e, e the exponent of its largest |step|."""
+    offset = y - base
+    num = np.einsum("...n,...n->...", offset, step)
+    den = np.einsum("...n,...n->...", step, step)
+    tiny = den < np.finfo(float).tiny
+    if tiny.any():
+        _, e = np.frexp(np.abs(step[tiny]).max(axis=-1, keepdims=True))
+        offset, unit = np.ldexp(offset[tiny], -e), np.ldexp(step[tiny], -e)
+        num[tiny] = np.einsum("...n,...n->...", offset, unit)
+        den[tiny] = np.einsum("...n,...n->...", unit, unit)
+    return num / den
+
+
 def _lagrange_sum(value_at, base: np.ndarray, step: np.ndarray, y: np.ndarray,
                   count: int) -> np.ndarray:
     """Float interpolant sum_j L_j(s) v(base + j step), j < count, at the
-    line coordinate s of y, at a point or a batch, node by node."""
-    s = np.einsum("...n,...n->...", y - base, step) / np.einsum("...n,...n->...", step, step)
+    `_line_coordinate` s of y, node by node."""
+    s = _line_coordinate(base, step, y)
     total = 0.0
     for j in range(count):
         w = 1.0
@@ -159,8 +175,7 @@ def telescope_residual(f: AnalyticField, x, h, order: int, *, binom=binomial) ->
     last sum is (-1)^l * forward_difference(f, x, h, l) exactly; this is
     zero in exact arithmetic by Pascal's rule.
     """
-    if order < 1:
-        raise UnsupportedOrderError("the telescoping recursion needs order >= 1")
+    order = f._check_order(order, 1)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     return (g_sum(f, x, h, order - 1, binom=binom) - g_sum(f, x + h, h, order - 1, binom=binom)
@@ -190,9 +205,7 @@ def lagrange_interpolant(f, x, y, order: int):
 
     Every other call runs the float weight kernel `_lagrange_sum`.
     """
-    order, (x, y), single, value_at = _node_reader(f, order, (x, y))
-    if order < 1:
-        raise UnsupportedOrderError("the interpolation remainder needs order >= 1")
+    order, (x, y), single, value_at = _node_reader(f, order, (x, y), 1)
     h = (y - x) / order
     if not h.any(axis=-1).all():
         raise DegeneratePairError("the remainder nodes need a nonzero step (y - x) / order")
@@ -236,9 +249,7 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
 
     The jet is sum_{j < order} (1/j!) d^j/ds^j f(x + s (y - x)) at s = 0.
     """
-    order = f._check_order(order)
-    if order < 1:
-        raise UnsupportedOrderError("the Taylor remainder needs order >= 1")
+    order = f._check_order(order, 1)
     x = _as_point(x, f.dim)
     y = _as_point(y, f.dim)
     f._check_point(x)
@@ -321,9 +332,7 @@ def g_integral(f: AnalyticField, x, h, order: int, rule: QuadratureRule | None =
     which reproduces forward_difference(f, x, h, l) for smooth fields.
     The whole segment from x to x + l h must lie inside the domain.
     """
-    order = f._check_order(order)
-    if order < 1:
-        raise UnsupportedOrderError("the integral representation needs order >= 1")
+    order = f._check_order(order, 1)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     f._check_point(x)

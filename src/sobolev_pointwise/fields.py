@@ -219,9 +219,9 @@ class AnalyticField:
             raise DomainError(f"point {pt.tolist()} outside the domain of {self}")
         return pt
 
-    def _check_order(self, order: int) -> int:
-        if not isinstance(order, (int, np.integer)) or order < 0:
-            raise UnsupportedOrderError(f"derivative order must be a nonnegative integer, got {order!r}")
+    def _check_order(self, order: int, least: int = 0) -> int:
+        if not isinstance(order, (int, np.integer)) or order < least:
+            raise UnsupportedOrderError(f"the order must be an integer >= {least}, got {order!r}")
         if order > self.max_order:
             raise UnsupportedOrderError(f"order {order} exceeds supported maximum {self.max_order}")
         return int(order)
@@ -850,9 +850,7 @@ def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1) -
     or more dimensions it is the maximum over `default_directions`, which
     can fall below the supremum.
     """
-    order = f._check_order(order)
-    if order < 1:
-        raise UnsupportedOrderError("gradient magnitude needs order >= 1")
+    order = f._check_order(order, 1)
     if grid.dim != f.dim:
         raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
     if not f.contains_box(grid.lo, grid.hi):

@@ -50,8 +50,8 @@ _LADDER_RADII = 12
 def ball_volume(dim: int, radius: float) -> float:
     """Volume of the Euclidean ball of the given radius in R^dim.
 
-    Dimension 0 is allowed (volume 1) so cross-section profiles can
-    recurse down to it.
+    Dimension 0 is allowed: R^0 is one point, of volume 1, which is what
+    the formula gives there too.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")

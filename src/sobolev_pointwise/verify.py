@@ -416,6 +416,14 @@ def _checked_slack(slack: float) -> float:
     return slack
 
 
+def _check_scan(f: AnalyticField, order: int, slack: float) -> None:
+    """What every scan checks before any work: an order from 1 up to
+    what f supports, and a slack that `_checked_slack` accepts."""
+    if f._check_order(order) < 1:
+        raise ConfigError("the scan needs order >= 1")
+    _checked_slack(slack)
+
+
 def build_report(params: dict, x: np.ndarray, y: np.ndarray,
                  lhs: np.ndarray, rhs: np.ndarray, slack: float) -> InequalityReport:
     """Assemble a report from per-pair arrays.
@@ -603,8 +611,6 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
     plus `margin` from the walls.  Returns the ladder, the pairs, and
     the report params every ladder scan carries.
     """
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
     ladder = _CoefficientLadder(f, grid, order, configs,
                                 sampler.domain.outer if boxed else None)
     pairs = sampler.draw(ladder.deltas, ladder.margins + margin)
@@ -652,6 +658,7 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     read back by multilinear interpolation.  A `MaximalConfig` is the
     ladder's only rung, used as given.
     """
+    _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, config)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, boxed=True)
     lhs, rhs = _main_sides(f, ladder, pairs)
@@ -674,8 +681,7 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     Pairs whose step exceeds one, or whose nodes leave the grid of g,
     are skipped and counted in the params.
     """
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
+    _check_scan(f, order, slack)
     if s <= 0:
         raise ConfigError("the exponent s must be positive")
     if np.any(g.values < 0):
@@ -711,6 +717,7 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     radii make the top field dominate every per-delta field, so zero
     violations here certify the node-discarding step numerically.
     """
+    _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, None)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
     main_ratio, _ = _ratios(*_main_sides(f, ladder, pairs))
@@ -729,8 +736,7 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
               sampler: PairSampler, *, slack: float = 0.05) -> InequalityReport:
     """Scan the fractional-exponent class bound
     |remainder| <= |x - y|^s * (g(x) + g(y)) with 0 < s <= order."""
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
+    _check_scan(f, order, slack)
     if not 0 < s <= order:
         raise ConfigError("the exponent must satisfy 0 < s <= order")
     if np.any(g.values < 0):
@@ -765,8 +771,7 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     of one kernel support from the boundary so no contaminated value is
     ever read.
     """
-    if order < 1:
-        raise ConfigError("the scan needs order >= 1")
+    _check_scan(f, order, slack)
     phi = Mollifier(epsilon, grid.dim, profile=profile)
     margin_len = phi.margin_length(grid.spacing)
     configs = _rung_configs(sampler, grid, None)

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from sobolev_pointwise import GridSpec, default_radii
-from sobolev_pointwise.cli import main
+from sobolev_pointwise.cli import _build_parser, _own_options, main
 
 CLI_SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sobolev_pointwise" / "cli.py"
 
@@ -165,6 +165,76 @@ class TestConfigFile:
         assert main(["verify", "--scan", "lemma1",
                      "--config", "/nonexistent/cfg.json"]) == 2
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        # each key is an option of another command only
+        ("geometry --out {out}", {"format": "csv"}, "format"),
+        ("identities --draws 5", {"pairs": 10, "field": "sin:w=2"}, "field"),
+        ("verify --scan lemma1", {"radius": 2.0}, "radius"),
+        ("mollify", {"scan": "main"}, "scan"),
+        ("triebel", {"draws": 5}, "draws"),
+    ])
+    def test_key_of_another_command_exits_two(self, command, cfg, key, tmp_path, capsys,
+                                              monkeypatch):
+        from sobolev_pointwise import cli
+
+        def work(cfg):
+            raise AssertionError("the command ran with a foreign config key")
+
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, work)
+        path, out = tmp_path / "cfg.json", tmp_path / "report"
+        path.write_text(json.dumps(cfg))
+        argv = command.format(out=out).split() + ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown config keys") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"format": "xml"}, {"scan": "lemma2"}, {"pairs": "many"}, {"pairs": 80.5},
+        {"seed": True}, {"slack": [0.1]}, {"boundary": "wrap"}])
+    def test_value_outside_the_flag_type_or_choices_exits_two(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--pairs", "10", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"configuration error: config key {next(iter(cfg))!r}")
+
+    def test_switch_needs_a_json_boolean(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corrupt_binomial": "false"}))
+        assert main(["identities", "--draws", "5", "--config", str(path)]) == 2
+        path.write_text(json.dumps({"corrupt_binomial": True}))
+        assert main(["identities", "--draws", "5", "--config", str(path)]) == 1
+
+    def test_values_go_through_the_flag_type(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pairs": "80", "slack": "0", "m": 2, "s": None}))
+        code = main(["triebel", "--field", "sin:w=2", "--grid", "-1:1:161",
+                     "--config", str(path), "--dump-config"])
+        assert code == 0
+        dump = capsys.readouterr().out
+        resolved = json.loads(dump[:dump.index("[triebel]")])
+        assert (resolved["pairs"], resolved["slack"], resolved["m"]) == (80, 0.0, 2)
+        assert resolved["s"] is None
+
+    def test_dump_config_lists_only_the_command_options(self, capsys):
+        assert main(["identities", "--draws", "5", "--dump-config"]) == 0
+        dump = capsys.readouterr().out
+        resolved = json.loads(dump[:dump.index("[identities]")])
+        assert resolved == {"corrupt_binomial": False, "draws": 5, "out": None, "seed": 0}
+
+    def test_dumped_config_reads_back(self, tmp_path, capsys):
+        args = ["verify", "--scan", "main", "--m", "2", "--field", "gauss:a=1.5",
+                "--grid", "-1:1:161", "--pairs", "60", "--seed", "4"]
+        assert main(args + ["--dump-config"]) == 0
+        dump = capsys.readouterr().out
+        path = tmp_path / "cfg.json"
+        path.write_text(dump[:dump.index("[main]")])
+        assert main(["verify", "--config", str(path), "--dump-config"]) == 0
+        assert capsys.readouterr().out == dump
+
     def test_removed_workers_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": 2}))
@@ -251,41 +321,54 @@ class TestUsageErrors:
         assert code == 0
 
 
-def _dead_knobs(tree: ast.Module) -> list[str]:
-    """`_DEFAULTS` keys that no command reads as cfg["<key>"], and parser
-    dests that are neither `_DEFAULTS` keys nor the parser's own."""
-    defaults = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "_DEFAULTS" for t in node.targets))
-    keys = {k.value for k in defaults.keys}
-    read = {node.slice.value for node in ast.walk(tree)
-            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg"
-            and isinstance(node.slice, ast.Constant)}
-    dests = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("add_argument", "add_subparsers")):
-            dest = next((k.value.value for k in node.keywords if k.arg == "dest"), None)
-            if dest is None and node.args:
-                dest = node.args[0].value.lstrip("-").replace("-", "_")
-            dests.add(dest)
-    return ([f"unread default {key}" for key in sorted(keys - read)]
-            + [f"dest without default {d}" for d in sorted(dests - keys
-                                                          - {"config", "dump_config", "command"})])
+def _reads(tree: ast.Module, name: str) -> set[str]:
+    """Keys that function `name` reads as cfg["<key>"], in its own body or
+    in the module's functions that it calls, at any depth."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    keys, seen, todo = set(), set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in seen or fn not in functions:
+            continue
+        seen.add(fn)
+        for node in ast.walk(functions[fn]):
+            if (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg"
+                    and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                todo.append(node.func.id)
+    return keys
+
+
+def _dead_knobs(options: dict, tree: ast.Module) -> list[str]:
+    """Per command, the options it declares that its `_cmd_<command>` never
+    reads, and the keys it reads that it does not declare."""
+    out = []
+    for command, declared in sorted(options.items()):
+        read = _reads(tree, f"_cmd_{command}")
+        out += [f"{command}: unread --{key}" for key in sorted(declared - read)]
+        out += [f"{command}: undeclared {key}" for key in sorted(read - declared)]
+    return out
 
 
 class TestNoDeadKnobs:
-    def test_every_default_is_read_and_every_flag_has_a_default(self):
-        assert _dead_knobs(ast.parse(CLI_SOURCE.read_text())) == []
+    def test_every_option_is_read_by_its_own_command(self):
+        _, commands = _build_parser()
+        options = {name: set(_own_options(p)) for name, p in commands.items()}
+        assert set(options) == {"identities", "verify", "geometry", "mollify", "triebel"}
+        assert _dead_knobs(options, ast.parse(CLI_SOURCE.read_text())) == []
 
     def test_guard_sees_dead_knobs(self):
         tree = ast.parse(
-            '_DEFAULTS = {"seed": 0, "workers": 1}\n'
-            "def run(cfg, p, sub):\n"
-            '    sub.add_parser("x").add_argument("--seed", type=int)\n'
-            '    p.add_argument("--dry-run", action="store_true")\n'
-            '    p.add_argument("--cfg-file", dest="config")\n'
-            '    return cfg["seed"] + resolved["workers"]\n')
-        assert _dead_knobs(tree) == ["unread default workers", "dest without default dry_run"]
+            "def _cmd_a(cfg):\n"
+            '    return helper(cfg) + cfg["seed"]\n'
+            "def helper(cfg):\n"
+            '    return cfg["pairs"] + cfg["draws"]\n'
+            "def _cmd_b(cfg, resolved):\n"
+            '    return resolved["seed"]\n')
+        options = {"a": {"seed", "pairs", "workers"}, "b": {"seed"}}
+        assert _dead_knobs(options, tree) == ["a: unread --workers", "a: undeclared draws",
+                                              "b: unread --seed"]
 
 
 class TestFormatFlag:

@@ -12,14 +12,17 @@ from rational_reference import exact_difference
 from sobolev_pointwise import (
     DegeneratePairError,
     GaussianField,
+    GridSpec,
     PolynomialField,
     PowerField,
     QuadratureRule,
     SinusoidField,
+    UnsupportedOrderError,
     binomial,
     forward_difference,
     g_integral,
     g_sum,
+    gradient_magnitude_field,
     irwin_hall_density,
     lagrange_interpolant,
     lagrange_remainder,
@@ -105,6 +108,32 @@ class TestNodes:
             lagrange_remainder(f, x, y, 3)
         with pytest.raises(DegeneratePairError):
             lagrange_remainder(f, [[0.1], x], [[0.4], y], 3)
+
+    def test_step_whose_square_underflows_keeps_its_line_coordinate(self):
+        # h = 5e-201 is a normal float, but h * h underflows to 0
+        f = GaussianField(1.0)
+        rem = lagrange_remainder(f, (0.0,), (1e-200,), 2)
+        assert math.isfinite(rem)
+        assert rem == forward_difference(f, (0.0,), (5e-201,), 2)
+        g = SinusoidField((2.0, 1.0))
+        x = np.array([[0.0, 0.0], [0.3, 0.1]])
+        y = x + np.array([[3e-170, 1e-171], [0.2, 0.1]])
+        np.testing.assert_array_equal(lagrange_remainder(g, x, y, 3),
+                                      forward_difference(g, x, (y - x) / 3, 3))
+
+    @pytest.mark.parametrize("call", [
+        lambda f: lagrange_interpolant(f, (0.1,), (0.4,), 0),
+        lambda f: lagrange_interpolant(sample(f, GridSpec.cube(-1.0, 1.0, 21, 1)),
+                                       (0.1,), (0.4,), 0),
+        lambda f: lagrange_remainder(f, (0.1,), (0.4,), 0),
+        lambda f: taylor_remainder(f, (0.1,), (0.4,), 0),
+        lambda f: g_integral(f, (0.1,), (0.2,), 0),
+        lambda f: telescope_residual(f, (0.1,), (0.2,), 0),
+        lambda f: gradient_magnitude_field(f, GridSpec.cube(-1.0, 1.0, 21, 1), 0),
+    ])
+    def test_order_zero_is_refused_where_order_one_is_the_least(self, call):
+        with pytest.raises(UnsupportedOrderError):
+            call(GaussianField(1.0))
 
     def test_interpolant_reproduces_low_degree(self):
         f = parse_field("poly:x0^3 - 2*x0 + 1")

@@ -24,6 +24,7 @@ from sobolev_pointwise import (
     PowerField,
     SampledField,
     SinusoidField,
+    UnsupportedOrderError,
     all_node_coefficient,
     ball_averages,
     build_report,
@@ -590,6 +591,49 @@ class TestScans:
         sampler = PairSampler(_domain(grid_1d), 50, 3, 0.05, 0.3)
         with pytest.raises(EmptyScanError):
             mollified_scan(SinusoidField((2.0,)), 1, 0.9, grid_1d, sampler)
+
+
+# each scan run as scan(f, order, grid, sampler, g, slack)
+SCANS = {
+    "lemma1": lambda f, order, grid, sampler, g, slack: lemma1_scan(
+        f, grid, sampler, slack=slack),
+    "main": lambda f, order, grid, sampler, g, slack: main_inequality_scan(
+        f, order, grid, sampler, slack=slack),
+    "node_discard": lambda f, order, grid, sampler, g, slack: node_discard_check(
+        f, order, grid, sampler, slack=slack),
+    "triebel": lambda f, order, grid, sampler, g, slack: triebel_scan(
+        f, order, 1.0, g, sampler, slack=slack),
+    "hatl": lambda f, order, grid, sampler, g, slack: hatl_scan(
+        f, order, 1.0, g, sampler, slack=slack),
+    "mollified": lambda f, order, grid, sampler, g, slack: mollified_scan(
+        f, order, 0.1, grid, sampler, slack=slack),
+}
+
+
+# a bad slack, then an order below 1 or beyond what the field supports;
+# the lemma1 scan has no order argument
+BAD_SCAN_ARGUMENTS = (
+    [(name, 2, math.nan, ConfigError, "slack") for name in sorted(SCANS)]
+    + [(name, order, 0.05, error, "order") for name in sorted(SCANS) if name != "lemma1"
+       for order, error in ((0, ConfigError), (30, UnsupportedOrderError))])
+
+
+class TestScanArguments:
+    @pytest.mark.parametrize("name, order, slack, error, match", BAD_SCAN_ARGUMENTS)
+    def test_refused_before_any_work(self, name, order, slack, error, match, grid_1d,
+                                     monkeypatch):
+        from sobolev_pointwise import verify
+
+        def work(*args, **kwargs):
+            raise AssertionError("the scan started work before checking its arguments")
+
+        g = SampledField(grid_1d, np.ones(grid_1d.points))
+        sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.3)
+        for target, attr in ((verify, "gradient_magnitude_field"), (verify, "sample"),
+                             (PairSampler, "draw")):
+            monkeypatch.setattr(target, attr, work)
+        with pytest.raises(error, match=match):
+            SCANS[name](SinusoidField((2.0,)), order, grid_1d, sampler, g, slack)
 
 
 class TestClosedFormRatios:
