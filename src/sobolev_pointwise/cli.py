@@ -37,7 +37,9 @@ from .verify import (
     Box,
     Domain,
     PairSampler,
+    _check_hatl_exponent,
     _check_scan,
+    _check_triebel_exponent,
     all_node_coefficient,
     hatl_scan,
     identity_suite,
@@ -202,6 +204,9 @@ def _cmd_verify(cfg: dict) -> int:
     order = 1 if scan == "lemma1" else cfg["m"]
     slack = cfg["slack"]
     _check_scan(field, order, slack)
+    s = cfg["s"] if cfg["s"] is not None else float(order)
+    if scan == "hatl":
+        _check_hatl_exponent(s, order)
     config = None
     if cfg["delta"] is not None:
         if scan == "node_discard":
@@ -217,7 +222,6 @@ def _cmd_verify(cfg: dict) -> int:
     elif scan == "node_discard":
         report = node_discard_check(field, order, grid, sampler, slack=slack)
     else:
-        s = cfg["s"] if cfg["s"] is not None else float(order)
         g = all_node_coefficient(field, order, grid, sampler, config)
         report = hatl_scan(field, order, s, g, sampler, slack=slack)
     _print_report(scan, report)
@@ -307,6 +311,7 @@ def _cmd_triebel(cfg: dict) -> int:
     order, slack = cfg["m"], cfg["slack"]
     _check_scan(field, order, slack)
     s = cfg["s"] if cfg["s"] is not None else float(order)
+    _check_triebel_exponent(s)
     sampler = _sampler(cfg, grid)
     if cfg["g"] == "zero":
         g = SampledField(grid, np.zeros(grid.points))

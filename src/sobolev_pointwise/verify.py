@@ -2,10 +2,11 @@
 
 A scan draws admissible point pairs from a domain, computes a pointwise
 left-hand side (an interpolation remainder or finite difference of the
-field, from `differences.lagrange_remainder` or `forward_difference` on
-the whole pair batch) and a right-hand side built from maximal-function
-coefficient fields, and reports the ratio distribution: any pair with
-lhs > (1 + slack) * rhs counts as a violation.  All randomness flows
+field, from `differences.lagrange_remainder` or `forward_difference`)
+and a right-hand side built from maximal-function coefficient fields,
+both on blocks of pairs (`_blockwise`), and reports the ratio
+distribution: any pair with lhs > (1 + slack) * rhs counts as a
+violation.  All randomness flows
 from one seeded generator, so reports are byte-for-byte reproducible.
 
 The identity suite exercises the algebraic layer instead, through the
@@ -41,6 +42,7 @@ from .fields import (
     PolynomialField,
     PowerField,
     SampledField,
+    _NODE_BLOCK,
     _gather,
     _grid_cells,
     gradient_magnitude_field,
@@ -198,9 +200,23 @@ class PairBatch:
 
 
 def _step(ends: np.ndarray, dist) -> np.ndarray:
-    """Piece of each separation under the step ends: the first end at or
-    above it, or the last piece above every end."""
-    return np.minimum(np.searchsorted(ends, dist, side="left"), len(ends) - 1)
+    """Piece of each separation under the increasing step ends: the
+    first end at or above it, or the last piece above every end; that
+    is the count of ends[:-1] below it."""
+    idx = np.zeros(np.shape(dist), dtype=np.intp)
+    for end in ends[:-1]:
+        idx += end < dist
+    return idx
+
+
+def _piece(cum: np.ndarray, last: int, t: np.ndarray) -> np.ndarray:
+    """Piece of each t in [0, cum[-1]) under the cumulative weights `cum`,
+    `last` the last piece of positive weight: the count of cum[:last] at
+    or below t, so no zero-weight piece is ever picked."""
+    j = np.zeros(len(t), dtype=np.intp)
+    for c in cum[:last]:
+        j += c <= t
+    return j
 
 
 @dataclass(frozen=True)
@@ -256,7 +272,9 @@ class PairSampler:
 
     def draw(self, ends=(math.inf,), margins=(0.0,)) -> PairBatch:
         """`count` admissible pairs under the margin step function (ends,
-        margins); by default one piece with margin 0."""
+        margins); by default one piece with margin 0.  The piece lookups
+        (`_piece`, `_step`) cost one pass over the batch per piece.
+        """
         ends = np.asarray(ends, dtype=float)
         margins = np.asarray(margins, dtype=float)
         if (ends.ndim != 1 or ends.shape != margins.shape or not len(ends)
@@ -292,7 +310,7 @@ class PairSampler:
                     "too little room")
             # one uniform picks the piece and, within it, r by inverse CDF
             t = rng.random(_SAMPLE_BATCH) * cum[-1]
-            j = np.minimum(np.searchsorted(cum, t, side="right"), last)
+            j = _piece(cum, last, t)
             q = np.clip((t - cum[j] + weight[j]) / weight[j], 0.0, 1.0)
             r = (r_lo[j] ** dim + q * band[j]) ** (1.0 / dim)
             x = lo + margins[j][:, None] + rng.random((_SAMPLE_BATCH, dim)) * shrunk[j]
@@ -403,7 +421,7 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ratio = np.zeros_like(lhs)
     pos = rhs > 0
     with np.errstate(invalid="ignore"):
-        ratio[pos] = lhs[pos] / rhs[pos]
+        np.divide(lhs, rhs, out=ratio, where=pos)
     ratio[~pos & (lhs > 0)] = math.inf
     ratio[nonfinite] = math.inf
     return ratio, nonfinite
@@ -422,6 +440,18 @@ def _check_scan(f: AnalyticField, order: int, slack: float) -> None:
     if f._check_order(order) < 1:
         raise ConfigError("the scan needs order >= 1")
     _checked_slack(slack)
+
+
+def _check_hatl_exponent(s: float, order: int) -> None:
+    """The fractional-exponent class bound needs 0 < s <= order."""
+    if not 0 < s <= order:
+        raise ConfigError("the exponent must satisfy 0 < s <= order")
+
+
+def _check_triebel_exponent(s: float) -> None:
+    """The all-node-sum bound needs s > 0."""
+    if not s > 0:
+        raise ConfigError("the exponent s must be positive")
 
 
 def build_report(params: dict, x: np.ndarray, y: np.ndarray,
@@ -619,9 +649,35 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
     return ladder, pairs, params
 
 
+def _blockwise(n: int, side) -> tuple[np.ndarray, ...]:
+    """Row-local sides, scored on consecutive `_NODE_BLOCK`-row blocks.
+
+    `side(rows)` scores the rows `rows`, a slice of range(n) with n >= 1,
+    and returns a tuple of arrays with one entry per row; each goes into
+    one preallocated (n,) array.  Every per-pair operation is row-local,
+    so the blocks give the bits of one whole batch, with temporaries the
+    size of a block.
+    """
+    outs = None
+    for start in range(0, n, _NODE_BLOCK):
+        rows = slice(start, start + _NODE_BLOCK)
+        parts = side(rows)
+        if outs is None:
+            outs = tuple(np.empty(n, dtype=part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
+
+
+def _rows(pairs: PairBatch, rows: slice) -> PairBatch:
+    """The pairs in `rows`, as views."""
+    return PairBatch(pairs.x[rows], pairs.y[rows], pairs.dist[rows], pairs.attempts)
+
+
 def _main_sides(f: AnalyticField, ladder: _CoefficientLadder,
                 pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y))."""
+    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y)) of
+    a block of pairs."""
     lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, ladder.order))
     return lhs, ladder.endpoint_rhs(pairs)
 
@@ -661,7 +717,7 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, config)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, boxed=True)
-    lhs, rhs = _main_sides(f, ladder, pairs)
+    lhs, rhs = _blockwise(len(pairs.x), lambda rows: _main_sides(f, ladder, _rows(pairs, rows)))
     name = "lemma1" if order == 1 else "main_inequality"
     return _scan_report(name, f, order, grid, sampler, slack, pairs.x, pairs.y, lhs, rhs,
                         radii_master=[float(r) for r in configs[-1].radii],
@@ -682,26 +738,35 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     are skipped and counted in the params.
     """
     _check_scan(f, order, slack)
-    if s <= 0:
-        raise ConfigError("the exponent s must be positive")
+    _check_triebel_exponent(s)
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
     pairs = sampler.draw()
-    h = (pairs.y - pairs.x) / order
-    hlen = np.linalg.norm(h, axis=1)
-    keep = hlen <= 1.0
-    skipped_long = int(np.sum(~keep))
     g_box = Domain(Box.of_grid(g.grid))
-    inside = np.ones(len(pairs.x), dtype=bool)
-    for l in range(order + 1):
-        inside &= g_box.contains(pairs.x + l * h)
+
+    def admissible(rows):
+        x = pairs.x[rows]
+        h = (pairs.y[rows] - x) / order
+        inside = np.ones(len(x), dtype=bool)
+        for l in range(order + 1):
+            inside &= g_box.contains(x + l * h)
+        return np.linalg.norm(h, axis=1) <= 1.0, inside
+
+    keep, inside = _blockwise(len(pairs.x), admissible)
+    skipped_long = int(np.sum(~keep))
     skipped_outside = int(np.sum(keep & ~inside))
     keep &= inside
     if not np.any(keep):
         raise EmptyScanError("all pairs were skipped (step too long or nodes outside g)")
-    x, y, h, hlen = pairs.x[keep], pairs.y[keep], h[keep], hlen[keep]
-    lhs = np.abs(forward_difference(f, x, h, order))
-    rhs = hlen ** s * _node_sum(g.at, x, h, [1] * (order + 1))
+    x, y = pairs.x[keep], pairs.y[keep]
+
+    def sides(rows):
+        h = (y[rows] - x[rows]) / order
+        lhs = np.abs(forward_difference(f, x[rows], h, order))
+        hlen = np.linalg.norm(h, axis=1)
+        return lhs, hlen ** s * _node_sum(g.at, x[rows], h, [1] * (order + 1))
+
+    lhs, rhs = _blockwise(len(x), sides)
     return _scan_report("triebel", f, order, g.grid, sampler, slack, x, y, lhs, rhs,
                         s=float(s), skipped_long_step=skipped_long,
                         skipped_outside=skipped_outside, attempts=pairs.attempts)
@@ -720,11 +785,18 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, None)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
-    main_ratio, _ = _ratios(*_main_sides(f, ladder, pairs))
-    h = (pairs.y - pairs.x) / order
-    lhs = np.abs(forward_difference(f, pairs.x, h, order))
     g = ladder.all_node()
-    rhs = np.linalg.norm(h, axis=1) ** order * _node_sum(g.at, pairs.x, h, [1] * (order + 1))
+
+    def sides(rows):
+        block = _rows(pairs, rows)
+        main_ratio, _ = _ratios(*_main_sides(f, ladder, block))
+        h = (block.y - block.x) / order
+        lhs = np.abs(forward_difference(f, block.x, h, order))
+        rhs = np.linalg.norm(h, axis=1) ** order * _node_sum(g.at, block.x, h,
+                                                             [1] * (order + 1))
+        return main_ratio, lhs, rhs
+
+    main_ratio, lhs, rhs = _blockwise(len(pairs.x), sides)
     return _scan_report("node_discard", f, order, grid, sampler, slack,
                         pairs.x, pairs.y, lhs, rhs,
                         g_scale=float(order) ** order,
@@ -737,13 +809,17 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     """Scan the fractional-exponent class bound
     |remainder| <= |x - y|^s * (g(x) + g(y)) with 0 < s <= order."""
     _check_scan(f, order, slack)
-    if not 0 < s <= order:
-        raise ConfigError("the exponent must satisfy 0 < s <= order")
+    _check_hatl_exponent(s, order)
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
     pairs = sampler.draw()
-    lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, order))
-    rhs = pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))
+
+    def sides(rows):
+        block = _rows(pairs, rows)
+        lhs = np.abs(lagrange_remainder(f, block.x, block.y, order))
+        return lhs, block.dist ** s * (g.at(block.x) + g.at(block.y))
+
+    lhs, rhs = _blockwise(len(pairs.x), sides)
     return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs.x, pairs.y,
                         lhs, rhs, s=float(s), attempts=pairs.attempts)
 
@@ -781,9 +857,13 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
     f_eps = convolve(sample(f, grid), phi)
     stack_eps = np.stack([convolve(fld, phi).values for fld in ladder.fields])
-    h = (pairs.y - pairs.x) / order
-    lhs = np.abs(forward_difference(f_eps, pairs.x, h, order))
-    rhs = ladder.endpoint_rhs(pairs, stack_eps)
+
+    def sides(rows):
+        block = _rows(pairs, rows)
+        lhs = np.abs(forward_difference(f_eps, block.x, (block.y - block.x) / order, order))
+        return lhs, ladder.endpoint_rhs(block, stack_eps)
+
+    lhs, rhs = _blockwise(len(pairs.x), sides)
     return _scan_report("mollified", f, order, grid, sampler, slack, pairs.x, pairs.y,
                         lhs, rhs, epsilon=float(epsilon), profile=profile,
                         kernel_margin=float(margin_len), **params)

@@ -293,6 +293,22 @@ class TestUsageErrors:
         assert "[young]" not in captured.out
         assert captured.err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("command, message", [
+        ("verify --scan hatl --m 2 --s 3", "the exponent must satisfy 0 < s <= order"),
+        ("verify --scan hatl --m 2 --s 0", "the exponent must satisfy 0 < s <= order"),
+        ("triebel --m 2 --s -1", "the exponent s must be positive"),
+        ("triebel --m 2 --s nan", "the exponent s must be positive"),
+    ])
+    def test_exponent_checked_before_the_ladder(self, command, message, capsys, monkeypatch):
+        from sobolev_pointwise import cli
+
+        def ladder(*args, **kwargs):
+            raise AssertionError("the ladder was built before the exponent was checked")
+
+        monkeypatch.setattr(cli, "all_node_coefficient", ladder)
+        assert main(command.split()) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("command", [
         "geometry --dim 0",
         "geometry --dim -1",

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -40,7 +41,13 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
-from sobolev_pointwise.verify import PairBatch, _CoefficientLadder, _rung_configs
+from sobolev_pointwise.verify import (
+    PairBatch,
+    _CoefficientLadder,
+    _piece,
+    _rung_configs,
+    _step,
+)
 
 SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -635,6 +642,90 @@ class TestScanArguments:
         with pytest.raises(error, match=match):
             SCANS[name](SinusoidField((2.0,)), order, grid_1d, sampler, g, slack)
 
+
+
+class TestBlockedScoring:
+    """Scans score their pairs in blocks of `_NODE_BLOCK` rows, as read by
+    `verify`; every per-pair operation is row-local, so blocks change no bit."""
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_blocks_give_the_bits_of_one_batch(self, name, grid_1d, monkeypatch):
+        from sobolev_pointwise import verify
+
+        f = SinusoidField((2.0,))
+        if name == "triebel":
+            # g on part of the box, so the node test skips pairs in every block
+            g_grid = GridSpec((-0.6,), (0.7,), (131,))
+            g = SampledField(g_grid, np.full(g_grid.points, 0.1))
+        else:
+            g = SampledField(grid_1d, np.full(grid_1d.points, 0.3))
+
+        def run(block):
+            monkeypatch.setattr(verify, "_NODE_BLOCK", block)
+            sampler = PairSampler(_domain(grid_1d), 150, 4, 0.05, 0.3)
+            return SCANS[name](f, 2, grid_1d, sampler, g, 0.05)
+
+        whole, blocked = run(10 ** 6), run(7)
+        assert whole.n_pairs % 7
+        assert blocked.to_json() == whole.to_json()
+        for attr in ("x", "y", "lhs", "rhs", "ratio"):
+            assert np.array_equal(getattr(blocked, attr), getattr(whole, attr))
+        if name == "triebel":
+            assert 0 < whole.params["skipped_outside"] and whole.n_violations
+
+    def test_blocks_give_the_bits_of_one_batch_in_3d(self, monkeypatch):
+        from sobolev_pointwise import verify
+
+        grid = GridSpec.cube(-1.0, 1.0, 21, 3)
+        domain = Domain(Box.of_grid(grid), Box((-0.2,) * 3, (0.2,) * 3))
+        reports = []
+        for block in (10 ** 6, 7):
+            monkeypatch.setattr(verify, "_NODE_BLOCK", block)
+            sampler = PairSampler(domain, 100, 4, 0.05, 0.4)
+            reports.append(main_inequality_scan(SinusoidField((2.0, 1.5, 1.0)), 2, grid,
+                                                sampler))
+        assert reports[1].to_json() == reports[0].to_json()
+        for attr in ("lhs", "rhs", "ratio"):
+            assert np.array_equal(getattr(reports[1], attr), getattr(reports[0], attr))
+
+    def test_step_is_the_binary_search(self, rng):
+        ends = np.array([0.1, 0.2, 0.35, 0.4])
+        dist = np.concatenate([rng.uniform(0.0, 0.5, 2000), ends, np.nextafter(ends, 0.0),
+                               np.nextafter(ends, 1.0), [0.0]])
+        for k in range(1, len(ends) + 1):
+            assert np.array_equal(_step(ends[:k], dist),
+                                  np.minimum(np.searchsorted(ends[:k], dist), k - 1))
+        assert np.array_equal(_step(np.array([math.inf]), dist), np.zeros(len(dist)))
+        assert _step(ends, 0.3) == 2
+
+    def test_piece_pick_is_the_binary_search(self, rng):
+        # zero-weight pieces repeat an entry of cum, first, inside and last
+        weight = np.array([0.0, 2.0, 0.0, 0.0, 1.5, 0.5, 0.0])
+        cum = np.cumsum(weight)
+        last = int(np.flatnonzero(weight)[-1])
+        t = np.concatenate([rng.random(2000) * cum[-1], cum, np.nextafter(cum, 0.0)])
+        assert np.array_equal(_piece(cum, last, t),
+                              np.minimum(np.searchsorted(cum, t, side="right"), last))
+        assert not np.any(weight[_piece(cum, last, rng.random(2000) * cum[-1])] == 0)
+
+    @pytest.mark.parametrize("dim, points, per_pair", [(1, 2001, 64), (3, 21, 100)])
+    def test_peak_memory_grows_by_little_more_than_the_report(self, dim, points, per_pair):
+        # a report holds x, y, lhs, rhs and ratio: 40 B a pair in 1-D, 72 in
+        # 3-D; the draw adds the separations and the report a quantile copy
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        f = SinusoidField((2.0, 1.5, 1.0)[:dim])
+
+        def peak(count):
+            sampler = PairSampler(_domain(grid), count, 3, 0.05, 0.4)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                main_inequality_scan(f, 2, grid, sampler)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(200_000) - peak(50_000)) / 150_000 <= per_pair
 
 class TestClosedFormRatios:
     """For f = x0^m every pair's ratio has a closed form in e0, the first
