@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import sampler_reference as ref
 from sobolev_pointwise import (
     Box,
     ConfigError,
@@ -42,9 +44,11 @@ from sobolev_pointwise import (
     triebel_scan,
 )
 from sobolev_pointwise.verify import (
+    _SAMPLE_BATCH,
     PairBatch,
     _CoefficientLadder,
     _piece,
+    _row_norm,
     _rung_configs,
     _step,
 )
@@ -180,7 +184,8 @@ class TestPairSampler:
 class TestProposalEfficiency:
     """The proposal knows the rung margins: at most 1.7 proposals per kept
     pair on a 41^3 scan and 1.3 on a 2001-node 1-D scan (6.55 and 1.72
-    with x uniform in the whole box; `attempts` counts whole batches)."""
+    with x uniform in the whole box; `attempts` counts the proposals up
+    to the one that gave the last kept pair)."""
 
     @pytest.mark.parametrize("dim, points, pairs, limit",
                              [(3, 41, 5000, 1.7), (1, 2001, 100_000, 1.3)])
@@ -191,6 +196,161 @@ class TestProposalEfficiency:
         assert report.n_pairs == pairs
         assert report.params["attempts"] / report.n_pairs <= limit
 
+
+_LADDER = [0.1, 0.16, 0.25, 0.4]
+
+
+def _cube_domain(dim, hole):
+    return Domain(Box((-1.0,) * dim, (1.0,) * dim),
+                  Box((-0.3,) * dim, (0.2,) * dim) if hole else None)
+
+
+class _ZeroGaussianRows:
+    """A generator whose standard normals are 0 in every `every`-th row."""
+
+    def __init__(self, rng, every):
+        self._rng = rng
+        self._every = every
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size):
+        u = self._rng.standard_normal(size)
+        u[::self._every] = 0.0
+        return u
+
+
+class TestDrawAgainstReference:
+    """`PairSampler.draw` against the three-filter loop it replaced
+    (tests/sampler_reference.py): the same x, y and dist bytes, and
+    `attempts` within the reference's last whole batch."""
+
+    @staticmethod
+    def _check(sampler, ends=(math.inf,), margins=(0.0,)):
+        batch = sampler.draw(ends, margins)
+        x, y, dist, attempts = ref.draw(sampler, ends, margins)
+        assert batch.x.tobytes() == x.tobytes()
+        assert batch.y.tobytes() == y.tobytes()
+        assert batch.dist.tobytes() == dist.tobytes()
+        assert attempts - _SAMPLE_BATCH < batch.attempts <= attempts
+        return batch, attempts
+
+    @pytest.mark.parametrize("hole", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_ladder_margins(self, dim, hole):
+        sampler = PairSampler(_cube_domain(dim, hole), 3000, 5, 0.05, 0.4)
+        self._check(sampler, _LADDER, _LADDER)
+
+    @pytest.mark.parametrize("hole", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_clip_margins_and_no_steps(self, dim, hole):
+        sampler = PairSampler(_cube_domain(dim, hole), 3000, 6, 0.05, 0.4)
+        self._check(sampler, _LADDER, [0.0] * 4)
+        self._check(sampler)
+
+    @pytest.mark.parametrize("dim, hole", [(1, False), (2, True), (3, False)])
+    def test_mollified_extra_margin(self, dim, hole):
+        sampler = PairSampler(_cube_domain(dim, hole), 3000, 7, 0.05, 0.4)
+        self._check(sampler, _LADDER, [m + 0.1 for m in _LADDER])
+
+    @pytest.mark.parametrize("hole", [False, True])
+    def test_one_point_band(self, hole):
+        sampler = PairSampler(_cube_domain(2, hole), 500, 2, 0.2, 0.2)
+        self._check(sampler, [0.1, 0.3], [0.1, 0.3])
+
+    @pytest.mark.parametrize("hole", [False, True])
+    def test_a_piece_without_room(self, hole):
+        # separations above 0.2 need a margin of 1 on a side of 2
+        sampler = PairSampler(_cube_domain(2, hole), 2000, 5, 0.05, 0.4)
+        self._check(sampler, [0.2, 0.4], [0.1, 1.0])
+
+    @pytest.mark.parametrize("dim, hole, count", [(1, False, 17_000), (2, True, 5000)])
+    def test_count_spans_two_batches_and_part_of_a_third(self, dim, hole, count):
+        sampler = PairSampler(_cube_domain(dim, hole), count, 3, 0.05, 0.4)
+        batch, attempts = self._check(sampler, _LADDER, _LADDER)
+        assert attempts == 3 * _SAMPLE_BATCH
+        assert batch.attempts < attempts
+
+    def test_attempts_count_proposals_up_to_the_last_kept_pair(self):
+        # the draws of 1..40 pairs share their prefix, so the proposal that
+        # gave the k-th pair is the last one the k-pair draw counts
+        domain = _cube_domain(2, True)
+        batches = [PairSampler(domain, k, 4, 0.05, 0.4).draw(_LADDER, _LADDER)
+                   for k in range(1, 41)]
+        counts = [b.attempts for b in batches]
+        assert counts[0] >= 1
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] < _SAMPLE_BATCH
+        for shorter, longer in zip(batches, batches[1:]):
+            assert shorter.x.tobytes() == longer.x[:-1].tobytes()
+
+    def test_zero_gaussian_rows_are_never_kept(self, monkeypatch):
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroGaussianRows(real(seed), 3))
+        for dim, hole in [(1, False), (2, True), (3, False)]:
+            sampler = PairSampler(_cube_domain(dim, hole), 12_000, 8, 0.05, 0.4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch, _ = self._check(sampler, _LADDER, _LADDER)
+            assert np.all(np.isfinite(batch.y))
+
+    def test_all_zero_gaussians_keep_nothing(self, monkeypatch):
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroGaussianRows(real(seed), 1))
+        sampler = PairSampler(_cube_domain(1, False), 10, 0, 0.05, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyScanError, match="only 0 of 10 .* in 647168 attempts"):
+                sampler.draw(_LADDER, _LADDER)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_row_norm_is_numpy_norm(self, dim, rng):
+        v = rng.standard_normal((5000, dim)) * rng.choice([0.0, 1e-160, 1.0, 1e150], (5000, 1))
+        v[::7, 0] = 0.0
+        assert _row_norm(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_domain_tests_match_the_reductions_on_walls(self, dim, rng):
+        domain = _cube_domain(dim, True)
+        lo, hi = np.asarray(domain.outer.lo), np.asarray(domain.outer.hi)
+        hlo, hhi = np.asarray(domain.hole.lo), np.asarray(domain.hole.hi)
+        n = 4000
+        margin = rng.choice([0.0, 0.05, 0.1, 0.25], n)
+        m = margin[:, None]
+        # each coordinate on a wall, a shrunk or dilated wall, or anywhere
+        walls = np.stack([np.broadcast_to(v, (n, dim)) for v in
+                          (lo, hi, lo + m, hi - m, hlo, hhi, hlo - m, hhi + m)]
+                         + [rng.uniform(-1.0, 1.0, (n, dim))])
+
+        def pick():
+            return np.take_along_axis(walls, rng.integers(0, len(walls), (1, n, dim)), 0)[0]
+
+        pts, other = pick(), pick()
+        # some segments stand still along some axes
+        still = rng.random((n, dim)) < 0.3
+        other[still] = pts[still]
+        for d in (domain, _cube_domain(dim, False)):
+            for mg in (margin, 0.1, 0.0):
+                np.testing.assert_array_equal(d.contains(pts, mg), ref.contains(d, pts, mg))
+            for a, b in ((pts, other), (other, pts)):
+                np.testing.assert_array_equal(d.contains_segments(a, b),
+                                              ref.contains_segments(d, a, b))
+
+
+    def test_domain_tests_take_the_shapes_the_reductions_took(self):
+        domain = _cube_domain(2, True)
+        col = np.array([[-0.5], [0.0], [0.1], [0.5]])
+        np.testing.assert_array_equal(domain.contains(col, 0.1), ref.contains(domain, col, 0.1))
+        np.testing.assert_array_equal(domain.contains_segments(col, -col),
+                                      ref.contains_segments(domain, col, -col))
+        np.testing.assert_array_equal(domain.contains([0.5, 0.5]), [True])
+        with pytest.raises(ValueError):
+            domain.contains(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            domain.contains_segments(np.zeros((3, 3)), np.ones((3, 3)))
 
 def _reference_pairs(domain, count, seed, min_sep, max_sep, margin_of):
     """Independent uniform endpoints in the outer box, kept by the
