@@ -8,8 +8,10 @@ and taking the largest average gives a discrete local Hardy-Littlewood
 maximal function; scaled by the lens ratio it yields the coefficient
 fields used by the inequality scans.
 `ball_averages` averages a whole radius ladder in one pass: one
-cumulative sum along the last grid axis, one run sum per run half-width,
-and one sum per distinct lattice ball, each radius on its own node box.
+cumulative sum along the last grid axis, and one sum per distinct lattice
+ball, each radius on its own node box.  The balls on one node box share
+a run-sum buffer, refilled once per run half-width they use, and a ball
+that stays inside the grid on its box divides by its exact node count.
 `local_maximal_function` turns a ladder of nested rungs into one
 (R, *grid) stack of maxima.  The two-endpoint scans read a rung only
 where its pairs can reach, which under the "reject" boundary is the box
@@ -217,11 +219,13 @@ def _ball_offsets(spacings: tuple[float, ...], radius: float):
     Offsets come in lexicographic order.  Each axis's squares (q sp)^2
     are Python floats, summed axis by axis as a per-offset loop sums
     them, so a radius that is a multiple of the spacing breaks its ties
-    the same way.
+    the same way.  A 1-D ball is one run, found without numpy.
     """
     lead_spacings = spacings[:-1]
     sp_last = spacings[-1]
     r2 = radius * radius * _RADIUS_SLACK
+    if not lead_spacings:
+        return [((), int(math.floor(math.sqrt(r2) / sp_last)))]
     cells = [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in lead_spacings]
     sizes = [2 * c + 1 for c in cells]
     q = np.indices(sizes).reshape(len(cells), math.prod(sizes)).T - np.array(cells, dtype=int)
@@ -270,6 +274,12 @@ def _within(inner: tuple[slice, ...], outer: tuple[slice, ...]) -> tuple[slice, 
     return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
 
 
+def _reach(offsets) -> list[int]:
+    """Largest |offset| of a lattice ball along each axis, its last-axis
+    half-width included."""
+    return [max(map(abs, axis)) for axis in zip(*(q + (w,) for q, w in offsets))]
+
+
 def _union(boxes) -> tuple[slice, ...]:
     """Smallest node box holding every box in `boxes`."""
     return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
@@ -285,15 +295,19 @@ def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
     contributes with equal weight; near the grid boundary the ball is
     clipped to the grid.  The field is padded once, at the largest
     radius, and summed cumulatively along its last axis, so a ball is a
-    sum of last-axis runs.  Each run half-width's run sum is formed once
-    and added, at every lead-axis offset that uses it, into every ball
-    holding it (a summed-area table shared by the whole ladder, after
-    Crow 1984).  A lattice ball is summed only on the smallest box
-    holding the boxes of all its radii.  Its additions always go widths
-    ascending, then in `_ball_offsets` order, so its average depends
-    neither on the other radii of the call nor on the boxes: it is the
-    whole-grid average, sliced.  Radii with the same lattice ball share
-    one array: never update a result in place.
+    sum of last-axis runs (a summed-area table shared by the whole
+    ladder, after Crow 1984).  A lattice ball is summed only on the
+    smallest box holding the boxes of all its radii.  The balls on one
+    such box share one run-sum buffer: exactly the box on the last axis,
+    and the box widened by their largest lead offsets on the others.  It
+    is filled once per run half-width they use, and each ball adds it,
+    at each of its lead-axis offsets, as whole rows.  A ball whose reach
+    stays inside the grid on its box divides by its node count, the
+    integer sum of its runs 2w + 1; any other by `_ball_counts`.  Its
+    additions always go widths ascending, then in `_ball_offsets` order,
+    so its average depends neither on the other radii of the call nor
+    on the boxes: it is the whole-grid average, sliced.  Radii with the
+    same lattice ball share one array: never update a result in place.
     """
     radii = [float(r) for r in radii]
     if not radii or min(radii) <= 0:
@@ -308,36 +322,52 @@ def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
     which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
     ball_boxes = [_union(box for box, b in zip(boxes, which) if b == ball)
                   for ball in range(len(balls))]
-    # run sums are needed on the union of the boxes, widened on the lead
-    # axes by the padding the offsets reach; a ball reads a width's run
-    # sum on its own box, shifted by its lead-axis offset
+    offsets_of = list(balls)
+    reach = [_reach(offsets) for offsets in offsets_of]
     union = _union(ball_boxes)
-    uses: dict[int, list] = {}
-    for b, (offsets, box) in enumerate(zip(balls, ball_boxes)):
-        box = _within(box, union)
-        for q, width in offsets:
-            uses.setdefault(width, []).append(
-                (b, tuple(slice(c + qi + s.start, c + qi + s.stop)
-                          for qi, c, s in zip(q, pad_cells, box)) + box[-1:]))
     lead = tuple(slice(s.start, s.stop + 2 * c) for s, c in zip(union[:-1], pad_cells))
     padded = np.pad(values, [(c, c) for c in pad_cells])[lead]
     csum = np.zeros(padded.shape[:-1] + (padded.shape[-1] + 1,))
     np.cumsum(padded, axis=-1, out=csum[..., 1:])
     del padded
     c_last = pad_cells[-1]
-    last = union[-1]
-    # one reused run-sum buffer: keeping every width's run sum would hold
-    # a padded grid per width, several times the balls themselves
-    run = np.empty(csum.shape[:-1] + (last.stop - last.start,))
     sums = [np.zeros([s.stop - s.start for s in box]) for box in ball_boxes]
-    for width in sorted(uses):
-        np.subtract(csum[..., c_last + width + 1 + last.start:c_last + width + 1 + last.stop],
-                    csum[..., c_last - width + last.start:c_last - width + last.stop], out=run)
-        for b, index in uses[width]:
-            sums[b] += run[index]
-    del csum, run
-    for total, offsets, box in zip(sums, balls, ball_boxes):
-        total /= _ball_counts(shape, pad_cells, offsets, box)
+    groups: dict[tuple, list[int]] = {}
+    for b, box in enumerate(ball_boxes):
+        groups.setdefault(tuple((s.start, s.stop) for s in box), []).append(b)
+    for members in groups.values():
+        # one buffer refilled per width (a buffer per width would hold a
+        # grid each), cut to the box on the last axis so that each add
+        # reads whole rows: one long inner loop
+        box = ball_boxes[members[0]]
+        wide = [max(reach[b][k] for b in members) for k in range(len(box) - 1)]
+        rows = tuple(slice(s.start - u.start + c - w, s.stop - u.start + c + w)
+                     for s, u, c, w in zip(box[:-1], union, pad_cells, wide))
+        last = box[-1]
+        shifted = {q: tuple(slice(w + qi, w + qi + s.stop - s.start)
+                            for qi, w, s in zip(q, wide, box))
+                   for q in {q for b in members for q, _ in offsets_of[b]}}
+        uses: dict[int, list] = {}
+        for b in members:
+            for q, width in offsets_of[b]:
+                uses.setdefault(width, []).append((b, shifted[q]))
+        run = np.empty([r.stop - r.start for r in rows] + [last.stop - last.start])
+        for width in sorted(uses):
+            np.subtract(csum[rows + (slice(c_last + width + 1 + last.start,
+                                           c_last + width + 1 + last.stop),)],
+                        csum[rows + (slice(c_last - width + last.start,
+                                           c_last - width + last.stop),)], out=run)
+            for b, index in uses[width]:
+                sums[b] += run[index]
+        del run
+    del csum
+    for total, offsets, box, r in zip(sums, offsets_of, ball_boxes, reach):
+        if all(s.start >= c and s.stop + c <= n for s, c, n in zip(box, r, shape)):
+            # the ball stays inside the grid on its box: every node counts
+            # every offset's full run, an exact integer
+            total /= sum(2 * w + 1 for _, w in offsets)
+        else:
+            total /= _ball_counts(shape, pad_cells, offsets, box)
     return [sums[b][_within(box, ball_boxes[b])] for b, box in zip(which, boxes)]
 
 

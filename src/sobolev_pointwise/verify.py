@@ -133,14 +133,20 @@ class Domain:
     def dim(self) -> int:
         return self.outer.dim
 
+    def _points(self, pts) -> np.ndarray:
+        """Points as an (N, dim) array; a single (dim,) point is one row."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (N, {self.dim}), got {pts.shape}")
+        return pts
+
     def contains(self, pts, margin=0.0) -> np.ndarray:
         """Membership mask, shrinking the domain by `margin` on all walls.
 
         `margin` may be a scalar or a per-point array; the hole, when
         present, is dilated by the same margin.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        pts = np.broadcast_to(pts, (len(pts), self.dim))
+        pts = self._points(pts)
         margin = np.asarray(margin, dtype=float)
         ok = np.ones(len(pts), dtype=bool)
         for col, lo, hi in zip(pts.T, self.outer.lo, self.outer.hi):
@@ -161,11 +167,9 @@ class Domain:
         strictly between the hole's walls, and the segment meets the
         open hole exactly when these intervals overlap.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        x, y = self._points(x), self._points(y)
         if self.hole is None:
             return np.ones(len(x), dtype=bool)
-        x, y = (np.broadcast_to(v, (len(v), self.dim)) for v in (x, y))
         t_enter = np.zeros(len(x))
         t_leave = np.ones(len(x))
         for xk, yk, lo, hi in zip(x.T, y.T, self.hole.lo, self.hole.hi):

@@ -31,6 +31,7 @@ from sobolev_pointwise import (
     segment_ratio_constant,
 )
 from lens_reference import betainc_volume, cap_profile_volume
+from sobolev_pointwise import maximal
 from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
 from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
 
@@ -314,6 +315,45 @@ class TestBallAverages:
         boxes = _random_boxes(grid.points, rng, count=len(radii))[-len(radii):]
         for k, avg in enumerate(ball_averages(u, radii, boxes)):
             assert np.array_equal(avg, whole[k][boxes[k]])
+
+    def test_scan3d_ladder_counts_no_clipped_ball(self, monkeypatch):
+        # under "reject" each rung's box is its delta inside the walls, so
+        # every ball of the 41^3 main-scan ladder stays inside the grid
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 5000, 1, 0.05, 0.4)
+
+        def refuse(*args):
+            raise AssertionError("_ball_counts called")
+
+        monkeypatch.setattr(maximal, "_ball_counts", refuse)
+        f = parse_field("sin:w=2,1.5,1", dim=3)
+        ladder = _CoefficientLadder(f, grid, 2, _rung_configs(sampler, grid, None),
+                                    sampler.domain.outer)
+        assert len(ladder.configs) == 4
+        assert np.isfinite(ladder.stack[-1][ladder.boxes[-1]]).all()
+
+    @pytest.mark.parametrize("grid", [GridSpec.cube(-1.0, 1.0, 31, 2),
+                                      GridSpec((-1.0, -0.5), (1.0, 1.5), (25, 31)),
+                                      GridSpec.cube(-1.0, 1.0, 21, 3),
+                                      GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), (17, 13, 15))])
+    def test_interior_and_clipped_balls_on_several_boxes(self, grid, monkeypatch, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        sp = max(grid.spacing)
+        radii = [float(r) for r in np.geomspace(1.2 * sp, 4.5 * sp, 8)]
+        # the first radii sit well inside the grid, the last ones reach the walls
+        boxes = [tuple(slice(k, n - k) for n in grid.points) for k in (6, 6, 5, 5, 4, 2, 1, 0)]
+        counted = []
+        real = maximal._ball_counts
+        monkeypatch.setattr(maximal, "_ball_counts",
+                            lambda *args: counted.append(args[2]) or real(*args))
+        whole = ball_averages(u, radii)
+        counted.clear()
+        boxed = ball_averages(u, radii, boxes)
+        balls = {tuple(_ball_offsets(grid.spacing, r)) for r in radii}
+        assert len({tuple((s.start, s.stop) for s in box) for box in boxes}) >= 4
+        assert 0 < len(counted) < len(balls)
+        for avg, full, box in zip(boxed, whole, boxes):
+            assert np.array_equal(avg, full[box])
 
     def test_radii_sharing_a_lattice_ball_share_the_average(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 21, 2)

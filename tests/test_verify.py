@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import rhs_reference
 import sampler_reference as ref
 from sobolev_pointwise import (
     Box,
@@ -80,6 +81,26 @@ class TestDomain:
 
     def test_to_dict_is_json_ready(self, grid_1d):
         json.dumps(_domain(grid_1d).to_dict())
+
+    @pytest.mark.parametrize("hole", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_points_must_have_one_column_per_axis(self, dim, hole):
+        domain = _cube_domain(dim, hole)
+        point = np.full(dim, 0.5)
+        assert domain.contains(point).tolist() == [True]
+        assert domain.contains(np.tile(point, (3, 1)), 0.1).tolist() == [True] * 3
+        assert domain.contains_segments(point, -point).tolist() == [not hole]
+        for k in {1, dim + 1} - {dim}:
+            pts = np.zeros((3, k))
+            with pytest.raises(ValueError, match=f"shape \\(N, {dim}\\)"):
+                domain.contains(pts)
+            with pytest.raises(ValueError, match=f"shape \\(N, {dim}\\)"):
+                domain.contains(pts, np.zeros(3))
+            for x, y in ((pts, np.zeros((3, dim))), (np.zeros((3, dim)), pts), (pts, pts)):
+                with pytest.raises(ValueError, match=f"shape \\(N, {dim}\\)"):
+                    domain.contains_segments(x, y)
+        with pytest.raises(ValueError):
+            domain.contains(np.zeros((2, 3, dim)))
 
 
 class TestPairSampler:
@@ -342,10 +363,6 @@ class TestDrawAgainstReference:
 
     def test_domain_tests_take_the_shapes_the_reductions_took(self):
         domain = _cube_domain(2, True)
-        col = np.array([[-0.5], [0.0], [0.1], [0.5]])
-        np.testing.assert_array_equal(domain.contains(col, 0.1), ref.contains(domain, col, 0.1))
-        np.testing.assert_array_equal(domain.contains_segments(col, -col),
-                                      ref.contains_segments(domain, col, -col))
         np.testing.assert_array_equal(domain.contains([0.5, 0.5]), [True])
         with pytest.raises(ValueError):
             domain.contains(np.zeros((3, 3)))
@@ -1011,3 +1028,30 @@ class TestIdentitySuite:
 
         suite = identity_suite(draws=60, seed=3, binom=bad)
         assert not suite["passed"]
+
+
+class TestMainRhsOracle:
+    """The main scan's right side against `rhs_reference`, which takes
+    every ball, rung and corner weight from the definitions alone."""
+
+    GRIDS = {1: GridSpec.cube(-1.0, 1.0, 41, 1), 2: GridSpec.cube(-1.0, 1.0, 21, 2),
+             3: GridSpec.cube(-1.0, 1.0, 11, 3)}
+    FIELDS = {
+        "sin": lambda dim: SinusoidField((2.0, 1.5, 1.0)[:dim]),
+        "gauss": lambda dim: GaussianField(1.3, dim),
+        "poly": lambda dim: parse_field(f"poly:x0^3-2*x0*x{dim - 1}^2+1", dim=dim),
+    }
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rhs_matches_the_definition(self, dim, kind, order):
+        grid = self.GRIDS[dim]
+        # on 11^3 twice the spacing is 0.4, so a wider band keeps several rungs
+        sampler = PairSampler(_domain(grid), 200, 7 + dim, 0.05, 0.6 if dim == 3 else 0.4)
+        f = self.FIELDS[kind](dim)
+        report = main_inequality_scan(f, order, grid, sampler)
+        assert len(report.params["deltas"]) > 1
+        want = rhs_reference.main_rhs(f, order, grid, report)
+        assert len(want) == 30
+        np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
