@@ -1,13 +1,16 @@
 """Inequality scans over sampled point pairs, and the exact-identity suite.
 
-A scan draws admissible point pairs from a domain, computes a pointwise
-left-hand side (an interpolation remainder or finite difference of the
-field, from `differences.lagrange_remainder` or `forward_difference`)
-and a right-hand side built from maximal-function coefficient fields,
-both on blocks of pairs (`_blockwise`), and reports the ratio
-distribution: any pair with lhs > (1 + slack) * rhs counts as a
-violation.  All randomness flows
-from one seeded generator, so reports are byte-for-byte reproducible.
+A scan draws admissible point pairs from a domain as one `PairBatch`
+and scores it through one pipeline: `_blockwise` hands each block of
+pairs, itself a `PairBatch` of views, to a side function, which returns
+the pointwise left-hand side (an interpolation remainder or finite
+difference of the field, from `differences.lagrange_remainder` or
+`forward_difference`) and the right-hand side.  The ladder scans read
+their coefficients only from the stack of their `_CoefficientLadder`;
+the others take a coefficient field g.  `_scan_report` then reports the
+ratio distribution: any pair with lhs > (1 + slack) * rhs counts as a
+violation.  All randomness flows from one seeded generator, so reports
+are byte-for-byte reproducible.
 
 The identity suite exercises the algebraic layer instead, through the
 same `differences` functions: interpolation remainder versus forward
@@ -515,8 +518,10 @@ class _CoefficientLadder:
     `_rung_configs`), so the fields are monotone in delta; each pair
     then uses the smallest ladder delta at or above its separation.
     The rungs are `local_maximal_function` of |grad^order f|, scaled in
-    place by the lens ratio C(n): one (R, *grid) `stack`, which
-    `coefficient_at` gathers from with the rung as leading index.
+    place by the lens ratio C(n): one (R, *grid) `stack`, the only
+    source of coefficients, which `coefficient_at` gathers from with
+    the rung as leading index.  A scan may transform the rungs in place
+    (the mollified scan convolves them).
 
     Given the sampler's `outer` box, each rung is built only on its node
     box (`_node_boxes`), the nodes its pairs can touch; `stack` is NaN
@@ -533,17 +538,10 @@ class _CoefficientLadder:
         self.deltas = np.asarray([c.delta for c in configs])
         # each rung keeps its pairs its delta from the walls, or under "clip" 0
         self.margins = self.deltas if self.boundary == "reject" else np.zeros_like(self.deltas)
-        self.gradient = gradient_magnitude_field(f, grid, order)
         self.boxes = _node_boxes(grid, outer, self.margins)
-        self.stack = local_maximal_function(self.gradient, configs, self.boxes)
+        self.stack = local_maximal_function(gradient_magnitude_field(f, grid, order), configs,
+                                            self.boxes)
         self.stack *= segment_ratio_constant(grid.dim)
-
-    @property
-    def fields(self) -> list[SampledField]:
-        """The rungs as sampled fields, for whole-grid ladders only: a
-        rung built on a node box is NaN outside it, which `SampledField`
-        refuses."""
-        return [SampledField(self.grid, rung) for rung in self.stack]
 
     def all_node(self) -> SampledField:
         """The all-node coefficient order^order * a at the top delta."""
@@ -554,18 +552,16 @@ class _CoefficientLadder:
             raise ConfigError("pair separation exceeds the largest ladder delta")
         return _step(self.deltas, dist)
 
-    def coefficient_at(self, idx: np.ndarray, pts: np.ndarray,
-                       stack: np.ndarray | None = None) -> np.ndarray:
-        """Rung idx[i]'s coefficient at pts[i], read back from `stack`
-        (R, *grid), the ladder's own by default, as `SampledField.at` would."""
-        stack = self.stack if stack is None else stack
-        return _gather(stack, _grid_cells(self.grid, pts), idx)
+    def coefficient_at(self, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Rung idx[i]'s coefficient at pts[i], read back from `stack` as
+        `SampledField.at` would."""
+        return _gather(self.stack, _grid_cells(self.grid, pts), idx)
 
-    def endpoint_rhs(self, pairs: PairBatch, stack: np.ndarray | None = None) -> np.ndarray:
+    def endpoint_rhs(self, pairs: PairBatch) -> np.ndarray:
         """Two-endpoint right side |x - y|^order * (a(x) + a(y)) at each pair's rung."""
         idx = self.delta_index(pairs.dist)
-        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x, stack)
-                                           + self.coefficient_at(idx, pairs.y, stack))
+        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)
+                                           + self.coefficient_at(idx, pairs.y))
 
 
 def _node_boxes(grid: GridSpec, outer: Box | None, margins) -> list[tuple[slice, ...]]:
@@ -652,24 +648,26 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
     ladder = _CoefficientLadder(f, grid, order, configs,
                                 sampler.domain.outer if boxed else None)
     pairs = sampler.draw(ladder.deltas, ladder.margins + margin)
-    params = {"deltas": [float(d) for d in ladder.deltas], "boundary": ladder.boundary,
-              "attempts": pairs.attempts}
-    return ladder, pairs, params
+    return ladder, pairs, {"deltas": [float(d) for d in ladder.deltas],
+                           "boundary": ladder.boundary}
 
 
-def _blockwise(n: int, side) -> tuple[np.ndarray, ...]:
-    """Row-local sides, scored on consecutive `_NODE_BLOCK`-row blocks.
+def _blockwise(pairs: PairBatch, side, *args) -> tuple[np.ndarray, ...]:
+    """Row-local sides of `pairs` (at least one), scored on consecutive
+    blocks of `_NODE_BLOCK` pairs.
 
-    `side(rows)` scores the rows `rows`, a slice of range(n) with n >= 1,
-    and returns a tuple of arrays with one entry per row; each goes into
-    one preallocated (n,) array.  Every per-pair operation is row-local,
-    so the blocks give the bits of one whole batch, with temporaries the
-    size of a block.
+    `side(*args, block)` scores `block`, a `PairBatch` of views on the
+    block's pairs, and returns a tuple of arrays with one entry per
+    pair; each goes into one preallocated array over all pairs.  Every
+    per-pair operation is row-local, so the blocks give the bits of one
+    whole batch, with temporaries the size of a block.
     """
+    n = len(pairs.dist)
     outs = None
     for start in range(0, n, _NODE_BLOCK):
         rows = slice(start, start + _NODE_BLOCK)
-        parts = side(rows)
+        parts = side(*args, PairBatch(pairs.x[rows], pairs.y[rows], pairs.dist[rows],
+                                      pairs.attempts))
         if outs is None:
             outs = tuple(np.empty(n, dtype=part.dtype) for part in parts)
         for out, part in zip(outs, parts):
@@ -677,23 +675,53 @@ def _blockwise(n: int, side) -> tuple[np.ndarray, ...]:
     return outs
 
 
-def _rows(pairs: PairBatch, rows: slice) -> PairBatch:
-    """The pairs in `rows`, as views."""
-    return PairBatch(pairs.x[rows], pairs.y[rows], pairs.dist[rows], pairs.attempts)
-
-
 def _main_sides(f: AnalyticField, ladder: _CoefficientLadder,
                 pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y)) of
-    a block of pairs."""
+    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y))."""
     lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, ladder.order))
     return lhs, ladder.endpoint_rhs(pairs)
 
 
+def _all_node_sides(f: AnalyticField, order: int, s: float, g: SampledField,
+                    pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """All-node sides |diff_h^order f(x)| and |h|^s * sum_l g(x + l h),
+    h = (y - x) / order."""
+    h = (pairs.y - pairs.x) / order
+    lhs = np.abs(forward_difference(f, pairs.x, h, order))
+    return lhs, _row_norm(h) ** s * _node_sum(g.at, pairs.x, h, [1] * (order + 1))
+
+
+def _admissible_steps(order: int, box: Domain,
+                      pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each step h = (y - x) / order is at most 1 long, and
+    whether its nodes x + l h, l = 0..order, all lie in `box`."""
+    h = (pairs.y - pairs.x) / order
+    inside = np.ones(len(h), dtype=bool)
+    for l in range(order + 1):
+        inside &= box.contains(pairs.x + l * h)
+    return _row_norm(h) <= 1.0, inside
+
+
+def _hatl_sides(f: AnalyticField, order: int, s: float, g: SampledField,
+                pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Class-bound sides |f(y) - L(y)| and |x - y|^s * (g(x) + g(y))."""
+    lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, order))
+    return lhs, pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))
+
+
+def _mollified_sides(f_eps: SampledField, ladder: _CoefficientLadder,
+                     pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Mollified sides |diff_h^order f_eps(x)|, h = (y - x) / order, and
+    |x - y|^order * (a(x) + a(y)) on the convolved ladder."""
+    h = (pairs.y - pairs.x) / ladder.order
+    lhs = np.abs(forward_difference(f_eps, pairs.x, h, ladder.order))
+    return lhs, ladder.endpoint_rhs(pairs)
+
+
 def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
-                 sampler: PairSampler, slack: float, x: np.ndarray, y: np.ndarray,
+                 sampler: PairSampler, slack: float, pairs: PairBatch,
                  lhs: np.ndarray, rhs: np.ndarray, **extra) -> InequalityReport:
-    """Report of one scan: the params every scan carries, plus `extra`."""
+    """Report of one scan on `pairs`: the params every scan carries, plus `extra`."""
     params = {
         "scan": name,
         "field": str(f),
@@ -702,9 +730,10 @@ def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
         "grid": {"lo": list(grid.lo), "hi": list(grid.hi), "points": list(grid.points)},
         "sampler": sampler.to_dict(),
         "slack": slack,
+        "attempts": pairs.attempts,
         **extra,
     }
-    return build_report(params, x, y, lhs, rhs, slack)
+    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +754,9 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, config)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, boxed=True)
-    lhs, rhs = _blockwise(len(pairs.x), lambda rows: _main_sides(f, ladder, _rows(pairs, rows)))
+    lhs, rhs = _blockwise(pairs, _main_sides, f, ladder)
     name = "lemma1" if order == 1 else "main_inequality"
-    return _scan_report(name, f, order, grid, sampler, slack, pairs.x, pairs.y, lhs, rhs,
+    return _scan_report(name, f, order, grid, sampler, slack, pairs, lhs, rhs,
                         radii_master=[float(r) for r in configs[-1].radii],
                         constant=segment_ratio_constant(grid.dim), **params)
 
@@ -750,33 +779,17 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
     pairs = sampler.draw()
-    g_box = Domain(Box.of_grid(g.grid))
-
-    def admissible(rows):
-        x = pairs.x[rows]
-        h = (pairs.y[rows] - x) / order
-        inside = np.ones(len(x), dtype=bool)
-        for l in range(order + 1):
-            inside &= g_box.contains(x + l * h)
-        return _row_norm(h) <= 1.0, inside
-
-    keep, inside = _blockwise(len(pairs.x), admissible)
+    keep, inside = _blockwise(pairs, _admissible_steps, order, Domain(Box.of_grid(g.grid)))
     skipped_long = int(np.sum(~keep))
     skipped_outside = int(np.sum(keep & ~inside))
     keep &= inside
     if not np.any(keep):
         raise EmptyScanError("all pairs were skipped (step too long or nodes outside g)")
-    x, y = pairs.x[keep], pairs.y[keep]
-
-    def sides(rows):
-        h = (y[rows] - x[rows]) / order
-        lhs = np.abs(forward_difference(f, x[rows], h, order))
-        return lhs, _row_norm(h) ** s * _node_sum(g.at, x[rows], h, [1] * (order + 1))
-
-    lhs, rhs = _blockwise(len(x), sides)
-    return _scan_report("triebel", f, order, g.grid, sampler, slack, x, y, lhs, rhs,
+    pairs = PairBatch(pairs.x[keep], pairs.y[keep], pairs.dist[keep], pairs.attempts)
+    lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s, g)
+    return _scan_report("triebel", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
                         s=float(s), skipped_long_step=skipped_long,
-                        skipped_outside=skipped_outside, attempts=pairs.attempts)
+                        skipped_outside=skipped_outside)
 
 
 def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
@@ -792,19 +805,9 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     _check_scan(f, order, slack)
     configs = _rung_configs(sampler, grid, None)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
-    g = ladder.all_node()
-
-    def sides(rows):
-        block = _rows(pairs, rows)
-        main_ratio, _ = _ratios(*_main_sides(f, ladder, block))
-        h = (block.y - block.x) / order
-        lhs = np.abs(forward_difference(f, block.x, h, order))
-        rhs = _row_norm(h) ** order * _node_sum(g.at, block.x, h, [1] * (order + 1))
-        return main_ratio, lhs, rhs
-
-    main_ratio, lhs, rhs = _blockwise(len(pairs.x), sides)
-    return _scan_report("node_discard", f, order, grid, sampler, slack,
-                        pairs.x, pairs.y, lhs, rhs,
+    main_ratio, _ = _ratios(*_blockwise(pairs, _main_sides, f, ladder))
+    lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())
+    return _scan_report("node_discard", f, order, grid, sampler, slack, pairs, lhs, rhs,
                         g_scale=float(order) ** order,
                         main_max_ratio=float(np.max(main_ratio)),
                         main_violations=int(np.sum(main_ratio > 1.0 + slack)), **params)
@@ -813,21 +816,21 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
 def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
               sampler: PairSampler, *, slack: float = 0.05) -> InequalityReport:
     """Scan the fractional-exponent class bound
-    |remainder| <= |x - y|^s * (g(x) + g(y)) with 0 < s <= order."""
+    |remainder| <= |x - y|^s * (g(x) + g(y)) with 0 < s <= order.
+
+    The grid of g must hold the sampler's outer box, where the endpoints lie.
+    """
     _check_scan(f, order, slack)
     _check_hatl_exponent(s, order)
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
+    outer = sampler.domain.outer
+    if not np.all(Domain(Box.of_grid(g.grid)).contains([outer.lo, outer.hi])):
+        raise ConfigError("the grid of g must hold the sampler's outer box")
     pairs = sampler.draw()
-
-    def sides(rows):
-        block = _rows(pairs, rows)
-        lhs = np.abs(lagrange_remainder(f, block.x, block.y, order))
-        return lhs, block.dist ** s * (g.at(block.x) + g.at(block.y))
-
-    lhs, rhs = _blockwise(len(pairs.x), sides)
-    return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs.x, pairs.y,
-                        lhs, rhs, s=float(s), attempts=pairs.attempts)
+    lhs, rhs = _blockwise(pairs, _hatl_sides, f, order, s, g)
+    return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
+                        s=float(s))
 
 
 def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> float:
@@ -847,8 +850,9 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
                    profile: str = "bump") -> InequalityReport:
     """Main scan for the mollified field and mollified coefficients.
 
-    The field and each ladder coefficient field are convolved with the
-    same kernel; differences of the smoothed field come from multilinear
+    The field and each rung of a whole-grid coefficient ladder are
+    convolved with the same kernel, the rungs in place in the ladder's
+    `stack`; differences of the smoothed field come from multilinear
     interpolation of the convolved samples.  Pairs keep an extra margin
     of one kernel support from the boundary so no contaminated value is
     ever read.
@@ -861,17 +865,11 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
         raise EmptyScanError(
             "the interior eroded by the kernel support and the ladder delta is empty")
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
-    f_eps = convolve(sample(f, grid), phi)
-    stack_eps = np.stack([convolve(fld, phi).values for fld in ladder.fields])
-
-    def sides(rows):
-        block = _rows(pairs, rows)
-        lhs = np.abs(forward_difference(f_eps, block.x, (block.y - block.x) / order, order))
-        return lhs, ladder.endpoint_rhs(block, stack_eps)
-
-    lhs, rhs = _blockwise(len(pairs.x), sides)
-    return _scan_report("mollified", f, order, grid, sampler, slack, pairs.x, pairs.y,
-                        lhs, rhs, epsilon=float(epsilon), profile=profile,
+    for rung in ladder.stack:
+        rung[...] = convolve(SampledField(grid, rung), phi).values
+    lhs, rhs = _blockwise(pairs, _mollified_sides, convolve(sample(f, grid), phi), ladder)
+    return _scan_report("mollified", f, order, grid, sampler, slack, pairs, lhs, rhs,
+                        epsilon=float(epsilon), profile=profile,
                         kernel_margin=float(margin_len), **params)
 
 

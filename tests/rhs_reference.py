@@ -1,4 +1,4 @@
-"""The main scan's right side, recomputed from its definition.
+"""The main and mollified scans' right sides, recomputed from their definitions.
 
 A pair at separation d belongs to the smallest ladder delta at or above
 d, and that rung's radii are the master radii up to its delta.  At a
@@ -9,8 +9,12 @@ rule; a ball near the wall keeps only its grid nodes.  An endpoint's
 coefficient blends its cell's corner nodes with multilinear weights, and
 the right side is |y - x|^m (a(x) + a(y)).
 
+The mollified scan's rung values are those node means convolved with
+the kernel's lattice taps, with zero off the grid, before the blend.
+
 Every node set is enumerated here directly: nothing is taken from the
-package's ladder (its ball sums and counts, node boxes or gather).
+package's ladder (its ball sums and counts, node boxes or gather) or
+from its convolution.
 """
 
 import itertools
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from sobolev_pointwise import segment_ratio_constant
+from sobolev_pointwise import Mollifier, segment_ratio_constant
 from sobolev_pointwise.fields import gradient_magnitude_field
 
 TIE = 1.0 + 1e-12
@@ -42,19 +46,11 @@ def _cell(axis, p):
     return i, (p - axis[i]) / (axis[i + 1] - axis[i])
 
 
-def main_rhs(f, order, grid, report, count=30):
-    """The right sides of the report's first `count` pairs."""
-    values = gradient_magnitude_field(f, grid, order).values
+def _endpoint_rhs(order, grid, report, coefficient, count):
+    """|y - x|^m (a(x) + a(y)) for the report's first `count` pairs, with
+    a(p) the multilinear blend of `coefficient(node, rung)` over the
+    corners of p's cell, at the pair's rung."""
     deltas = report.params["deltas"]
-    master = report.params["radii_master"]
-    constant = segment_ratio_constant(grid.dim)
-    cache = {}
-
-    def coefficient(node, rung):
-        if (node, rung) not in cache:
-            radii = [r for r in master if r <= deltas[rung] * TIE]
-            cache[node, rung] = constant * max(_node_means(values, grid.spacing, node, radii))
-        return cache[node, rung]
 
     def at(point, rung):
         cells = [_cell(axis, p) for axis, p in zip(grid.axes, point)]
@@ -70,3 +66,49 @@ def main_rhs(f, order, grid, report, count=30):
         rung = min(k for k, delta in enumerate(deltas) if delta >= d)
         out.append(d ** order * (at(x, rung) + at(y, rung)))
     return np.array(out)
+
+
+def _rung_means(f, order, grid, deltas, master):
+    """coefficient(node, rung): C(n) times the largest node mean of
+    |grad^m f| over the rung's radii, cached."""
+    values = gradient_magnitude_field(f, grid, order).values
+    constant = segment_ratio_constant(grid.dim)
+    cache = {}
+
+    def coefficient(node, rung):
+        if (node, rung) not in cache:
+            radii = [r for r in master if r <= deltas[rung] * TIE]
+            cache[node, rung] = constant * max(_node_means(values, grid.spacing, node, radii))
+        return cache[node, rung]
+
+    return coefficient
+
+
+def main_rhs(f, order, grid, report, count=30):
+    """The right sides of the main scan report's first `count` pairs."""
+    coefficient = _rung_means(f, order, grid, report.params["deltas"],
+                              report.params["radii_master"])
+    return _endpoint_rhs(order, grid, report, coefficient, count)
+
+
+def mollified_rhs(f, order, grid, report, master, count=30):
+    """The right sides of the mollified scan report's first `count`
+    pairs; `master` is the ladder's master radius set."""
+    raw = _rung_means(f, order, grid, report.params["deltas"], master)
+    phi = Mollifier(report.params["epsilon"], grid.dim, report.params["profile"])
+    taps = phi.taps(grid.spacing)
+    half = [(n - 1) // 2 for n in taps.shape]
+    cache = {}
+
+    def coefficient(node, rung):
+        # (u * phi)(node) = sum over grid nodes q of phi(node - q) u(q); tap k is offset k - half
+        if (node, rung) not in cache:
+            total = 0.0
+            for k in itertools.product(*[range(n) for n in taps.shape]):
+                q = tuple(i - j + c for i, j, c in zip(node, k, half))
+                if taps[k] and all(0 <= i < n for i, n in zip(q, grid.points)):
+                    total += taps[k] * raw(q, rung)
+            cache[node, rung] = total
+        return cache[node, rung]
+
+    return _endpoint_rhs(order, grid, report, coefficient, count)

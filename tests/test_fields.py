@@ -308,9 +308,9 @@ class TestGridGather:
 
         def per_rung(pts):
             out = np.empty(len(pts))
-            for i, fld in enumerate(ladder.fields):
+            for i, rung in enumerate(ladder.stack):
                 mask = idx == i
-                ref = RegularGridInterpolator(grid.axes, fld.values, bounds_error=True)
+                ref = RegularGridInterpolator(grid.axes, rung, bounds_error=True)
                 out[mask] = ref(pts[mask])
             return out
 

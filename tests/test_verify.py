@@ -32,6 +32,7 @@ from sobolev_pointwise import (
     all_node_coefficient,
     ball_averages,
     build_report,
+    gradient_magnitude_field,
     hatl_scan,
     identity_suite,
     lemma1_scan,
@@ -568,17 +569,18 @@ class TestCoefficientLadder:
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
         sampler = PairSampler(_domain(grid), 10, 0, 0.05, 0.4)
         configs = _rung_configs(sampler, grid, None)
-        ladder = _CoefficientLadder(SinusoidField((1.5,) * dim), grid, order, configs)
-        assert len(ladder.fields) == len(configs) > 1
+        f = SinusoidField((1.5,) * dim)
+        ladder = _CoefficientLadder(f, grid, order, configs)
+        assert len(ladder.stack) == len(configs) > 1
+        gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(dim)
         prev = None
-        for cfg, fld in zip(ladder.configs, ladder.fields):
-            best = functools.reduce(np.maximum,
-                                    ball_averages(ladder.gradient, cfg.radii))
-            np.testing.assert_array_equal(fld.values, scale * best)
+        for cfg, rung in zip(ladder.configs, ladder.stack):
+            best = functools.reduce(np.maximum, ball_averages(gradient, cfg.radii))
+            np.testing.assert_array_equal(rung, scale * best)
             if prev is not None:
-                assert np.all(fld.values >= prev)
-            prev = fld.values
+                assert np.all(rung >= prev)
+            prev = rung
 
     def test_all_node_coefficient_is_the_node_discard_field(self, grid_1d):
         f = SinusoidField((2.0,))
@@ -764,6 +766,24 @@ class TestScans:
         g = SampledField(grid_1d, np.ones(grid_1d.points))
         with pytest.raises(ValueError):
             hatl_scan(SinusoidField((2.0,)), 2, 2.5, g, sampler)
+
+    def test_hatl_refuses_a_g_grid_short_of_the_sampler_box_before_drawing(self, grid_1d,
+                                                                           monkeypatch):
+        sampler = PairSampler(_domain(grid_1d), 50, 8, 0.05, 0.4)
+        wide = GridSpec((-1.5,), (1.0,), (251,))
+        report = hatl_scan(SinusoidField((2.0,)), 2, 1.0,
+                           SampledField(wide, np.ones(wide.points)), sampler)
+        assert report.n_pairs == 50
+
+        def draw(*args, **kwargs):
+            raise AssertionError("the scan drew pairs before checking the grid of g")
+
+        monkeypatch.setattr(PairSampler, "draw", draw)
+        for lo, hi in (((-0.6,), (0.7,)), ((-1.0,), (0.99,))):
+            short = GridSpec(lo, hi, (131,))
+            with pytest.raises(ConfigError, match="outer box"):
+                hatl_scan(SinusoidField((2.0,)), 2, 1.0,
+                          SampledField(short, np.ones(short.points)), sampler)
 
     def test_mollified_scan_passes(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 150, 3, 0.05, 0.3)
@@ -1053,5 +1073,27 @@ class TestMainRhsOracle:
         report = main_inequality_scan(f, order, grid, sampler)
         assert len(report.params["deltas"]) > 1
         want = rhs_reference.main_rhs(f, order, grid, report)
+        assert len(want) == 30
+        np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
+
+
+class TestMollifiedRhsOracle:
+    """The mollified scan's right side against `rhs_reference`, which
+    convolves brute-force rung values with the kernel's taps itself."""
+
+    GRIDS = {1: (GridSpec.cube(-1.0, 1.0, 201, 1), 0.1),
+             2: (GridSpec.cube(-1.0, 1.0, 41, 2), 0.2)}
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(TestMainRhsOracle.FIELDS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rhs_matches_the_definition(self, dim, kind, order):
+        grid, epsilon = self.GRIDS[dim]
+        sampler = PairSampler(_domain(grid), 200, 3 + dim, 0.05, 0.3)
+        f = TestMainRhsOracle.FIELDS[kind](dim)
+        report = mollified_scan(f, order, epsilon, grid, sampler)
+        assert len(report.params["deltas"]) > 1
+        master = _rung_configs(sampler, grid, None)[-1].radii
+        want = rhs_reference.mollified_rhs(f, order, grid, report, master)
         assert len(want) == 30
         np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
