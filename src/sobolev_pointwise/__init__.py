@@ -3,8 +3,9 @@
 The package splits into a thin stack of layers:
 
 ``fields``
-    analytic test fields (polynomial, Gaussian, power, sinusoid), grid
-    sampling, and directional derivatives along lines;
+    analytic test fields (polynomial, Gaussian, power, sinusoid), their
+    partial derivatives and derivatives along lines, grid sampling, and
+    derivative magnitudes on grids;
 ``differences``
     forward differences, Lagrange interpolation and its remainder, and
     the quadrature form of the difference as an integral of a derivative;
@@ -51,7 +52,6 @@ from .fields import (
     SampledField,
     SinusoidField,
     default_directions,
-    directional_derivative,
     evaluate,
     gradient_magnitude_field,
     parse_field,
@@ -128,7 +128,6 @@ __all__ = [
     "default_directions",
     "default_epsilons",
     "default_radii",
-    "directional_derivative",
     "evaluate",
     "forward_difference",
     "g_integral",

@@ -153,8 +153,8 @@ class MaximalConfig:
     boundary: str = "reject"
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be a finite number > 0")
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ConfigError("the radius ladder must be nonempty")
@@ -171,8 +171,8 @@ class MaximalConfig:
 
 def default_radii(delta: float, spacing: float, count: int = 8) -> tuple[float, ...]:
     """Geometric radius ladder from twice the grid spacing up to delta."""
-    if delta <= 0 or spacing <= 0:
-        raise ConfigError("delta and spacing must be positive")
+    if not (0 < delta < math.inf and spacing > 0):
+        raise ConfigError("delta must be finite, and delta and spacing positive")
     lo = 2.0 * spacing
     if lo > delta * _RADIUS_SLACK:
         raise ConfigError(

@@ -103,6 +103,8 @@ class Box:
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
         if len(lo) != len(hi):
             raise ConfigError("box lo/hi must have the same length")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ConfigError("box bounds must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ConfigError("box must have positive extent on every axis")
         object.__setattr__(self, "lo", lo)
@@ -460,9 +462,9 @@ def _check_hatl_exponent(s: float, order: int) -> None:
 
 
 def _check_triebel_exponent(s: float) -> None:
-    """The all-node-sum bound needs s > 0."""
-    if not s > 0:
-        raise ConfigError("the exponent s must be positive")
+    """The all-node-sum bound needs a finite s > 0."""
+    if not 0 < s < math.inf:
+        raise ConfigError("the exponent s must be a finite number > 0")
 
 
 def build_report(params: dict, x: np.ndarray, y: np.ndarray,

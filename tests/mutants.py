@@ -1,21 +1,23 @@
-"""One-line mutants of the scans' right sides, and the harness that runs them.
+"""One-line mutants of the package, and the harness that runs them.
 
 Each mutant replaces one line of the package: a line whose fault a
-check of the scans must catch.  For each mutant the harness copies the
-repository to a temporary directory, applies the mutant there, runs the
-tier-1 suite on the copy and counts its failures; a mutant without a
-failure survives.  The run takes about half a minute per mutant, so it
-stays out of tier-1; `tests/test_mutants.py` only checks that every
-mutant still applies.
+check must catch, in the scans' right sides or in the exact polynomial
+routes.  For each mutant the harness copies the repository to a
+temporary directory, applies the mutant there, and runs the tier-1
+suite on the copy until its first failure (pytest -x); a mutant under
+which every test passes survives.  A killed mutant stops the run at its
+first failing test, so a mutant takes seconds where a survivor takes
+the whole suite; the harness stays out of tier-1, and
+`tests/test_mutants.py` only checks that every mutant still applies.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 0 2        # the mutants with these indices
 
-It prints one row per mutant and exits 1 if any survives.
+It prints one row per mutant, with the first failing test of a killed
+one, and exits 1 if any survives.
 """
 
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -40,11 +42,18 @@ MUTANTS = [
     ("triebel rhs with |h|^(s/2)", "verify.py",
      "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s, g)",
      "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s / 2, g)"),
+    ("partial coefficient without its perm", "fields.py",
+     "coeff = c.numerator * math.prod(map(math.perm, exps, beta)) / c.denominator",
+     "coeff = c.numerator / c.denominator"),
+    ("grid sample divided at the wrong scale", "fields.py",
+     "den = f._scaled_den(scale)",
+     "den = f._scaled_den(scale + 1)"),
 ]
 
 
-def failures(name: str, path: str, old: str, new: str) -> int:
-    """Tier-1 failures and errors on a copy of the repository with one mutant applied."""
+def first_failure(name: str, path: str, old: str, new: str) -> str | None:
+    """The first failing tier-1 test on a copy of the repository with one
+    mutant applied, or None if every test passes."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -55,23 +64,27 @@ def failures(name: str, path: str, old: str, new: str) -> int:
             raise ValueError(f"mutant {name!r}: its old text does not occur exactly once")
         target.write_text(text.replace(old, new))
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
              "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
             cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
             capture_output=True, text=True)
-        summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
-        return sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", summary))
+        if run.returncode == 0:
+            return None
+        for line in run.stdout.splitlines():
+            if line.startswith(("FAILED ", "ERROR ")):
+                return line.split()[1]
+        return f"pytest exit code {run.returncode}"
 
 
 def main(argv: list[str]) -> int:
     picked = [int(a) for a in argv] or range(len(MUTANTS))
     survivors = 0
-    print(f"{'#':>2}  {'mutant':<36} {'failures':>8}  verdict")
+    print(f"{'#':>2}  {'mutant':<40} verdict   first failing test")
     for i in picked:
         name, *edit = MUTANTS[i]
-        count = failures(name, *edit)
-        survivors += count == 0
-        print(f"{i:>2}  {name:<36} {count:>8}  {'killed' if count else 'SURVIVED'}",
+        failed = first_failure(name, *edit)
+        survivors += failed is None
+        print(f"{i:>2}  {name:<40} {'killed' if failed else 'SURVIVED':<9} {failed or '-'}",
               flush=True)
     return 1 if survivors else 0
 

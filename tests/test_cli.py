@@ -259,6 +259,12 @@ USAGE_ERRORS = [
     # no draws would print PASS having checked nothing
     "identities --draws 0",
     "identities --draws -3",
+    # a non-finite bound, delta or exponent fails no comparison of its check
+    "verify --grid -1:nan:41 --pairs 100",
+    "verify --domain hole=nan:0.2 --pairs 100",
+    "verify --scan main --delta nan",
+    "verify --scan main --delta inf",
+    "triebel --s inf --pairs 100",
 ]
 
 
@@ -296,8 +302,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, message", [
         ("verify --scan hatl --m 2 --s 3", "the exponent must satisfy 0 < s <= order"),
         ("verify --scan hatl --m 2 --s 0", "the exponent must satisfy 0 < s <= order"),
-        ("triebel --m 2 --s -1", "the exponent s must be positive"),
-        ("triebel --m 2 --s nan", "the exponent s must be positive"),
+        ("triebel --m 2 --s -1", "the exponent s must be a finite number > 0"),
+        ("triebel --m 2 --s nan", "the exponent s must be a finite number > 0"),
+        ("triebel --m 2 --s inf", "the exponent s must be a finite number > 0"),
     ])
     def test_exponent_checked_before_the_ladder(self, command, message, capsys, monkeypatch):
         from sobolev_pointwise import cli

@@ -1,26 +1,29 @@
 """Field construction, line restrictions, sampling, and the parser."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rational_reference import value_fraction
+from rational_reference import deriv_fraction, line_restriction, value_fraction
 
 from sobolev_pointwise import (
+    ConfigError,
     DomainError,
     GaussianField,
     GridSpec,
     PolynomialField,
     PowerField,
+    QuadratureRule,
     SampledField,
     SinusoidField,
     UnsupportedOrderError,
     default_directions,
-    directional_derivative,
     evaluate,
     g_integral,
     gradient_magnitude_field,
@@ -29,7 +32,7 @@ from sobolev_pointwise import (
     sample,
     scan_corpus,
 )
-from sobolev_pointwise.fields import _compositions, _derivative_magnitude
+from sobolev_pointwise.fields import _compositions, _derivative_magnitude, _line_derivatives
 from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadder, _rung_configs
 
 # Frozen from a 50-digit series evaluation of the corresponding line
@@ -37,6 +40,12 @@ from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadde
 GAUSS_LINE_D4 = 14.814967954753041398
 SIN_LINE_D3 = 7.3808834673391194292
 POW_LINE_D3 = 1.8573931021929233011
+
+
+def _line_derivative(f, x, h, order: int, t: float = 0.0) -> float:
+    """d^order/ds^order f(x + s h) at s = t, through `_line_derivatives`."""
+    return float(_line_derivatives(f, np.asarray(x, dtype=float), np.asarray(h, dtype=float),
+                                   order, [t])[0])
 
 
 class TestPolynomial:
@@ -53,17 +62,17 @@ class TestPolynomial:
         f = parse_field("poly:x0^2*x1 - 3/2*x0 + 1/4")
         x, h = (0.5, 0.5), (1.0, 0.0)
         # phi(t) = 0.5 t^2 - t - 0.375 by direct substitution
-        assert directional_derivative(f, x, h, 0) == -0.375
-        assert directional_derivative(f, x, h, 1) == -1.0
-        assert directional_derivative(f, x, h, 2) == 1.0
-        assert directional_derivative(f, x, h, 3) == 0.0
+        assert _line_derivative(f, x, h, 0) == -0.375
+        assert _line_derivative(f, x, h, 1) == -1.0
+        assert _line_derivative(f, x, h, 2) == 1.0
+        assert _line_derivative(f, x, h, 3) == 0.0
 
     def test_degree_and_dim(self):
         f = parse_field("poly:x0^3*x1^2 + x2")
         assert f.dim == 3
         assert f.degree == 5
 
-    def test_directional_derivative_matches_symbolic(self):
+    def test_line_derivatives_match_symbolic(self):
         import sympy
 
         x0, x1, t = sympy.symbols("x0 x1 t")
@@ -74,7 +83,7 @@ class TestPolynomial:
                           x1: point[1] + t * direction[1]})
         for order in range(5):
             want = float(sympy.diff(line, t, order).subs(t, 0))
-            got = directional_derivative(f, point, direction, order)
+            got = _line_derivative(f, point, direction, order)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     @given(st.integers(-8, 8), st.integers(-8, 8))
@@ -134,17 +143,17 @@ class TestAnalyticLines:
 
     def test_gaussian_line_derivative(self):
         f = GaussianField(1.5, dim=2)
-        got = directional_derivative(f, (0.3, -0.2), (0.6, 0.8), 4, t=0.2)
+        got = _line_derivative(f, (0.3, -0.2), (0.6, 0.8), 4, t=0.2)
         assert got == pytest.approx(GAUSS_LINE_D4, rel=1e-12)
 
     def test_sinusoid_line_derivative(self):
         f = SinusoidField((2.0, 3.0))
-        got = directional_derivative(f, (0.3, -0.2), (0.6, 0.8), 3, t=-0.1)
+        got = _line_derivative(f, (0.3, -0.2), (0.6, 0.8), 3, t=-0.1)
         assert got == pytest.approx(SIN_LINE_D3, rel=1e-12)
 
     def test_power_line_derivative(self):
         f = PowerField(2.5, dim=2)
-        got = directional_derivative(f, (0.6, 0.8), (1.0, 0.0), 3, t=0.25)
+        got = _line_derivative(f, (0.6, 0.8), (1.0, 0.0), 3, t=0.25)
         assert got == pytest.approx(POW_LINE_D3, rel=1e-12)
 
     def test_gaussian_value(self):
@@ -163,21 +172,16 @@ class TestAnalyticLines:
     def test_order_cap(self):
         f = GaussianField(1.0)
         with pytest.raises(UnsupportedOrderError):
-            directional_derivative(f, (0.0,), (1.0,), 25)
+            g_integral(f, (0.0,), (1.0,), 25)
 
     def test_power_order_cap_is_where_cancellation_stays_below_1e_12(self):
         # order 8 is the highest order test_partials_give_directional_derivatives
         # holds the radial power to its 1e-12 bound; order 9 is refused
         f = PowerField(1.5, dim=2)
-        assert math.isfinite(directional_derivative(f, (0.5, 0.4), (1.0, 0.3), 8))
+        rule = QuadratureRule.irwin_hall()
+        assert math.isfinite(g_integral(f, (0.5, 0.4), (1.0, 0.3), 8, rule))
         with pytest.raises(UnsupportedOrderError):
-            directional_derivative(f, (0.5, 0.4), (1.0, 0.3), 9)
-
-    def test_power_line_rejects_points_in_the_excluded_ball(self):
-        f = PowerField(2.5, dim=2, exclusion=0.1)
-        # x + t h = (0.05, 0) lies inside the ball of radius 0.1
-        with pytest.raises(DomainError):
-            directional_derivative(f, (0.5, 0.0), (1.0, 0.0), 2, t=-0.45)
+            g_integral(f, (0.5, 0.4), (1.0, 0.3), 9, rule)
 
     def test_power_integral_rejects_segments_across_the_ball(self):
         f = PowerField(2.5, dim=2, exclusion=0.1)
@@ -253,6 +257,25 @@ class TestGridAndSampling:
         values[3] = np.nan
         with pytest.raises(ValueError):
             SampledField(grid_1d, values)
+
+    def test_polynomial_sample_memory_is_slabbed(self):
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        tracemalloc.start()
+        try:
+            sample(scan_corpus(3)[0], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus one slab of integer numerators; one pass over the
+        # whole grid peaks near 16 times the output
+        assert peak < 6 * 41 ** 3 * 8
+
+    @pytest.mark.parametrize("lo, hi", [((-1.0, math.nan), (1.0, 1.0)),
+                                        ((-1.0, -1.0), (1.0, math.inf)),
+                                        ((-math.inf, -1.0), (1.0, 1.0))])
+    def test_grid_rejects_nonfinite_bounds(self, lo, hi):
+        with pytest.raises(ConfigError, match="finite"):
+            GridSpec(lo, hi, (5, 5))
 
     def test_trapezoid_weights_sum_to_volume(self, grid_2d):
         w = grid_2d.trapezoid_weights
@@ -422,10 +445,37 @@ class TestPartialsAndMagnitude:
                 terms = [_weight(beta) * math.prod(e ** np.asarray(beta)) * p
                          for beta, p in zip(betas, col)]
                 if isinstance(f, PolynomialField):
-                    ref = directional_derivative(f, x, e, order)
+                    ref = float(deriv_fraction(line_restriction(f, x, e), order, Fraction(0)))
                 else:
                     ref = _mp_line_derivative(f, x, e, order)
                 assert abs(sum(terms) - ref) <= 1e-12 * sum(abs(t) for t in terms), (f, x, e)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_polynomial_partials_are_the_partial_polynomials_values(self, dim):
+        # each row bit for bit the value_batch of d^beta f, built here from
+        # terms differentiated one axis step at a time in Fractions
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            f = random_polynomial(rng, dim, max_degree=5)
+            pts = rng.uniform(-1.3, 1.3, size=(50, dim))
+            for order in range(7):
+                parts = f.partials_batch(pts, order)
+                for beta, row in zip(_compositions(order, dim), parts):
+                    terms = dict(f.terms)
+                    for axis, b in enumerate(beta):
+                        for _ in range(b):
+                            terms = {tuple(e - (i == axis) for i, e in enumerate(exps)): c * exps[axis]
+                                     for exps, c in terms.items() if exps[axis]}
+                    want = PolynomialField(terms, dim=dim).value_batch(pts)
+                    assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (f, beta)
+
+    def test_partials_keep_no_polynomial_alive(self):
+        f = parse_field("poly:x0^3*x1 - 2*x0*x1^2 + 7")
+        f.partials_batch(np.zeros((3, 2)), 2)
+        alive = weakref.ref(f)
+        del f
+        gc.collect()
+        assert alive() is None
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_hessian_spectral_norm_matches_eigvalsh(self, dim):
@@ -459,7 +509,7 @@ class TestPartialsAndMagnitude:
         g = gradient_magnitude_field(f, grid, order=2)
         np.testing.assert_allclose(g.values, exact, rtol=1e-13, atol=0)
         # the top eigenvector is none of the probe directions
-        probe = max(abs(directional_derivative(f, grid.lo, e, 2))
+        probe = max(abs(_line_derivative(f, grid.lo, e, 2))
                     for e in default_directions(f.dim))
         assert probe < (1 - 1e-6) * exact
 
@@ -543,7 +593,7 @@ class TestCorpusAndRandomFields:
             pts = rng.uniform(-1, 1, size=(16, 2))
             for order in (1, 2, 3):
                 for p in pts:
-                    val = directional_derivative(f, p, (1.0, 0.0), order)
+                    val = _line_derivative(f, p, (1.0, 0.0), order)
                     assert np.isfinite(val)
 
     def test_random_polynomial_is_deterministic(self):

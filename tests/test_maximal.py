@@ -490,6 +490,13 @@ class TestLadderConfigs:
         with pytest.raises(ConfigError):
             MaximalConfig(delta=0.1, radii=(0.05,), boundary="wrap")
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            MaximalConfig(delta=delta, radii=(0.05,))
+        with pytest.raises(ConfigError, match="delta"):
+            default_radii(delta, 0.01)
+
 
 class TestOneRungCoefficient:
     """The coefficient C(n) * M^delta(|grad f|) of a one-rung ladder."""

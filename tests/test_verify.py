@@ -74,6 +74,14 @@ class TestDomain:
         assert d.contains(pts)[0]
         assert not d.contains(pts, margin=0.1)[0]
 
+    @pytest.mark.parametrize("lo, hi", [((math.nan, -0.2), (0.2, 0.2)),
+                                        ((-0.2, -0.2), (0.2, math.inf)),
+                                        ((-math.inf, -0.2), (0.2, 0.2))])
+    def test_box_rejects_nonfinite_bounds(self, lo, hi):
+        # a NaN bound fails no comparison, so a NaN hole would hold no point
+        with pytest.raises(ConfigError, match="finite"):
+            Box(lo, hi)
+
     def test_hole_is_excluded_and_dilated_by_margin(self, grid_2d):
         d = Domain(Box.of_grid(grid_2d), hole=Box((-0.2, -0.2), (0.2, 0.2)))
         pts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5]])
@@ -823,6 +831,13 @@ BAD_SCAN_ARGUMENTS = (
 
 
 class TestScanArguments:
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_triebel_refuses_a_nonfinite_exponent(self, s, grid_1d):
+        g = SampledField(grid_1d, np.ones(grid_1d.points))
+        sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.3)
+        with pytest.raises(ConfigError, match="exponent s"):
+            triebel_scan(SinusoidField((2.0,)), 2, s, g, sampler)
+
     @pytest.mark.parametrize("name, order, slack, error, match", BAD_SCAN_ARGUMENTS)
     def test_refused_before_any_work(self, name, order, slack, error, match, grid_1d,
                                      monkeypatch):
