@@ -64,7 +64,7 @@ from .maximal import (
     ball_averages,
     ball_volume,
     default_radii,
-    ladder_configs,
+    ladder_config,
     lens_volume,
     local_maximal_function,
     segment_ratio_constant,
@@ -136,7 +136,7 @@ __all__ = [
     "hatl_scan",
     "identity_suite",
     "irwin_hall_density",
-    "ladder_configs",
+    "ladder_config",
     "lagrange_interpolant",
     "lagrange_remainder",
     "lemma1_scan",

@@ -212,9 +212,8 @@ def _cmd_verify(cfg: dict) -> int:
         if scan == "node_discard":
             raise ConfigError("--delta does not apply to --scan node-discard")
         delta = cfg["delta"]
-        config = MaximalConfig(
-            delta=delta, radii=default_radii(delta, max(grid.spacing)),
-            boundary=cfg["boundary"] or "reject")
+        config = MaximalConfig((delta,), default_radii(delta, max(grid.spacing)),
+                               cfg["boundary"] or "reject")
     elif cfg["boundary"] is not None:
         raise ConfigError("--boundary needs --delta")
     if scan in ("lemma1", "main"):

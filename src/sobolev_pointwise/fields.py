@@ -409,8 +409,8 @@ class GaussianField(AnalyticField):
     """Radial Gaussian exp(-a |x|^2) with a > 0."""
 
     def __init__(self, a: float, dim: int = 1):
-        if not a > 0:
-            raise ConfigError("gaussian width parameter must be positive")
+        if not 0 < a < math.inf:
+            raise ConfigError(f"the gaussian width a must be a finite number > 0, got {a!r}")
         self.a = float(a)
         self.dim = int(dim)
 
@@ -444,8 +444,10 @@ class PowerField(AnalyticField):
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.exclusion = float(exclusion)
-        if self.exclusion <= 0:
-            raise ConfigError("exclusion radius must be positive")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"the power alpha must be finite, got {alpha!r}")
+        if not 0 < self.exclusion < math.inf:
+            raise ConfigError(f"the exclusion radius must be finite and > 0, got {exclusion!r}")
 
     def contains(self, x) -> bool:
         pt = _as_point(x, self.dim)
@@ -503,8 +505,9 @@ class SinusoidField(AnalyticField):
 
     def __init__(self, omegas):
         self.omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        if self.omegas.ndim != 1 or self.omegas.size == 0:
-            raise ConfigError("sinusoid needs a nonempty vector of frequencies")
+        if self.omegas.ndim != 1 or self.omegas.size == 0 or not np.isfinite(self.omegas).all():
+            raise ConfigError(f"the sinusoid frequencies w must be a nonempty vector of finite "
+                              f"numbers, got {omegas!r}")
         self.dim = int(self.omegas.size)
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:

@@ -12,11 +12,12 @@ cumulative sum along the last grid axis, and one sum per distinct lattice
 ball, each radius on its own node box.  The balls on one node box share
 a run-sum buffer, refilled once per run half-width they use, and a ball
 that stays inside the grid on its box divides by its exact node count.
-`local_maximal_function` turns a ladder of nested rungs into one
-(R, *grid) stack of maxima.  The two-endpoint scans read a rung only
-where its pairs can reach, which under the "reject" boundary is the box
-shrunk by the rung's delta, so each rung is built on that box only and
-left NaN outside it.
+`MaximalConfig` is a whole ladder of nested rungs, and
+`local_maximal_function` turns it into one (R, *grid) stack of maxima.
+Given the box the pairs are drawn in, it builds each rung only on the
+nodes its pairs can reach (`_node_boxes`), which under the "reject"
+boundary is that box shrunk by the rung's delta, and leaves it NaN
+outside.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import ConfigError
-from .fields import SampledField
+from .fields import GridSpec, SampledField, _grid_cells
 
 __all__ = [
     "ball_volume",
@@ -36,7 +37,7 @@ __all__ = [
     "segment_ratio_constant",
     "MaximalConfig",
     "default_radii",
-    "ladder_configs",
+    "ladder_config",
     "ball_averages",
     "local_maximal_function",
 ]
@@ -141,32 +142,47 @@ def segment_ratio_constant(dim: int) -> float:
 
 @dataclass(frozen=True)
 class MaximalConfig:
-    """Radius ladder for a local maximal function capped at scale delta.
+    """A ladder of local maximal functions: rung k averages over the radii
+    up to deltas[k], so the rungs nest by construction.
 
-    `radii` must increase strictly and stay in (0, delta]; `boundary`
-    says how scans treat pairs near the box boundary ("reject" drops
-    them, "clip" keeps them with balls clipped to the grid).
+    `deltas` and `radii` increase strictly, the first rung holds a
+    radius and none exceeds the top delta.  `boundary` says how scans
+    treat pairs near the box boundary: "reject" keeps each rung's pairs
+    its delta from the walls, "clip" keeps them with balls clipped to
+    the grid.
     """
 
-    delta: float
+    deltas: tuple[float, ...]
     radii: tuple[float, ...]
     boundary: str = "reject"
 
     def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ConfigError("delta must be a finite number > 0")
+        deltas = tuple(float(d) for d in self.deltas)
         radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ConfigError("the radius ladder must be nonempty")
-        if any(r <= 0 for r in radii):
-            raise ConfigError("radii must be positive")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("radii must increase strictly")
-        if radii[-1] > self.delta * _RADIUS_SLACK:
-            raise ConfigError("radii must not exceed delta")
+        for name, values in (("deltas", deltas), ("radii", radii)):
+            if not values or not all(0 < v < math.inf for v in values):
+                raise ConfigError(f"{name} must be given, each a finite number > 0")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise ConfigError(f"{name} must increase strictly")
         if self.boundary not in ("reject", "clip"):
             raise ConfigError(f"unknown boundary policy {self.boundary!r}")
+        object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "radii", radii)
+        if self.sizes[0] == 0:
+            raise ConfigError("the first rung holds no radius: radii[0] exceeds deltas[0]")
+        if self.sizes[-1] < len(radii):
+            raise ConfigError("radii must not exceed the top delta")
+
+    @property
+    def sizes(self) -> list[int]:
+        """Number of radii on each rung: rung k takes those up to deltas[k]."""
+        return [sum(r <= d * _RADIUS_SLACK for r in self.radii) for d in self.deltas]
+
+    @property
+    def margins(self) -> np.ndarray:
+        """Each rung's distance from the walls: its delta under "reject", 0 under "clip"."""
+        deltas = np.asarray(self.deltas)
+        return deltas if self.boundary == "reject" else np.zeros_like(deltas)
 
 
 def default_radii(delta: float, spacing: float, count: int = 8) -> tuple[float, ...]:
@@ -187,30 +203,19 @@ def default_radii(delta: float, spacing: float, count: int = 8) -> tuple[float, 
     return tuple(out)
 
 
-def ladder_configs(deltas, spacing: float) -> list[MaximalConfig]:
-    """One `MaximalConfig` per delta, with radii drawn from a shared master set.
-
-    Because every config's radii are the master radii truncated at its
-    delta, the resulting maximal functions are nested: a larger delta
-    can only enlarge the maximum.  Scans rely on that monotonicity when
-    a single coefficient field must dominate several pair scales.
+def ladder_config(deltas, spacing: float) -> MaximalConfig:
+    """The ladder on `deltas` (sorted), with one master radius set:
+    geometric radii from twice the grid spacing up to the top delta, plus
+    every delta.  A larger delta can only enlarge the maximum; scans rely
+    on that when one coefficient field must dominate several pair scales.
     """
     deltas = sorted(float(d) for d in deltas)
     if not deltas:
         raise ConfigError("need at least one delta")
-    if deltas[0] <= 0:
-        raise ConfigError("deltas must be positive")
-    master = set(default_radii(deltas[-1], spacing, _LADDER_RADII))
-    for d in deltas:
-        if 2.0 * spacing > d * _RADIUS_SLACK:
-            raise ConfigError(f"delta {d:g} is below twice the grid spacing {spacing:g}")
-        master.add(d)
-    master_sorted = sorted(master)
-    configs = []
-    for d in deltas:
-        radii = tuple(r for r in master_sorted if r <= d * _RADIUS_SLACK)
-        configs.append(MaximalConfig(delta=d, radii=radii))
-    return configs
+    if 2.0 * spacing > deltas[0] * _RADIUS_SLACK:
+        raise ConfigError(f"delta {deltas[0]:g} is below twice the grid spacing {spacing:g}")
+    return MaximalConfig(deltas, sorted({*default_radii(deltas[-1], spacing, _LADDER_RADII),
+                                         *deltas}))
 
 
 def _ball_offsets(spacings: tuple[float, ...], radius: float):
@@ -371,41 +376,64 @@ def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
     return [sums[b][_within(box, ball_boxes[b])] for b, box in zip(which, boxes)]
 
 
-def local_maximal_function(u: SampledField, configs, boxes) -> np.ndarray:
-    """Local maximal functions of a nonnegative grid field on a ladder of
-    rungs: rung r is the largest ball average over configs[r].radii, on
-    the node box boxes[r] (a slice per axis).
+def _node_boxes(grid: GridSpec, outer, margins) -> list[tuple[slice, ...]]:
+    """Per rung, the node box (a slice per axis) holding every node that a
+    pair drawn for it can touch as a cell corner, or the whole grid
+    without `outer`.
 
-    Each rung's radii extend the previous rung's radii (as from
-    `ladder_configs`), and each box lies in the box before it.  One
-    `ball_averages` call covers the top rung's radii, each radius on the
-    box of the first rung holding it, and each rung extends the
-    previous rung's maximum, cut to its own box, by its new radii.
-    Returns the (R, *grid) stack, NaN outside each rung's box, so that
-    a read there fails closed.
+    A rung's endpoints lie in the box `outer` (its `lo` and `hi`) shrunk
+    by its margin, the same float bounds the pair sampler tests on both
+    endpoints.  The sampler draws x inside that shrunk box, but x can
+    round out of it, so the box rests on the test, not on the draw.  The
+    box runs from the cell of the lower corner to the upper node of the
+    cell of the upper corner, both clipped to the grid: a multilinear
+    read-back takes every corner of its cell, and NaN * 0 is NaN.  Each
+    box also holds the boxes above it, so the boxes nest even where a
+    margin leaves no room at all.
     """
-    radii = configs[-1].radii
+    if outer is None:
+        return [tuple(slice(0, n) for n in grid.points)] * len(margins)
+    margins = np.asarray(margins)[:, None]
+    lower, upper = np.sort([np.asarray(outer.lo) + margins, np.asarray(outer.hi) - margins],
+                           axis=0)
+    first, _ = _grid_cells(grid, np.clip(lower, grid.lo, grid.hi))
+    last, _ = _grid_cells(grid, np.clip(upper, grid.lo, grid.hi))
+    boxes = [tuple(slice(int(a[r]), int(b[r]) + 2) for a, b in zip(first, last))
+             for r in range(len(margins))]
+    for r in reversed(range(len(boxes) - 1)):
+        boxes[r] = _union((boxes[r], boxes[r + 1]))
+    return boxes
+
+
+def local_maximal_function(u: SampledField, config: MaximalConfig, outer=None) -> np.ndarray:
+    """Local maximal functions of a nonnegative grid field on the rungs of
+    `config`, each on its node box for pairs drawn in the box `outer`
+    (`_node_boxes`; the whole grid without `outer`).
+
+    One `ball_averages` call covers every radius, each on the box of the
+    first rung holding it, and each rung extends the previous rung's
+    maximum, cut to its own box, by its new radii.  Returns the
+    (R, *grid) stack, NaN outside each rung's box, so that a read there
+    fails closed.
+    """
+    radii = config.radii
     if np.any(u.values < 0):
         raise ValueError("the maximal function expects a nonnegative field")
     if max(radii) < max(u.grid.spacing):
         raise ConfigError(
             "every radius is below the grid spacing; the ladder resolves nothing")
-    if any(lower.radii != upper.radii[:len(lower.radii)]
-           for lower, upper in zip(configs, configs[1:])):
-        raise ConfigError("each rung's radii must extend the previous rung's radii")
-    if any(i.start < o.start or i.stop > o.stop
-           for outer, inner in zip(boxes, boxes[1:]) for o, i in zip(outer, inner)):
-        raise ConfigError("each rung's node box must lie in the box before it")
-    first = [min(r for r, cfg in enumerate(configs) if len(cfg.radii) > i)
-             for i in range(len(radii))]
-    averages = ball_averages(u, radii, [boxes[r] for r in first])
-    stack = np.full((len(configs),) + u.values.shape, np.nan)
-    best, best_box, done = None, None, 0
-    for rung, cfg, box in zip(stack, configs, boxes):
-        if best is not None:
-            best = best[_within(box, best_box)]
-        for avg in averages[done:len(cfg.radii)]:
-            best = avg if best is None else np.maximum(best, avg)
-        best_box, done = box, len(cfg.radii)
+    sizes = config.sizes
+    boxes = _node_boxes(u.grid, outer, config.margins)
+    # the first rung holding radius i is the count of rungs with at most i radii
+    averages = ball_averages(u, radii, [boxes[sum(n <= i for n in sizes)]
+                                        for i in range(len(radii))])
+    stack = np.full((len(sizes),) + u.values.shape, np.nan)
+    # the first radius is on the first rung, and so on its box
+    best, best_box, done = averages[0], boxes[0], 1
+    for rung, size, box in zip(stack, sizes, boxes):
+        best = best[_within(box, best_box)]
+        for avg in averages[done:size]:
+            best = np.maximum(best, avg)
+        best_box, done = box, size
         rung[box] = best
     return stack

@@ -6,11 +6,11 @@ pairs, itself a `PairBatch` of views, to a side function, which returns
 the pointwise left-hand side (an interpolation remainder or finite
 difference of the field, from `differences.lagrange_remainder` or
 `forward_difference`) and the right-hand side.  The ladder scans read
-their coefficients only from the stack of their `_CoefficientLadder`;
-the others take a coefficient field g.  `_scan_report` then reports the
-ratio distribution: any pair with lhs > (1 + slack) * rhs counts as a
-violation.  All randomness flows from one seeded generator, so reports
-are byte-for-byte reproducible.
+their coefficients only from the stack of their `_CoefficientLadder`,
+built from one `MaximalConfig`; the others take a coefficient field g.
+`_scan_report` reports the ratio distribution: any pair with
+lhs > (1 + slack) * rhs counts as a violation.  All randomness flows
+from one seeded generator, so reports are byte-for-byte reproducible.
 
 The identity suite exercises the algebraic layer instead, through the
 same `differences` functions: interpolation remainder versus forward
@@ -55,9 +55,8 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    _union,
     default_radii,
-    ladder_configs,
+    ladder_config,
     local_maximal_function,
     segment_ratio_constant,
 )
@@ -85,6 +84,8 @@ _SAMPLE_BATCH = 8192
 # A `PairSampler.draw` gives up once its proposals have kept 64 pairs fewer
 # than this share of them.
 _ACCEPTANCE_FLOOR = 1e-4
+# A report keeps the records of this many violations, those of the largest ratios.
+_VIOLATION_RECORDS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +367,8 @@ class InequalityReport:
     """Ratio statistics of one scan, plus the raw per-pair arrays.
 
     The JSON form carries parameters, counts, the maximum ratio, the
-    50/90/99 percent quantiles, the slack, and one record per violating
-    pair.  Per-pair arrays stay on the object for CSV export.
+    50/90/99 percent quantiles, the slack, and the records of the 100
+    worst violations.  Per-pair arrays stay on the object for CSV export.
     """
 
     params: dict
@@ -474,8 +475,10 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
     Ratios follow `_ratios`: an infinite ratio (vanishing right side
     under a nonzero left side, or a non-finite side) is always a
     violation and is reported distinctly in the violation records;
-    `n_nonfinite` counts the pairs with a non-finite side.  The slack
-    must pass `_checked_slack`.
+    `n_nonfinite` counts the pairs with a non-finite side.  Records are
+    kept for the `_VIOLATION_RECORDS` largest ratios only, ties going to
+    the earlier draw, and listed in draw order; `n_violations` counts
+    them all.  The slack must pass `_checked_slack`.
     """
     _checked_slack(slack)
     if len(x) == 0:
@@ -484,8 +487,9 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     ratio, nonfinite = _ratios(lhs, rhs)
     mask = ratio > 1.0 + slack
+    bad = np.flatnonzero(mask)
     violations = []
-    for i in np.flatnonzero(mask):
+    for i in np.sort(bad[np.argsort(-ratio[bad], kind="stable")[:_VIOLATION_RECORDS]]):
         violations.append({
             "x": [float(v) for v in x[i]],
             "y": [float(v) for v in y[i]],
@@ -516,33 +520,28 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
 class _CoefficientLadder:
     """Maximal coefficient fields on a delta ladder, with their read-back.
 
-    Each rung's radii extend the previous rung's radii (as from
-    `_rung_configs`), so the fields are monotone in delta; each pair
-    then uses the smallest ladder delta at or above its separation.
-    The rungs are `local_maximal_function` of |grad^order f|, scaled in
-    place by the lens ratio C(n): one (R, *grid) `stack`, the only
-    source of coefficients, which `coefficient_at` gathers from with
-    the rung as leading index.  A scan may transform the rungs in place
-    (the mollified scan convolves them).
+    The rungs of the `MaximalConfig` nest, so the fields are monotone in
+    delta; each pair then uses the smallest ladder delta at or above its
+    separation.  The rungs are `local_maximal_function` of
+    |grad^order f|, scaled in place by the lens ratio C(n): one
+    (R, *grid) `stack`, the only source of coefficients, which
+    `coefficient_at` gathers from with the rung as leading index.  A
+    scan may transform the rungs in place (the mollified scan convolves
+    them).
 
-    Given the sampler's `outer` box, each rung is built only on its node
-    box (`_node_boxes`), the nodes its pairs can touch; `stack` is NaN
-    outside a rung's box, so a read there fails closed.  Without `outer`
-    every rung covers the whole grid.
+    Given the sampler's `outer` box, each rung is built only on the
+    nodes its pairs can touch; `stack` is NaN outside a rung's box, so a
+    read there fails closed.  Without `outer` every rung covers the
+    whole grid.
     """
 
     def __init__(self, f: AnalyticField, grid: GridSpec, order: int,
-                 configs: list[MaximalConfig], outer: Box | None = None):
+                 config: MaximalConfig, outer: Box | None = None):
         self.grid = grid
         self.order = order
-        self.configs = configs
-        self.boundary = configs[-1].boundary
-        self.deltas = np.asarray([c.delta for c in configs])
-        # each rung keeps its pairs its delta from the walls, or under "clip" 0
-        self.margins = self.deltas if self.boundary == "reject" else np.zeros_like(self.deltas)
-        self.boxes = _node_boxes(grid, outer, self.margins)
-        self.stack = local_maximal_function(gradient_magnitude_field(f, grid, order), configs,
-                                            self.boxes)
+        self.deltas = np.asarray(config.deltas)
+        self.stack = local_maximal_function(gradient_magnitude_field(f, grid, order), config,
+                                            outer)
         self.stack *= segment_ratio_constant(grid.dim)
 
     def all_node(self) -> SampledField:
@@ -566,49 +565,19 @@ class _CoefficientLadder:
                                            + self.coefficient_at(idx, pairs.y))
 
 
-def _node_boxes(grid: GridSpec, outer: Box | None, margins) -> list[tuple[slice, ...]]:
-    """Per rung, the node box (a slice per axis) holding every node that a
-    pair drawn for it can touch as a cell corner, or the whole grid
-    without `outer`.
+def _rung_config(sampler: PairSampler, grid: GridSpec,
+                 config: MaximalConfig | None) -> MaximalConfig:
+    """The coefficient ladder covering the sampler's separations.
 
-    A rung's endpoints lie in `outer` shrunk by its margin, the same
-    float bounds the sampler tests on both endpoints.  The sampler draws
-    x inside that shrunk box, but x can round out of it, so the box
-    rests on the test, not on the draw.  The box runs from the cell of
-    the lower corner to the upper node of the cell of the upper corner,
-    both clipped to the grid: a multilinear read-back takes every
-    corner of its cell, and NaN * 0 is NaN.  Each box also holds the
-    boxes above it, so the boxes nest even where a margin leaves no
-    room at all.
-    """
-    if outer is None:
-        return [tuple(slice(0, n) for n in grid.points)] * len(margins)
-    margins = np.asarray(margins)[:, None]
-    lower, upper = np.sort([np.asarray(outer.lo) + margins, np.asarray(outer.hi) - margins],
-                           axis=0)
-    first, _ = _grid_cells(grid, np.clip(lower, grid.lo, grid.hi))
-    last, _ = _grid_cells(grid, np.clip(upper, grid.lo, grid.hi))
-    boxes = [tuple(slice(int(a[r]), int(b[r]) + 2) for a, b in zip(first, last))
-             for r in range(len(margins))]
-    for r in reversed(range(len(boxes) - 1)):
-        boxes[r] = _union((boxes[r], boxes[r + 1]))
-    return boxes
-
-
-def _rung_configs(sampler: PairSampler, grid: GridSpec,
-                  config: MaximalConfig | None) -> list[MaximalConfig]:
-    """Rungs of the coefficient ladder covering the sampler's separations.
-
-    A given config is the only rung, radii and boundary included.
+    A given config is used as given, rungs, radii and boundary included.
     Otherwise four deltas spaced geometrically from max(min_sep, twice
     the grid spacing) up to max_sep share one master radius set
-    (`ladder_configs`).
+    (`ladder_config`).
     """
     if config is not None:
-        if config.delta < sampler.max_sep * (1.0 - 1e-12):
-            raise ConfigError(
-                "the config delta must cover the largest pair separation")
-        return [config]
+        if config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):
+            raise ConfigError("the config's top delta must cover the largest pair separation")
+        return config
     spacing = max(grid.spacing)
     lo = max(sampler.min_sep, 2.0 * spacing)
     if lo > sampler.max_sep:
@@ -619,7 +588,7 @@ def _rung_configs(sampler: PairSampler, grid: GridSpec,
     for d in deltas[1:]:
         if d > keep[-1] * (1.0 + 1e-12):
             keep.append(float(d))
-    return ladder_configs(keep, spacing)
+    return ladder_config(keep, spacing)
 
 
 def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
@@ -629,29 +598,29 @@ def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
     `a` is the top field of the coefficient ladder that
     `main_inequality_scan` builds for the same sampler and config, so g
     is the field `node_discard_check` checks against, bit for bit.  A
-    `MaximalConfig` is used as given: its delta, radii and boundary.
+    `MaximalConfig` is used as given: its deltas, radii and boundary.
     Only the top rung is built: a ball average does not depend on the
     other radii of its call, and the maximum over them is exact.
     """
-    ladder = _CoefficientLadder(f, grid, order, _rung_configs(sampler, grid, config)[-1:])
-    return ladder.all_node()
+    config = _rung_config(sampler, grid, config)
+    top = MaximalConfig(config.deltas[-1:], config.radii, config.boundary)
+    return _CoefficientLadder(f, grid, order, top).all_node()
 
 
 def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSampler,
-                  configs: list[MaximalConfig], margin: float = 0.0, boxed: bool = False):
+                  config: MaximalConfig, margin: float = 0.0, boxed: bool = False):
     """Shared start of the ladder scans.
 
-    Builds the coefficient ladder over `configs`, on the sampler's node
+    Builds the coefficient ladder of `config`, on the sampler's node
     boxes when `boxed` (for scans that read the ladder only at pair
-    endpoints), and draws pairs kept their rung delta (under "reject")
-    plus `margin` from the walls.  Returns the ladder, the pairs, and
-    the report params every ladder scan carries.
+    endpoints), and draws pairs kept their rung's margin plus `margin`
+    from the walls.  Returns the ladder, the pairs, and the report params
+    every ladder scan carries.
     """
-    ladder = _CoefficientLadder(f, grid, order, configs,
+    ladder = _CoefficientLadder(f, grid, order, config,
                                 sampler.domain.outer if boxed else None)
-    pairs = sampler.draw(ladder.deltas, ladder.margins + margin)
-    return ladder, pairs, {"deltas": [float(d) for d in ladder.deltas],
-                           "boundary": ladder.boundary}
+    pairs = sampler.draw(config.deltas, config.margins + margin)
+    return ladder, pairs, {"deltas": list(config.deltas), "boundary": config.boundary}
 
 
 def _blockwise(pairs: PairBatch, side, *args) -> tuple[np.ndarray, ...]:
@@ -751,15 +720,15 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     the interpolation route); the coefficient a is the lens-ratio-scaled
     local maximal function of |grad^order f| at the pair's ladder delta,
     read back by multilinear interpolation.  A `MaximalConfig` is the
-    ladder's only rung, used as given.
+    ladder, used as given.
     """
     _check_scan(f, order, slack)
-    configs = _rung_configs(sampler, grid, config)
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, boxed=True)
+    config = _rung_config(sampler, grid, config)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, boxed=True)
     lhs, rhs = _blockwise(pairs, _main_sides, f, ladder)
     name = "lemma1" if order == 1 else "main_inequality"
     return _scan_report(name, f, order, grid, sampler, slack, pairs, lhs, rhs,
-                        radii_master=[float(r) for r in configs[-1].radii],
+                        radii_master=list(config.radii),
                         constant=segment_ratio_constant(grid.dim), **params)
 
 
@@ -805,8 +774,8 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     violations here certify the node-discarding step numerically.
     """
     _check_scan(f, order, slack)
-    configs = _rung_configs(sampler, grid, None)
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs)
+    config = _rung_config(sampler, grid, None)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config)
     main_ratio, _ = _ratios(*_blockwise(pairs, _main_sides, f, ladder))
     lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())
     return _scan_report("node_discard", f, order, grid, sampler, slack, pairs, lhs, rhs,
@@ -842,8 +811,8 @@ def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> f
     the smallest box side, on the whole grid.
     """
     delta = min(grid.extent) / 4.0
-    config = MaximalConfig(delta=delta, radii=default_radii(delta, max(grid.spacing)))
-    coeff = _CoefficientLadder(f, grid, order, [config]).all_node()
+    config = MaximalConfig((delta,), default_radii(delta, max(grid.spacing)))
+    coeff = _CoefficientLadder(f, grid, order, config).all_node()
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 
 
@@ -862,11 +831,11 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     _check_scan(f, order, slack)
     phi = Mollifier(epsilon, grid.dim, profile=profile)
     margin_len = phi.margin_length(grid.spacing)
-    configs = _rung_configs(sampler, grid, None)
-    if not phi.leaves_room(grid, configs[-1].delta):
+    config = _rung_config(sampler, grid, None)
+    if not phi.leaves_room(grid, config.deltas[-1]):
         raise EmptyScanError(
             "the interior eroded by the kernel support and the ladder delta is empty")
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, configs, margin_len)
+    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, margin_len)
     for rung in ladder.stack:
         rung[...] = convolve(SampledField(grid, rung), phi).values
     lhs, rhs = _blockwise(pairs, _mollified_sides, convolve(sample(f, grid), phi), ladder)

@@ -1,20 +1,21 @@
 """One-line mutants of the package, and the harness that runs them.
 
 Each mutant replaces one line of the package: a line whose fault a
-check must catch, in the scans' right sides or in the exact polynomial
-routes.  For each mutant the harness copies the repository to a
-temporary directory, applies the mutant there, and runs the tier-1
-suite on the copy until its first failure (pytest -x); a mutant under
-which every test passes survives.  A killed mutant stops the run at its
-first failing test, so a mutant takes seconds where a survivor takes
-the whole suite; the harness stays out of tier-1, and
+check must catch, in the scans' right sides, the coefficient ladder, the
+difference kernels or the exact polynomial routes.  For each mutant the
+harness copies the repository to a temporary directory, applies the
+mutant there, and runs the tier-1 suite on the copy until its first
+failure (pytest -x); a mutant under which every test passes survives.
+The test file named for the mutated module runs first, so a killed
+mutant usually stops within its own module's tests, and a survivor
+takes the whole suite; the harness stays out of tier-1, and
 `tests/test_mutants.py` only checks that every mutant still applies.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 0 2        # the mutants with these indices
 
 It prints one row per mutant, with the first failing test of a killed
-one, and exits 1 if any survives.
+one and the run's wall time, and exits 1 if any survives.
 """
 
 import os
@@ -22,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +32,12 @@ PACKAGE = Path("src") / "sobolev_pointwise"
 # (name, file under the package, old line text, new line text); each old
 # text occurs exactly once under src/
 MUTANTS = [
+    ("endpoint rhs x 1.5", "verify.py",
+     "return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)",
+     "return 1.5 * pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)"),
+    ("endpoint rhs x 1/4", "verify.py",
+     "return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)",
+     "return 0.25 * pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)"),
     ("mollified rungs left unconvolved", "verify.py",
      "rung[...] = convolve(SampledField(grid, rung), phi).values",
      "rung[...] = SampledField(grid, rung).values"),
@@ -48,6 +56,21 @@ MUTANTS = [
     ("grid sample divided at the wrong scale", "fields.py",
      "den = f._scaled_den(scale)",
      "den = f._scaled_den(scale + 1)"),
+    ("node sum drops its last node", "differences.py",
+     "for j, c in enumerate(coeffs):",
+     "for j, c in enumerate(coeffs[:-1]):"),
+    ("node sum x 2", "differences.py",
+     "total += c * value_at(x + j * h)",
+     "total += 2 * c * value_at(x + j * h)"),
+    ("remainder nodes at (y - x) / (m + 1)", "differences.py",
+     "h = (y - x) / order\n    if not h.any(axis=-1).all():",
+     "h = (y - x) / (order + 1)\n    if not h.any(axis=-1).all():"),
+    ("C(n) one ulp larger", "maximal.py",
+     "return ball_volume(dim, 1.0) / lens_volume(dim, 1.0, 1.0)",
+     "return math.nextafter(ball_volume(dim, 1.0) / lens_volume(dim, 1.0, 1.0), math.inf)"),
+    ("rung cut r < delta", "maximal.py",
+     "r <= d * _RADIUS_SLACK",
+     "r < d"),
 ]
 
 
@@ -63,9 +86,12 @@ def first_failure(name: str, path: str, old: str, new: str) -> str | None:
         if text.count(old) != 1:
             raise ValueError(f"mutant {name!r}: its old text does not occur exactly once")
         target.write_text(text.replace(old, new))
+        own = f"tests/test_{Path(path).stem}.py"
+        files = [own] + sorted(str(t.relative_to(copy)) for t in (copy / "tests").glob("test_*.py")
+                               if t.name not in (Path(own).name, "test_mutants.py"))
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
+             "--continue-on-collection-errors", *files],
             cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
             capture_output=True, text=True)
         if run.returncode == 0:
@@ -79,13 +105,14 @@ def first_failure(name: str, path: str, old: str, new: str) -> str | None:
 def main(argv: list[str]) -> int:
     picked = [int(a) for a in argv] or range(len(MUTANTS))
     survivors = 0
-    print(f"{'#':>2}  {'mutant':<40} verdict   first failing test")
+    print(f"{'#':>2}  {'mutant':<40} verdict   time   first failing test")
     for i in picked:
         name, *edit = MUTANTS[i]
+        start = time.perf_counter()
         failed = first_failure(name, *edit)
         survivors += failed is None
-        print(f"{i:>2}  {name:<40} {'killed' if failed else 'SURVIVED':<9} {failed or '-'}",
-              flush=True)
+        print(f"{i:>2}  {name:<40} {'killed' if failed else 'SURVIVED':<9} "
+              f"{time.perf_counter() - start:5.1f}s {failed or '-'}", flush=True)
     return 1 if survivors else 0
 
 

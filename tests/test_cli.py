@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -265,7 +266,16 @@ USAGE_ERRORS = [
     "verify --scan main --delta nan",
     "verify --scan main --delta inf",
     "triebel --s inf --pairs 100",
+    # a non-finite field parameter is refused before the field is sampled
+    "verify --field sin:w=inf --pairs 100",
+    "verify --field gauss:a=inf --pairs 100",
+    "verify --field pow:alpha=nan --grid 0.2:1:101 --pairs 100",
 ]
+
+# each non-finite field parameter above, and the name its error line gives it
+NONFINITE_FIELDS = [("sin:w=inf", "frequencies w"), ("sin:w=2,nan --dim 2", "frequencies w"),
+                    ("gauss:a=inf", "width a"), ("gauss:a=nan", "width a"),
+                    ("pow:alpha=nan", "alpha"), ("pow:alpha=inf", "alpha")]
 
 
 class TestUsageErrors:
@@ -275,6 +285,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("field, name", NONFINITE_FIELDS)
+    def test_nonfinite_field_parameter_is_named_without_a_warning(self, field, name, capsys):
+        command = f"verify --field {field} --grid 0.2:1:101 --pairs 100"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: ") and name in err
 
     @pytest.mark.parametrize("command", [
         "verify --slack nan",

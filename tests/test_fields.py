@@ -33,7 +33,7 @@ from sobolev_pointwise import (
     scan_corpus,
 )
 from sobolev_pointwise.fields import _compositions, _derivative_magnitude, _line_derivatives
-from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadder, _rung_configs
+from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadder, _rung_config
 
 # Frozen from a 50-digit series evaluation of the corresponding line
 # functions (fourth, third, and third derivative respectively).
@@ -323,9 +323,9 @@ class TestGridGather:
 
         grid = GridSpec.cube(-1.0, 1.0, 21, 3)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 3000, 4, 0.1, 0.8)
-        ladder = _CoefficientLadder(GaussianField(1.3, 3), grid, 2,
-                                    _rung_configs(sampler, grid, None))
-        pairs = sampler.draw(ladder.deltas, ladder.margins)
+        config = _rung_config(sampler, grid, None)
+        ladder = _CoefficientLadder(GaussianField(1.3, 3), grid, 2, config)
+        pairs = sampler.draw(config.deltas, config.margins)
         idx = ladder.delta_index(pairs.dist)
         assert len(set(idx.tolist())) > 1
 
@@ -579,6 +579,31 @@ class TestParser:
     def test_rejects_malformed_poly(self):
         with pytest.raises(ValueError):
             parse_field("poly:x0^^2")
+
+
+class TestNonfiniteParameters:
+    """A field refuses a non-finite parameter when it is made, not after
+    a grid stage has sampled it."""
+
+    @pytest.mark.parametrize("kind, args, name", [
+        (SinusoidField, [(math.inf,)], "frequencies w"),
+        (SinusoidField, [(2.0, math.nan)], "frequencies w"),
+        (GaussianField, [math.inf], "width a"),
+        (GaussianField, [math.nan, 2], "width a"),
+        (PowerField, [math.nan], "alpha"),
+        (PowerField, [-math.inf, 2], "alpha"),
+        (PowerField, [1.5, 1, math.nan], "exclusion radius"),
+        (PowerField, [1.5, 1, math.inf], "exclusion radius"),
+    ])
+    def test_constructor_refuses_it(self, kind, args, name):
+        with pytest.raises(ConfigError, match=name):
+            kind(*args)
+
+    def test_finite_parameters_still_build(self):
+        assert PowerField(1.5, exclusion=0.1).contains([0.5])
+        assert evaluate(PowerField(2.0), [0.5]) == 0.25
+        assert GaussianField(2.0).dim == 1
+        assert SinusoidField((2.0, 3.0)).dim == 2
 
 
 class TestCorpusAndRandomFields:

@@ -23,7 +23,7 @@ from sobolev_pointwise import (
     ball_averages,
     ball_volume,
     default_radii,
-    ladder_configs,
+    ladder_config,
     lens_volume,
     local_maximal_function,
     parse_field,
@@ -32,8 +32,8 @@ from sobolev_pointwise import (
 )
 from lens_reference import betainc_volume, cap_profile_volume
 from sobolev_pointwise import maximal
-from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets
-from sobolev_pointwise.verify import _CoefficientLadder, _rung_configs
+from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets, _node_boxes
+from sobolev_pointwise.verify import _CoefficientLadder, _rung_config
 
 
 def _pad_cells(spacings, radius):
@@ -94,12 +94,6 @@ def _random_boxes(shape, rng, count=4):
 
 def _ball_average(u, radius):
     return ball_averages(u, (radius,))[0]
-
-
-def _whole(u, configs):
-    """`local_maximal_function` with every rung on the whole grid."""
-    return local_maximal_function(u, configs, [tuple(slice(0, n) for n in u.grid.points)]
-                                  * len(configs))
 
 
 def _brute_ball_average(u, radius):
@@ -327,10 +321,11 @@ class TestBallAverages:
 
         monkeypatch.setattr(maximal, "_ball_counts", refuse)
         f = parse_field("sin:w=2,1.5,1", dim=3)
-        ladder = _CoefficientLadder(f, grid, 2, _rung_configs(sampler, grid, None),
-                                    sampler.domain.outer)
-        assert len(ladder.configs) == 4
-        assert np.isfinite(ladder.stack[-1][ladder.boxes[-1]]).all()
+        config = _rung_config(sampler, grid, None)
+        ladder = _CoefficientLadder(f, grid, 2, config, sampler.domain.outer)
+        assert len(config.deltas) == 4
+        top_box = _node_boxes(grid, sampler.domain.outer, config.margins)[-1]
+        assert np.isfinite(ladder.stack[-1][top_box]).all()
 
     @pytest.mark.parametrize("grid", [GridSpec.cube(-1.0, 1.0, 31, 2),
                                       GridSpec((-1.0, -0.5), (1.0, 1.5), (25, 31)),
@@ -375,7 +370,7 @@ class TestBallAverages:
     def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 201, 2)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
-        radii = _rung_configs(sampler, grid, None)[-1].radii
+        radii = _rung_config(sampler, grid, None).radii
         assert len(radii) == 15
         balls = len({tuple(_ball_offsets(grid.spacing, r)) for r in radii})
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
@@ -392,10 +387,10 @@ class TestBallAverages:
 
 class TestMaximalFunction:
     def _config(self, grid, delta=0.3):
-        return MaximalConfig(delta=delta, radii=default_radii(delta, grid.spacing[0]))
+        return MaximalConfig((delta,), default_radii(delta, grid.spacing[0]))
 
     def _maximal(self, u, config):
-        return _whole(u, [config])[0]
+        return local_maximal_function(u, config)[0]
 
     def test_dominates_each_ball_average(self, grid_1d, rng):
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
@@ -428,16 +423,17 @@ class TestMaximalFunction:
 
     def test_monotone_in_delta(self, grid_1d, rng):
         u = SampledField(grid_1d, rng.uniform(0.0, 1.0, size=grid_1d.points))
-        configs = ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0])
-        stack = _whole(u, configs)
-        for rung, config in enumerate(configs):
+        config = ladder_config((0.1, 0.2, 0.4), grid_1d.spacing[0])
+        stack = local_maximal_function(u, config)
+        for rung, (delta, size) in enumerate(zip(config.deltas, config.sizes)):
             if rung:
                 assert np.all(stack[rung] >= stack[rung - 1])
-            np.testing.assert_array_equal(stack[rung], self._maximal(u, config))
+            one_rung = MaximalConfig((delta,), config.radii[:size])
+            np.testing.assert_array_equal(stack[rung], self._maximal(u, one_rung))
 
     def test_all_radii_below_spacing_rejected(self, grid_1d):
         u = SampledField(grid_1d, np.ones(grid_1d.points))
-        config = MaximalConfig(delta=0.001, radii=(0.0005, 0.001))
+        config = MaximalConfig((0.001,), (0.0005, 0.001))
         with pytest.raises(ConfigError):
             self._maximal(u, config)
 
@@ -445,57 +441,105 @@ class TestMaximalFunction:
     def test_rungs_are_maxima_of_their_ball_averages_on_their_boxes(self, grid, rng):
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
         sp = max(grid.spacing)
-        configs = ladder_configs((2.2 * sp, 3.5 * sp, 5.0 * sp), sp)
-        boxes = [tuple(slice(k, n - 2 * k) for n in grid.points) for k in range(len(configs))]
-        stack = local_maximal_function(u, configs, boxes)
-        for rung, box, config in zip(stack, boxes, configs):
-            best = functools.reduce(np.maximum, [_ball_average(u, r) for r in config.radii])
+        config = ladder_config((2.2 * sp, 3.5 * sp, 5.0 * sp), sp)
+        # an outer box off the grid's walls by a cell on one side
+        outer = Box(np.add(grid.lo, grid.spacing), grid.hi)
+        boxes = _node_boxes(grid, outer, config.margins)
+        stack = local_maximal_function(u, config, outer)
+        for rung, box, size in zip(stack, boxes, config.sizes):
+            best = functools.reduce(np.maximum, [_ball_average(u, r) for r in config.radii[:size]])
             assert np.array_equal(rung[box], best[box])
             outside = np.ones(grid.points, dtype=bool)
             outside[box] = False
             assert np.all(np.isnan(rung[outside]))
 
-    def test_rejects_rungs_that_do_not_nest(self, grid_1d):
-        u = SampledField(grid_1d, np.ones(grid_1d.points))
-        configs = ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0])
-        with pytest.raises(ConfigError):
-            _whole(u, configs[::-1])
-        skipped = MaximalConfig(0.4, configs[0].radii[:-1] + configs[-1].radii[-1:])
-        with pytest.raises(ConfigError):
-            _whole(u, [configs[0], skipped])
-
-    def test_rejects_boxes_that_do_not_nest(self, grid_1d):
-        u = SampledField(grid_1d, np.ones(grid_1d.points))
-        configs = ladder_configs((0.1, 0.2), grid_1d.spacing[0])
-        with pytest.raises(ConfigError):
-            local_maximal_function(u, configs, [(slice(5, 50),), (slice(4, 60),)])
-
 
 class TestLadderConfigs:
     def test_radii_are_nested(self, grid_1d):
-        configs = ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0])
-        sets = [set(c.radii) for c in configs]
+        config = ladder_config((0.1, 0.2, 0.4), grid_1d.spacing[0])
+        sets = [set(config.radii[:size]) for size in config.sizes]
         for small, big in zip(sets, sets[1:]):
             assert small <= big
 
     def test_radii_respect_delta(self, grid_1d):
-        for config in ladder_configs((0.1, 0.2, 0.4), grid_1d.spacing[0]):
-            assert max(config.radii) <= config.delta * (1 + 1e-12)
+        config = ladder_config((0.1, 0.2, 0.4), grid_1d.spacing[0])
+        for delta, size in zip(config.deltas, config.sizes):
+            assert max(config.radii[:size]) <= delta * (1 + 1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            MaximalConfig(delta=0.1, radii=(0.05, 0.02))  # not increasing
+            MaximalConfig((0.1,), (0.05, 0.02))  # not increasing
         with pytest.raises(ConfigError):
-            MaximalConfig(delta=0.1, radii=(0.05, 0.2))  # beyond delta
+            MaximalConfig((0.1,), (0.05, 0.2))  # beyond delta
         with pytest.raises(ConfigError):
-            MaximalConfig(delta=0.1, radii=(0.05,), boundary="wrap")
+            MaximalConfig((0.1,), (0.05,), boundary="wrap")
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
     def test_delta_must_be_finite_and_positive(self, delta):
         with pytest.raises(ConfigError, match="delta"):
-            MaximalConfig(delta=delta, radii=(0.05,))
+            MaximalConfig((delta,), (0.05,))
         with pytest.raises(ConfigError, match="delta"):
             default_radii(delta, 0.01)
+
+
+class TestMaximalConfig:
+    """One `MaximalConfig` is the whole ladder: it checks itself once."""
+
+    @pytest.mark.parametrize("deltas, radii", [
+        ((0.2, 0.1), (0.05,)),  # deltas decrease
+        ((0.1, 0.1), (0.05,)),  # deltas repeat
+        ((0.1,), (0.05, 0.05)),  # radii repeat
+        ((0.1,), (0.08, 0.05)),  # radii decrease
+    ])
+    def test_refuses_ladders_that_do_not_increase_strictly(self, deltas, radii):
+        with pytest.raises(ConfigError, match="increase strictly"):
+            MaximalConfig(deltas, radii)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_a_nonfinite_delta(self, bad):
+        with pytest.raises(ConfigError, match="delta"):
+            MaximalConfig((0.1, bad), (0.05,))
+        with pytest.raises(ConfigError, match="delta"):
+            MaximalConfig((bad,), (0.05,))
+
+    @pytest.mark.parametrize("radii", [(), (math.nan,), (0.05, math.inf), (0.0, 0.05)])
+    def test_refuses_missing_or_nonfinite_radii(self, radii):
+        with pytest.raises(ConfigError, match="radii"):
+            MaximalConfig((0.1,), radii)
+
+    def test_refuses_a_rung_with_no_radius(self):
+        with pytest.raises(ConfigError, match="first rung holds no radius"):
+            MaximalConfig((0.1, 0.3), (0.2, 0.3))
+
+    def test_refuses_a_radius_above_the_top_delta(self):
+        with pytest.raises(ConfigError, match="top delta"):
+            MaximalConfig((0.1, 0.3), (0.05, 0.2, 0.31))
+
+    def test_refuses_an_unknown_boundary(self):
+        with pytest.raises(ConfigError, match="boundary"):
+            MaximalConfig((0.1,), (0.05,), "wrap")
+
+    def test_margins_are_the_deltas_under_reject_and_zero_under_clip(self):
+        deltas, radii = (0.1, 0.2, 0.4), (0.05, 0.1, 0.3, 0.4)
+        np.testing.assert_array_equal(MaximalConfig(deltas, radii).margins, deltas)
+        np.testing.assert_array_equal(MaximalConfig(deltas, radii, "clip").margins, 0.0)
+
+    def test_rungs_cut_the_radii_at_their_deltas(self):
+        # a radius within the radius slack of a delta belongs to its rung
+        config = MaximalConfig((0.1, 0.2, 0.4), (0.05, 0.1 * (1 + 1e-13), 0.15, 0.2, 0.4))
+        assert config.sizes == [2, 4, 5]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_rung_k_is_the_maximum_of_the_averages_up_to_deltas_k(self, grid, rng):
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        sp = max(grid.spacing)
+        config = ladder_config((2.0 * sp, 2.9 * sp, 4.1 * sp), sp)
+        stack = local_maximal_function(u, config)
+        for rung, delta in zip(stack, config.deltas):
+            held = [r for r in config.radii if r <= delta * (1 + 1e-12)]
+            assert held
+            best = functools.reduce(np.maximum, [_ball_average(u, r) for r in held])
+            assert np.array_equal(rung, best)
 
 
 class TestOneRungCoefficient:
@@ -503,15 +547,15 @@ class TestOneRungCoefficient:
 
     def test_linear_field_gives_constant(self, grid_1d):
         f = parse_field("poly:3*x0")
-        config = MaximalConfig(delta=0.3, radii=default_radii(0.3, grid_1d.spacing[0]))
-        a = _CoefficientLadder(f, grid_1d, 1, [config]).stack[0]
+        config = MaximalConfig((0.3,), default_radii(0.3, grid_1d.spacing[0]))
+        a = _CoefficientLadder(f, grid_1d, 1, config).stack[0]
         want = segment_ratio_constant(1) * 3.0
         np.testing.assert_allclose(a, want, rtol=1e-13, atol=0)
 
     def test_gaussian_field_is_positive_and_bounded(self, grid_2d):
         f = GaussianField(1.0, dim=2)
-        config = MaximalConfig(delta=0.3, radii=default_radii(0.3, grid_2d.spacing[0]))
-        a = _CoefficientLadder(f, grid_2d, 1, [config]).stack[0]
+        config = MaximalConfig((0.3,), default_radii(0.3, grid_2d.spacing[0]))
+        a = _CoefficientLadder(f, grid_2d, 1, config).stack[0]
         grad_max = np.sqrt(2 / math.e) * np.sqrt(2)  # coarse bound on |grad|
         assert np.all(a > 0)
         assert np.all(a <= segment_ratio_constant(2) * grad_max + 1e-12)

@@ -45,13 +45,14 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
+from sobolev_pointwise.maximal import _node_boxes
 from sobolev_pointwise.verify import (
     _SAMPLE_BATCH,
     PairBatch,
     _CoefficientLadder,
     _piece,
     _row_norm,
-    _rung_configs,
+    _rung_config,
     _step,
 )
 
@@ -419,11 +420,11 @@ class TestSamplerLaw:
         domain = Domain(outer, Box((-0.3,) * dim, (0.2,) * dim) if hole else None)
         min_sep, max_sep, count = 0.05, 0.4, 4000
         sampler = PairSampler(domain, count, 11, min_sep, max_sep)
-        configs = _rung_configs(sampler, grid, None)
+        config = _rung_config(sampler, grid, None)
         if boundary == "clip":
-            configs = [MaximalConfig(delta=max_sep, radii=configs[-1].radii, boundary="clip")]
-        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, configs)
-        batch = sampler.draw(ladder.deltas, ladder.margins + extra)
+            config = MaximalConfig((max_sep,), config.radii, "clip")
+        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, config)
+        batch = sampler.draw(config.deltas, config.margins + extra)
 
         def margin_of(d):
             if boundary == "clip":
@@ -557,6 +558,42 @@ class TestReports:
         assert math.isinf(r.max_ratio)
         assert r.to_dict()["n_nonfinite"] == 1
 
+    def test_records_keep_the_worst_violations_and_ties_in_draw_order(self, monkeypatch):
+        from sobolev_pointwise import verify
+
+        ratios = np.array([2.0, 5.0, math.inf, 3.0, 5.0, 0.5, math.inf, 4.0, 5.0])
+        n = len(ratios)
+        x, y = np.arange(n, dtype=float)[:, None], np.ones((n, 1))
+        lhs = np.where(np.isinf(ratios), 1.0, ratios)
+        rhs = np.where(np.isinf(ratios), 0.0, 1.0)
+        monkeypatch.setattr(verify, "_VIOLATION_RECORDS", 4)
+        r = build_report({}, x, y, lhs, rhs, 0.05)
+        assert r.n_violations == 8
+        # the two infinities, then of the three tied 5.0 the first two drawn
+        assert [v["x"][0] for v in r.violations] == [1.0, 2.0, 4.0, 6.0]
+        assert [v["ratio"] for v in r.violations] == [5.0, math.inf, 5.0, math.inf]
+
+    def test_a_scan_with_many_violations_reports_the_100_worst(self, grid_1d, tmp_path):
+        # a coefficient field far too small: most pairs violate, at distinct ratios
+        f = SinusoidField((2.0,))
+        g = SampledField(grid_1d, np.full(grid_1d.points, 1e-6))
+        sampler = PairSampler(_domain(grid_1d), 1000, 3, 0.05, 0.4)
+        report = hatl_scan(f, 1, 1.0, g, sampler)
+        bad = np.flatnonzero(report.ratio > 1.05)
+        assert report.n_violations == len(bad) > 100
+        records = report.to_dict()["violations"]
+        assert len(records) == 100
+        kept = np.sort(bad[np.argsort(-report.ratio[bad], kind="stable")[:100]])
+        assert [v["ratio"] for v in records] == report.ratio[kept].tolist()
+        assert min(v["ratio"] for v in records) >= np.sort(report.ratio[bad])[-100]
+        path = tmp_path / "report.json"
+        report.write_json(path)
+        jsonschema.validate(json.loads(path.read_text()), json.loads(SCHEMA_FILE.read_text()))
+        report.write_csv(tmp_path / "report.csv")
+        rows = (tmp_path / "report.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 1000
+        assert sum(row.endswith(",1") for row in rows) == report.n_violations
+
     def test_node_discard_counts_nonfinite_main_ratios(self, grid_1d, monkeypatch):
         from sobolev_pointwise import differences
 
@@ -576,15 +613,15 @@ class TestCoefficientLadder:
     def test_rungs_are_maxima_of_single_radius_averages(self, dim, points, order):
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
         sampler = PairSampler(_domain(grid), 10, 0, 0.05, 0.4)
-        configs = _rung_configs(sampler, grid, None)
+        config = _rung_config(sampler, grid, None)
         f = SinusoidField((1.5,) * dim)
-        ladder = _CoefficientLadder(f, grid, order, configs)
-        assert len(ladder.stack) == len(configs) > 1
+        ladder = _CoefficientLadder(f, grid, order, config)
+        assert len(ladder.stack) == len(config.deltas) > 1
         gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(dim)
         prev = None
-        for cfg, rung in zip(ladder.configs, ladder.stack):
-            best = functools.reduce(np.maximum, ball_averages(gradient, cfg.radii))
+        for size, rung in zip(config.sizes, ladder.stack):
+            best = functools.reduce(np.maximum, ball_averages(gradient, config.radii[:size]))
             np.testing.assert_array_equal(rung, scale * best)
             if prev is not None:
                 assert np.all(rung >= prev)
@@ -633,28 +670,29 @@ class TestNodeBoxes:
     a pair can read it, and is NaN elsewhere."""
 
     @staticmethod
-    def _configs(grid, sampler, boundary):
+    def _config(grid, sampler, boundary):
+        config = _rung_config(sampler, grid, None)
         if boundary == "reject":
-            return _rung_configs(sampler, grid, None)
-        radii = _rung_configs(sampler, grid, None)[-1].radii
-        return [MaximalConfig(delta=sampler.max_sep, radii=radii, boundary="clip")]
+            return config
+        return MaximalConfig((sampler.max_sep,), config.radii, "clip")
 
     @pytest.mark.parametrize("grid, outer, max_sep, boundary", list(_boxed_cases()))
     def test_boxed_rungs_equal_the_whole_grid_rungs(self, grid, outer, max_sep, boundary):
         sampler = PairSampler(Domain(outer), 2000, 3, 0.05, max_sep)
-        configs = self._configs(grid, sampler, boundary)
+        config = self._config(grid, sampler, boundary)
         f = SinusoidField((1.5, 1.0, 2.0)[:grid.dim])
-        full = _CoefficientLadder(f, grid, 2, configs)
-        boxed = _CoefficientLadder(f, grid, 2, configs, outer)
-        for rung, box, whole in zip(boxed.stack, boxed.boxes, full.stack):
+        full = _CoefficientLadder(f, grid, 2, config)
+        boxed = _CoefficientLadder(f, grid, 2, config, outer)
+        boxes = _node_boxes(grid, outer, config.margins)
+        for rung, box, whole in zip(boxed.stack, boxes, full.stack):
             assert np.array_equal(rung[box], whole[box])
             assert np.isfinite(rung).sum() == rung[box].size
-        for box, inner in zip(boxed.boxes, boxed.boxes[1:]):
+        for box, inner in zip(boxes, boxes[1:]):
             assert all(a.start <= b.start and b.stop <= a.stop for a, b in zip(box, inner))
-        room = np.subtract(outer.hi, outer.lo) > 2 * boxed.deltas[0]
+        room = np.subtract(outer.hi, outer.lo) > 2 * config.deltas[0]
         if boundary == "reject" and not np.all(room):
             return
-        pairs = sampler.draw(boxed.deltas, boxed.margins)
+        pairs = sampler.draw(config.deltas, config.margins)
         rhs = boxed.endpoint_rhs(pairs)
         assert np.all(np.isfinite(rhs))
         assert np.array_equal(rhs, full.endpoint_rhs(pairs))
@@ -663,8 +701,8 @@ class TestNodeBoxes:
     def test_admissible_extremes_and_nodes_read_finite_values(self, grid, outer, max_sep,
                                                               boundary):
         sampler = PairSampler(Domain(outer), 10, 0, 0.05, max_sep)
-        configs = self._configs(grid, sampler, boundary)
-        ladder = _CoefficientLadder(GaussianField(1.0, grid.dim), grid, 1, configs, outer)
+        config = self._config(grid, sampler, boundary)
+        ladder = _CoefficientLadder(GaussianField(1.0, grid.dim), grid, 1, config, outer)
         lo, hi = np.asarray(outer.lo), np.asarray(outer.hi)
         for r, delta in enumerate(ladder.deltas):
             margin = delta if boundary == "reject" else 0.0
@@ -684,7 +722,7 @@ class TestNodeBoxes:
         grid = GridSpec.cube(-1.0, 1.0, 41, 2)
         sampler = PairSampler(_domain(grid), 100, 0, 0.05, 0.4)
         f = SinusoidField((1.5, 1.0))
-        ladder = _CoefficientLadder(f, grid, 1, _rung_configs(sampler, grid, None),
+        ladder = _CoefficientLadder(f, grid, 1, _rung_config(sampler, grid, None),
                                     sampler.domain.outer)
         top = float(ladder.deltas[-1])
         # on the wall, so a top-rung pair (kept delta from the walls) never reads here
@@ -701,8 +739,7 @@ class TestNodeBoxes:
         grid = GridSpec.cube(-1.0, 1.0, 21, 2)
         sampler = PairSampler(_domain(grid), 200, 0, 0.05, 0.4)
         f = SinusoidField((1.5, 1.0))
-        configs = _rung_configs(sampler, grid, None)
-        full = _CoefficientLadder(f, grid, 2, configs)
+        full = _CoefficientLadder(f, grid, 2, _rung_config(sampler, grid, None))
         g = all_node_coefficient(f, 2, grid, sampler)
         assert np.array_equal(g.values, 4.0 * full.stack[-1])
         assert node_discard_check(f, 2, grid, sampler).n_nonfinite == 0
@@ -725,14 +762,14 @@ class TestScans:
     def test_maximal_config_is_used_as_given(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 100, 2, 0.05, 0.4)
         report = main_inequality_scan(SinusoidField((2.0,)), 1, grid_1d, sampler,
-                                      MaximalConfig(delta=0.4, radii=(0.4,)))
+                                      MaximalConfig((0.4,), (0.4,)))
         assert report.params["radii_master"] == [0.4]
         assert report.params["deltas"] == [0.4]
 
     def test_maximal_config_below_the_grid_spacing_is_rejected(self, grid_1d):
         # every radius below the spacing: each ball is its center node alone
         sampler = PairSampler(_domain(grid_1d), 100, 2, 0.001, 0.002)
-        config = MaximalConfig(delta=0.002, radii=(0.001, 0.002))
+        config = MaximalConfig((0.002,), (0.001, 0.002))
         with pytest.raises(ConfigError):
             main_inequality_scan(SinusoidField((2.0,)), 1, grid_1d, sampler, config)
 
@@ -1108,7 +1145,7 @@ class TestMollifiedRhsOracle:
         f = TestMainRhsOracle.FIELDS[kind](dim)
         report = mollified_scan(f, order, epsilon, grid, sampler)
         assert len(report.params["deltas"]) > 1
-        master = _rung_configs(sampler, grid, None)[-1].radii
+        master = _rung_config(sampler, grid, None).radii
         want = rhs_reference.mollified_rhs(f, order, grid, report, master)
         assert len(want) == 30
         np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
