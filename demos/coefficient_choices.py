@@ -12,7 +12,6 @@ fractional-smoothness version that undershoots the integer order.
 import numpy as np
 
 from sobolev_pointwise import (
-    Box,
     Domain,
     GridSpec,
     PairSampler,
@@ -28,7 +27,7 @@ from sobolev_pointwise import (
 field = SinusoidField((2.5,))
 order = 2
 grid = GridSpec.cube(-1.0, 1.0, 201, 1)
-domain = Domain(Box.of_grid(grid))
+domain = Domain(grid)
 sampler = PairSampler(domain, 2000, 5, 0.05, 0.4)
 
 # A valid coefficient field: the maximal derivative average scaled by

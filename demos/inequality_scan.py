@@ -11,7 +11,6 @@ reports the worst ratio of the two sides.
 """
 
 from sobolev_pointwise import (
-    Box,
     Domain,
     GridSpec,
     PairSampler,
@@ -25,7 +24,7 @@ from sobolev_pointwise import (
 
 field = SinusoidField((2.0, 3.0))
 grid = GridSpec.cube(-1.0, 1.0, 201, 2)
-domain = Domain(Box.of_grid(grid))
+domain = Domain(grid)
 sampler = PairSampler(domain, count=5000, seed=42, min_sep=0.05, max_sep=0.4)
 
 # First order: the defect is just |f(y) - f(x)| and the bound uses

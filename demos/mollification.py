@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from sobolev_pointwise import (
-    Box,
     Domain,
     GridSpec,
     Mollifier,
@@ -56,7 +55,7 @@ for p in (1.0, 2.0, math.inf):
 # unchanged as the scale shrinks.
 
 field = SinusoidField((3.0,))
-domain = Domain(Box.of_grid(grid))
+domain = Domain(grid)
 
 base = main_inequality_scan(field, 1, grid,
                             PairSampler(domain, 2000, 21, 0.05, 0.3))

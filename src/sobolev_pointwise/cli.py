@@ -24,7 +24,7 @@ import numpy as np
 
 from .differences import binomial
 from .exceptions import ConfigError, DomainError, EmptyScanError, UnsupportedOrderError
-from .fields import GridSpec, SampledField, parse_field, sample
+from .fields import Box, GridSpec, SampledField, parse_field, sample
 from .maximal import (
     MaximalConfig,
     ball_volume,
@@ -34,7 +34,6 @@ from .maximal import (
 )
 from .mollify import Mollifier, default_epsilons, young_check
 from .verify import (
-    Box,
     Domain,
     PairSampler,
     _check_hatl_exponent,
@@ -78,9 +77,8 @@ def _parse_grid(text: str, dim: int | None) -> GridSpec:
 
 
 def _parse_domain(text: str, grid: GridSpec) -> Domain:
-    outer = Box.of_grid(grid)
     if text in ("full", "box", ""):
-        return Domain(outer)
+        return Domain(grid)
     if text.startswith("hole="):
         body = text[len("hole="):]
         try:
@@ -90,7 +88,7 @@ def _parse_domain(text: str, grid: GridSpec) -> Domain:
         except ValueError as exc:
             raise ConfigError(
                 f"hole domain must be hole=l0,l1,..:h0,h1,.., got {text!r}") from exc
-        return Domain(outer, hole=Box(lo, hi))
+        return Domain(grid, hole=Box(lo, hi))
     raise ConfigError(f"unknown domain spec {text!r} (use 'full' or 'hole=lo:hi')")
 
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "UnsupportedOrderError",
+    "DegeneratePairError",
+    "ConfigError",
+    "EmptyScanError",
+]
+
 
 class DomainError(ValueError):
     """A point (or a whole grid box) lies outside a field's domain."""

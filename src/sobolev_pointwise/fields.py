@@ -41,6 +41,7 @@ __all__ = [
     "GaussianField",
     "PowerField",
     "SinusoidField",
+    "Box",
     "GridSpec",
     "SampledField",
     "evaluate",
@@ -534,40 +535,62 @@ class SinusoidField(AnalyticField):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Regular tensor grid on a box, node i_k at lo_k + i_k * spacing_k."""
+class Box:
+    """Axis-aligned closed box."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    points: tuple[int, ...]
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        pts = tuple(int(v) for v in np.atleast_1d(self.points))
-        if not (len(lo) == len(hi) == len(pts)):
-            raise ConfigError("grid lo/hi/points must have matching lengths")
+        if len(lo) != len(hi):
+            raise ConfigError("box lo/hi must have the same length")
         if not all(map(math.isfinite, lo + hi)):
-            raise ConfigError("grid bounds must be finite")
+            raise ConfigError("box bounds must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
-            raise ConfigError("grid box must have positive extent on every axis")
-        if any(p < 2 for p in pts):
-            raise ConfigError("grids need at least two points per axis")
+            raise ConfigError("box must have positive extent on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "points", pts)
 
     @property
     def dim(self) -> int:
-        return len(self.points)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple((h - l) / (p - 1) for l, h, p in zip(self.lo, self.hi, self.points))
+        return len(self.lo)
 
     @property
     def extent(self) -> tuple[float, ...]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
+
+    def holds(self, other: "Box") -> bool:
+        """Whether the closed box `other`, of the same dimension, lies in this one."""
+        return other.dim == self.dim and all(
+            l <= ol and oh <= h for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi))
+
+    @classmethod
+    def of_grid(cls, grid: "GridSpec") -> "Box":
+        return cls(grid.lo, grid.hi)
+
+
+@dataclass(frozen=True)
+class GridSpec(Box):
+    """Regular tensor grid on a box, node i_k at lo_k + i_k * spacing_k."""
+
+    points: tuple[int, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        pts = np.atleast_1d(self.points)
+        if len(pts) != self.dim:
+            raise ConfigError("grid lo/hi/points must have matching lengths")
+        if not all(float(p).is_integer() for p in pts):
+            raise ConfigError(f"grid point counts must be integers, got {self.points!r}")
+        if any(p < 2 for p in pts):
+            raise ConfigError("grids need at least two points per axis")
+        object.__setattr__(self, "points", tuple(int(p) for p in pts))
+
+    @property
+    def spacing(self) -> tuple[float, ...]:
+        return tuple((h - l) / (p - 1) for l, h, p in zip(self.lo, self.hi, self.points))
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:

@@ -315,8 +315,8 @@ def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
     same lattice ball share one array: never update a result in place.
     """
     radii = [float(r) for r in radii]
-    if not radii or min(radii) <= 0:
-        raise ConfigError("ball radii must be given and positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ConfigError(f"ball radii must be given, finite and positive, got {radii}")
     values = u.values
     spacings = u.grid.spacing
     shape = values.shape

@@ -41,6 +41,7 @@ from .differences import (
 from .exceptions import ConfigError, EmptyScanError
 from .fields import (
     AnalyticField,
+    Box,
     GridSpec,
     PolynomialField,
     PowerField,
@@ -63,7 +64,6 @@ from .maximal import (
 from .mollify import Mollifier, convolve, lp_norm
 
 __all__ = [
-    "Box",
     "Domain",
     "PairBatch",
     "PairSampler",
@@ -93,34 +93,6 @@ _VIOLATION_RECORDS = 100
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned closed box."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        if len(lo) != len(hi):
-            raise ConfigError("box lo/hi must have the same length")
-        if not all(map(math.isfinite, lo + hi)):
-            raise ConfigError("box bounds must be finite")
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise ConfigError("box must have positive extent on every axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @classmethod
-    def of_grid(cls, grid: GridSpec) -> "Box":
-        return cls(grid.lo, grid.hi)
-
-
-@dataclass(frozen=True)
 class Domain:
     """A closed box, optionally minus an open box-shaped hole."""
 
@@ -131,8 +103,7 @@ class Domain:
         if self.hole is not None:
             if self.hole.dim != self.outer.dim:
                 raise ConfigError("hole dimension must match the outer box")
-            if any(hl < ol or hh > oh for ol, oh, hl, hh in
-                   zip(self.outer.lo, self.outer.hi, self.hole.lo, self.hole.hi)):
+            if not self.outer.holds(self.hole):
                 raise ConfigError("the hole must sit inside the outer box")
 
     @property
@@ -611,12 +582,16 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
                   config: MaximalConfig, margin: float = 0.0, boxed: bool = False):
     """Shared start of the ladder scans.
 
-    Builds the coefficient ladder of `config`, on the sampler's node
-    boxes when `boxed` (for scans that read the ladder only at pair
-    endpoints), and draws pairs kept their rung's margin plus `margin`
-    from the walls.  Returns the ladder, the pairs, and the report params
-    every ladder scan carries.
+    Refuses a sampler whose outer box the grid does not hold, before any
+    work: the ladder is read at the pairs' endpoints.  Builds the
+    coefficient ladder of `config`, on the sampler's node boxes when
+    `boxed` (for scans that read the ladder only at pair endpoints), and
+    draws pairs kept their rung's margin plus `margin` from the walls.
+    Returns the ladder, the pairs, and the report params every ladder
+    scan carries.
     """
+    if not grid.holds(sampler.domain.outer):
+        raise ConfigError("the grid must hold the sampler's outer box")
     ladder = _CoefficientLadder(f, grid, order, config,
                                 sampler.domain.outer if boxed else None)
     pairs = sampler.draw(config.deltas, config.margins + margin)
@@ -750,7 +725,7 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
     pairs = sampler.draw()
-    keep, inside = _blockwise(pairs, _admissible_steps, order, Domain(Box.of_grid(g.grid)))
+    keep, inside = _blockwise(pairs, _admissible_steps, order, Domain(g.grid))
     skipped_long = int(np.sum(~keep))
     skipped_outside = int(np.sum(keep & ~inside))
     keep &= inside
@@ -795,8 +770,7 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     _check_hatl_exponent(s, order)
     if np.any(g.values < 0):
         raise ValueError("the coefficient field g must be nonnegative")
-    outer = sampler.domain.outer
-    if not np.all(Domain(Box.of_grid(g.grid)).contains([outer.lo, outer.hi])):
+    if not g.grid.holds(sampler.domain.outer):
         raise ConfigError("the grid of g must hold the sampler's outer box")
     pairs = sampler.draw()
     lhs, rhs = _blockwise(pairs, _hatl_sides, f, order, s, g)

@@ -2,7 +2,8 @@
 
 Each mutant replaces one line of the package: a line whose fault a
 check must catch, in the scans' right sides, the coefficient ladder, the
-difference kernels or the exact polynomial routes.  For each mutant the
+difference kernels and binomials, the exact polynomial routes or the box
+containment test that guards the grid reads.  For each mutant the
 harness copies the repository to a temporary directory, applies the
 mutant there, and runs the tier-1 suite on the copy until its first
 failure (pytest -x); a mutant under which every test passes survives.
@@ -56,6 +57,9 @@ MUTANTS = [
     ("grid sample divided at the wrong scale", "fields.py",
      "den = f._scaled_den(scale)",
      "den = f._scaled_den(scale + 1)"),
+    ("box containment always true", "fields.py",
+     "return other.dim == self.dim and all(",
+     "return True or other.dim == self.dim and all("),
     ("node sum drops its last node", "differences.py",
      "for j, c in enumerate(coeffs):",
      "for j, c in enumerate(coeffs[:-1]):"),
@@ -65,6 +69,9 @@ MUTANTS = [
     ("remainder nodes at (y - x) / (m + 1)", "differences.py",
      "h = (y - x) / order\n    if not h.any(axis=-1).all():",
      "h = (y - x) / (order + 1)\n    if not h.any(axis=-1).all():"),
+    ("binomial C(4, 2) off by one", "differences.py",
+     "return math.comb(l, j)",
+     "return math.comb(l, j) + ((l, j) == (4, 2))"),
     ("C(n) one ulp larger", "maximal.py",
      "return ball_volume(dim, 1.0) / lens_volume(dim, 1.0, 1.0)",
      "return math.nextafter(ball_volume(dim, 1.0) / lens_volume(dim, 1.0, 1.0), math.inf)"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rational_reference import deriv_fraction, line_restriction, value_fraction
 
 from sobolev_pointwise import (
+    Box,
     ConfigError,
     DomainError,
     GaussianField,
@@ -33,7 +34,7 @@ from sobolev_pointwise import (
     scan_corpus,
 )
 from sobolev_pointwise.fields import _compositions, _derivative_magnitude, _line_derivatives
-from sobolev_pointwise.verify import Box, Domain, PairSampler, _CoefficientLadder, _rung_config
+from sobolev_pointwise.verify import Domain, PairSampler, _CoefficientLadder, _rung_config
 
 # Frozen from a 50-digit series evaluation of the corresponding line
 # functions (fourth, third, and third derivative respectively).
@@ -219,9 +220,10 @@ def _float_field(kind: str, dim: int):
 
 class TestGridAndSampling:
     @pytest.mark.parametrize("dim, points", [(1, 201), (2, 41), (3, 11)])
-    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin", "poly"])
     def test_sample_reads_back_evaluate_bit_for_bit(self, kind, dim, points):
-        f, lo, hi = _float_field(kind, dim)
+        # a polynomial samples by its integer grid pass, `evaluate` by its exact point route
+        f, lo, hi = (scan_corpus(dim)[0], -1.0, 1.0) if kind == "poly" else _float_field(kind, dim)
         grid = GridSpec.cube(lo, hi, points, dim)
         u = sample(f, grid)
         flat = grid.flat_points
@@ -276,6 +278,34 @@ class TestGridAndSampling:
     def test_grid_rejects_nonfinite_bounds(self, lo, hi):
         with pytest.raises(ConfigError, match="finite"):
             GridSpec(lo, hi, (5, 5))
+
+    @pytest.mark.parametrize("points", [(40.9,) * 3, (math.nan, 41), (41, math.inf), (41, 40.5)])
+    def test_grid_rejects_a_point_count_that_is_not_an_integer(self, points):
+        # GridSpec.cube(-1, 1, 40.9, 3) once built a 40^3 grid
+        with pytest.raises(ConfigError, match="integers"):
+            GridSpec((-1.0,) * len(points), (1.0,) * len(points), points)
+
+    def test_grid_takes_an_integral_float_point_count(self):
+        assert GridSpec.cube(-1.0, 1.0, 41.0, 2).points == (41, 41)
+
+    def test_grid_is_its_box(self):
+        grid = GridSpec((-1.0, 0.0), (1.0, 0.5), (5, 3))
+        assert isinstance(grid, Box)
+        assert (grid.dim, grid.extent) == (2, (2.0, 0.5))
+        assert Box.of_grid(grid) == Box((-1.0, 0.0), (1.0, 0.5))
+        with pytest.raises(ConfigError, match="positive extent"):
+            GridSpec((-1.0,), (-1.0,), (5,))
+
+    def test_holds_is_closed_containment(self):
+        box = Box((-1.0, 0.0), (1.0, 0.5))
+        grid = GridSpec(box.lo, box.hi, (5, 3))
+        assert box.holds(box) and grid.holds(box) and box.holds(grid)
+        assert box.holds(Box((-0.5, 0.1), (0.5, 0.2)))
+        for lo, hi in (((-1.5, 0.0), (1.0, 0.5)), ((-1.0, 0.0), (1.0, np.nextafter(0.5, 1.0))),
+                       ((-3.0, -3.0), (3.0, 3.0)), ((2.0, 0.0), (3.0, 0.5))):
+            assert not box.holds(Box(lo, hi))
+            assert not grid.holds(Box(lo, hi))
+        assert not box.holds(Box((-0.5,), (0.5,)))
 
     def test_trapezoid_weights_sum_to_volume(self, grid_2d):
         w = grid_2d.trapezoid_weights

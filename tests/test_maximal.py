@@ -367,6 +367,14 @@ class TestBallAverages:
         with pytest.raises(ConfigError):
             ball_averages(u, (-0.1,))
 
+    @pytest.mark.parametrize("radii", [(math.nan,), (math.inf,), (0.1, math.inf), (math.nan, 0.1)])
+    def test_rejects_nonfinite_radius(self, grid_1d, radii):
+        # a NaN radius once failed converting its pad to an integer, and an
+        # infinite one overflowed
+        u = SampledField(grid_1d, np.ones(grid_1d.points))
+        with pytest.raises(ConfigError, match="finite"):
+            ball_averages(u, radii)
+
     def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 201, 2)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)

@@ -92,6 +92,26 @@ class TestDomain:
     def test_to_dict_is_json_ready(self, grid_1d):
         json.dumps(_domain(grid_1d).to_dict())
 
+    @pytest.mark.parametrize("hole", [None, Box((-0.2, -0.2), (0.2, 0.3))])
+    def test_a_grid_is_the_outer_box_of_its_domain(self, grid_2d, hole):
+        from sobolev_pointwise import verify
+
+        assert verify.Box is Box
+        boxed, gridded = Domain(Box.of_grid(grid_2d), hole), Domain(grid_2d, hole)
+        assert gridded.to_dict() == boxed.to_dict()
+        a, b = (PairSampler(d, 300, 5, 0.05, 0.5).draw((0.2, 0.5), (0.2, 0.5))
+                for d in (boxed, gridded))
+        assert a.attempts == b.attempts
+        for u, v in ((a.x, b.x), (a.y, b.y), (a.dist, b.dist)):
+            assert np.array_equal(u, v)
+
+    def test_hole_must_sit_inside_the_outer_box(self, grid_2d):
+        Domain(grid_2d, Box(grid_2d.lo, grid_2d.hi))
+        with pytest.raises(ConfigError, match="inside the outer box"):
+            Domain(grid_2d, Box((-0.2, -0.2), (0.2, np.nextafter(1.0, 2.0))))
+        with pytest.raises(ConfigError, match="dimension"):
+            Domain(grid_2d, Box((-0.2,), (0.2,)))
+
     @pytest.mark.parametrize("hole", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_points_must_have_one_column_per_axis(self, dim, hole):
@@ -829,6 +849,29 @@ class TestScans:
             with pytest.raises(ConfigError, match="outer box"):
                 hatl_scan(SinusoidField((2.0,)), 2, 1.0,
                           SampledField(short, np.ones(short.points)), sampler)
+
+    @pytest.mark.parametrize("name", ["lemma1", "main", "node_discard", "mollified"])
+    def test_ladder_scans_refuse_a_sampler_box_the_grid_does_not_hold(self, name, monkeypatch):
+        from sobolev_pointwise import verify
+
+        def work(*args, **kwargs):
+            raise AssertionError("the scan built its ladder before checking the sampler box")
+
+        monkeypatch.setattr(verify, "gradient_magnitude_field", work)
+        grid = GridSpec.cube(-1.0, 1.0, 81, 1)
+        sampler = PairSampler(Domain(Box((-1.5,), (1.5,))), 50, 0, 0.05, 0.3)
+        with pytest.raises(ConfigError, match="the grid must hold the sampler's outer box"):
+            SCANS[name](SinusoidField((2.0,)), 2, grid, sampler, None, 0.05)
+
+    def test_all_node_scans_on_a_sampler_box_wider_than_the_grid_of_g(self):
+        grid = GridSpec.cube(-1.0, 1.0, 81, 1)
+        g = SampledField(grid, np.ones(grid.points))
+        sampler = PairSampler(Domain(Box((-1.5,), (1.5,))), 200, 0, 0.05, 0.3)
+        with pytest.raises(ConfigError, match="the grid of g must hold the sampler's outer box"):
+            hatl_scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
+        report = triebel_scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
+        assert report.params["skipped_outside"] > 0
+        assert report.n_pairs + report.params["skipped_outside"] == 200
 
     def test_mollified_scan_passes(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 150, 3, 0.05, 0.3)
