@@ -89,8 +89,8 @@ def _dyadic(*vectors) -> tuple[list[list[int]], int]:
     return [[n * (top // d) for n, d in vec] for vec in ratios], top.bit_length() - 1
 
 
-def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
-    """Every order-th partial of F(|x|^2) at `pts`, shape (K, N).
+def _radial_partials(cols, order: int, outer) -> np.ndarray:
+    """Every order-th partial of F(|x|^2) at coordinate columns `cols`, shape (K, *outer[0].shape).
 
     outer[k] must hold F^(k)(|x|^2) for k up to `order`.  This is the
     several-variable Faa di Bruno formula (Constantine and Savits, Trans.
@@ -105,13 +105,13 @@ def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
     absolute terms, which is why `PowerField.max_order` is 8.
     """
     powers = []  # powers[i][p] = (2 x_i)^p for p >= 1
-    for col in 2.0 * pts.T:
-        row = [None, col]
+    for col in cols:
+        row = [None, 2.0 * col]
         for _ in range(2, order + 1):
-            row.append(row[-1] * col)
+            row.append(row[-1] * row[1])
         powers.append(row)
-    betas = _compositions(order, pts.shape[1])
-    out = np.empty((len(betas), len(pts)))
+    betas = _compositions(order, len(cols))
+    out = np.empty((len(betas),) + outer[0].shape)
     for k, beta in enumerate(betas):
         total = 0.0
         for j in itertools.product(*(range(b // 2 + 1) for b in beta)):
@@ -130,9 +130,9 @@ def _radial_partials(pts: np.ndarray, order: int, outer) -> np.ndarray:
 # line derivatives
 
 
-# Points per block in `_line_derivatives`, `gradient_magnitude_field` and a
-# polynomial `sample`: the temporaries of a block stay this size, so peak
-# memory is the points and the output, however many there are.
+# Points per block in `_line_derivatives`, nodes per slab in `_slabs`: the
+# temporaries of a block stay this size, so peak memory is the points and
+# the output, however many there are.
 _NODE_BLOCK = 8192
 
 
@@ -200,8 +200,14 @@ class AnalyticField:
         """Every order-th partial derivative at points of shape (N, dim).
 
         Returns shape (K, N), K = C(order+dim-1, dim-1), one row per
-        multi-index in `_compositions(order, dim)` order.
+        multi-index in `_compositions(order, dim)` order, from `_partials`.
         """
+        pts = np.asarray(pts, dtype=float)
+        return self._partials([pts[..., i] for i in range(self.dim)], order)
+
+    def _partials(self, cols, order: int) -> np.ndarray:
+        """`partials_batch` at the points with coordinate columns `cols`, one
+        per axis, that broadcast together: shape (K, *their broadcast shape)."""
         raise NotImplementedError
 
     def contains(self, x) -> bool:
@@ -302,23 +308,23 @@ class PolynomialField(AnalyticField):
         [xs], scale = _dyadic(_as_point(x, self.dim))
         return self._scaled_value(xs, scale) / self._scaled_den(scale)
 
-    def _powers(self, pts: np.ndarray) -> list[list]:
-        """One power table per axis, powers[i][k] = x_i^k for k >= 1, up to
-        the field's top exponent on that axis, as x^k = x^(k-1) * x:
-        products round the same on every CPU, where a SIMD `pow` need not
-        (and is slow on negative bases)."""
+    def _powers(self, cols) -> list[list]:
+        """One power table per coordinate column, powers[i][k] = x_i^k for
+        k >= 1, up to the field's top exponent on that axis, as x^k =
+        x^(k-1) * x: products round the same on every CPU, where a SIMD
+        `pow` need not (and is slow on negative bases)."""
         powers = []
-        for i in range(self.dim):
-            row = [None, pts[..., i]]
+        for i, col in enumerate(cols):
+            row = [None, col]
             for _ in range(2, max((e[i] for e, _ in self.terms), default=0) + 1):
-                row.append(row[-1] * row[1])
+                row.append(row[-1] * col)
             powers.append(row)
         return powers
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Float evaluation, monomial by monomial, from `_powers`."""
         pts = np.asarray(pts, dtype=float)
-        return _monomial_sum(self._powers(pts), self._float_terms, pts.shape[:-1])
+        return _monomial_sum(self._powers([pts[..., i] for i in range(self.dim)]), self._float_terms)
 
     def _scaled_line(self, xs: list[int], hs: list[int], scale: int) -> tuple[list[int], int]:
         """Restriction to s |-> (xs + s hs) / 2^scale, exact: (coeffs, den)
@@ -338,13 +344,12 @@ class PolynomialField(AnalyticField):
                 total[k] += a
         return total, self._scaled_den(scale)
 
-    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
+    def _partials(self, cols, order: int) -> np.ndarray:
         """Each d^beta f evaluated as `value_batch` evaluates a field: the
         terms with alpha >= beta become c_alpha prod_i perm(alpha_i, beta_i)
         x^(alpha - beta), rounded once from the exact coefficient, in the
         field's term order, which is also the partial's own sorted order."""
-        pts = np.asarray(pts, dtype=float)
-        powers = self._powers(pts)
+        powers = self._powers(cols)
         rows = []
         for beta in _compositions(order, self.dim):
             terms = []
@@ -352,7 +357,7 @@ class PolynomialField(AnalyticField):
                 if all(e >= b for e, b in zip(exps, beta)):
                     coeff = c.numerator * math.prod(map(math.perm, exps, beta)) / c.denominator
                     terms.append((tuple(e - b for e, b in zip(exps, beta)), coeff))
-            rows.append(_monomial_sum(powers, terms, pts.shape[:-1]))
+            rows.append(_monomial_sum(powers, terms))
         return np.stack(rows)
 
     def __repr__(self):
@@ -362,12 +367,13 @@ class PolynomialField(AnalyticField):
         return "poly:" + format_poly(self)
 
 
-def _monomial_sum(powers: list[list], terms, shape: tuple[int, ...]) -> np.ndarray:
+def _monomial_sum(powers: list[list], terms) -> np.ndarray:
     """sum of c x^exps over `terms` (exps, float c), each monomial the
-    coefficient times the `_powers` rows in axis order, added in turn."""
-    out = np.zeros(shape)
+    coefficient times the `_powers` rows in axis order, added in turn.  On
+    broadcasting columns a monomial stays the size of its axes so far."""
+    out = np.zeros(np.broadcast_shapes(*(row[1].shape for row in powers)))
     for exps, c in terms:
-        mono = np.full(shape, c)
+        mono = c
         for row, ei in zip(powers, exps):
             if ei:
                 mono = mono * row[ei]
@@ -419,10 +425,10 @@ class GaussianField(AnalyticField):
         pts = np.asarray(pts, dtype=float)
         return np.exp(-self.a * (pts * pts).sum(axis=-1))
 
-    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        g = self.value_batch(pts)
-        return _radial_partials(pts, order, [(-self.a) ** k * g for k in range(order + 1)])
+    def _partials(self, cols, order: int) -> np.ndarray:
+        # |x|^2 added in axis order, as `value_batch` sums it, so g has its bits
+        g = np.exp(-self.a * sum(col * col for col in cols))
+        return _radial_partials(cols, order, [(-self.a) ** k * g for k in range(order + 1)])
 
     def __str__(self):
         return f"gauss:a={self.a:g}"
@@ -486,13 +492,12 @@ class PowerField(AnalyticField):
         r2_min = min(x2 + 2.0 * xh * s + h2 * s * s for s in candidates)
         return r2_min >= self.exclusion ** 2
 
-    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
+    def _partials(self, cols, order: int) -> np.ndarray:
+        r2 = sum(col * col for col in cols)
         if np.any(r2 < self.exclusion ** 2):
             raise DomainError("points fall inside the excluded ball at the origin")
         beta = self.alpha / 2.0
-        return _radial_partials(pts, order, [_falling(beta, k) * r2 ** (beta - k)
+        return _radial_partials(cols, order, [_falling(beta, k) * r2 ** (beta - k)
                                              for k in range(order + 1)])
 
     def __str__(self):
@@ -515,11 +520,10 @@ class SinusoidField(AnalyticField):
         pts = np.asarray(pts, dtype=float)
         return np.sin(self.omegas * pts).prod(axis=-1)
 
-    def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
-        # per-axis factors w^k sin(w x + k pi/2)
-        phases = self.omegas * np.asarray(pts, dtype=float)
-        tables = [[w ** k * np.sin(phases[:, i] + 0.5 * k * math.pi) for k in range(order + 1)]
-                  for i, w in enumerate(self.omegas)]
+    def _partials(self, cols, order: int) -> np.ndarray:
+        # per-axis factors w^k sin(w x + k pi/2), multiplied in axis order
+        tables = [[w ** k * np.sin(w * col + 0.5 * k * math.pi) for k in range(order + 1)]
+                  for w, col in zip(self.omegas, cols)]
         return np.stack([math.prod(t[b] for t, b in zip(tables, beta))
                          for beta in _compositions(order, self.dim)])
 
@@ -708,11 +712,23 @@ def evaluate(f: AnalyticField, x) -> float:
     return f.value(x)
 
 
+def _slabs(grid: GridSpec, axes):
+    """The grid in lead-axis slabs of at most `_NODE_BLOCK` nodes, one row
+    at least: each slab's slice of the lead axis, and the columns of
+    `axes` (one array per grid axis) shaped to broadcast over the slab."""
+    cols = [axis.reshape([-1 if j == i else 1 for j in range(grid.dim)])
+            for i, axis in enumerate(axes)]
+    rows = max(1, _NODE_BLOCK // math.prod(grid.points[1:]))
+    for start in range(0, grid.points[0], rows):
+        slab = slice(start, start + rows)
+        yield slab, [cols[0][slab], *cols[1:]]
+
+
 def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
     """Rasterize `f` on `grid`, in one `value_batch` call, or for a
     polynomial in one integer pass over the grid axes: all at one scale,
     each node's numerator broadcast from the axis columns by `_scaled_value`
-    and divided once, in lead-axis slabs of `_NODE_BLOCK` nodes.
+    and divided once, slab by slab (`_slabs`).
 
     Read-back at a node reproduces `evaluate` bit for bit.
     """
@@ -723,14 +739,10 @@ def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
     if not isinstance(f, PolynomialField):
         return SampledField(grid, f.value_batch(grid.flat_points).reshape(grid.points))
     axes, scale = _dyadic(*grid.axes)
-    cols = [np.array(axis, dtype=object).reshape([-1 if j == i else 1 for j in range(grid.dim)])
-            for i, axis in enumerate(axes)]
     den = f._scaled_den(scale)
-    rows = max(1, _NODE_BLOCK // math.prod(grid.points[1:]))
     vals = np.empty(grid.points)
-    for start in range(0, grid.points[0], rows):
-        slab = slice(start, start + rows)
-        vals[slab] = f._scaled_value([cols[0][slab], *cols[1:]], scale) / den
+    for slab, cols in _slabs(grid, [np.array(axis, dtype=object) for axis in axes]):
+        vals[slab] = f._scaled_value(cols, scale) / den
     return SampledField(grid, vals)
 
 
@@ -757,11 +769,6 @@ def default_directions(dim: int) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-def _sym2_norm(a, b, d):
-    """Spectral norm of [[a, d], [d, b]]: eigenvalues (a+b)/2 +- hypot((a-b)/2, d)."""
-    return 0.5 * np.abs(a + b) + np.hypot(0.5 * (a - b), d)
-
-
 def _sym3_simple_eigenvalue(a, b, c, d, e, f):
     """The simple extreme eigenvalue of [[a, d, e], [d, b, f], [e, f, c]].
 
@@ -781,57 +788,44 @@ def _sym3_simple_eigenvalue(a, b, c, d, e, f):
     return q + 2.0 * p * np.cos(np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
 
 
-def _null_vector(rows):
-    """Unit vector orthogonal to three rows of rank 2: their longest
-    pairwise cross product, normalized; (0, 0, 1) where all rows vanish."""
-    cand = np.empty((3, 3) + rows[0][0].shape)
-    for k, (s, t) in enumerate(((0, 1), (0, 2), (1, 2))):
-        for i in range(3):
-            j, l = (i + 1) % 3, (i + 2) % 3
-            np.subtract(rows[s][j] * rows[t][l], rows[s][l] * rows[t][j], out=cand[k, i])
-    len2 = np.einsum("pkn,pkn->pn", cand, cand)
-    pick = np.argmax(len2, axis=0)
-    x, y, z = np.take_along_axis(cand, pick[None, None, :], axis=0)[0]
-    length = np.sqrt(np.take_along_axis(len2, pick[None, :], axis=0)[0])
-    zero = length == 0.0
-    length[zero] = 1.0
-    return x / length, y / length, np.where(zero, 1.0, z / length)
-
-
 def _sym3_norm(a, b, c, d, e, f):
     """Spectral norm of [[a, d, e], [d, b, f], [e, f, c]], entries at most 1 in size.
 
-    The simple extreme eigenvalue comes in closed form; the other two are
-    the eigenvalues of H on the plane orthogonal to its eigenvector (Kopp,
-    Int. J. Mod. Phys. C 2008).  The closed form alone loses half the
-    digits at a double eigenvalue, which a radial field has at every node.
+    The simple extreme eigenvalue lam comes in closed form; the other two
+    are m +- s, m = (tr H - lam) / 2.  C = (H - lam I)(H - m I) has
+    eigenvalues 0 and s (g +- s), g = m - lam, so F = |C|_F^2 = 2 s^2 (g^2 + s^2)
+    and s^2 = F / (g^2 + sqrt(g^4 + 2 F)).  C's entries are products of shifted
+    entries, so s errs by O(eps |H|) even at the double eigenvalue a radial
+    field has at every node, where the closed form loses half the digits.
     """
     lam = _sym3_simple_eigenvalue(a, b, c, d, e, f)
-    x, y, z = _null_vector(((a - lam, d, e), (d, b - lam, f), (e, f, c - lam)))
-    # branch-free orthonormal basis u, w of the plane (Duff et al., JCGT 2017)
-    sign = np.copysign(1.0, z)
-    k = -1.0 / (sign + z)
-    t = x * y * k
-    u = (1.0 + sign * x * x * k, sign * t, -sign * x)
-    w = (t, sign + y * y * k, -y)
-    hu = (a * u[0] + d * u[1] + e * u[2], d * u[0] + b * u[1] + f * u[2],
-          e * u[0] + f * u[1] + c * u[2])
-    uhu = u[0] * hu[0] + u[1] * hu[1] + u[2] * hu[2]
-    whu = w[0] * hu[0] + w[1] * hu[1] + w[2] * hu[2]
-    whw = (a * w[0] * w[0] + b * w[1] * w[1] + c * w[2] * w[2]
-           + 2.0 * (d * w[0] * w[1] + e * w[0] * w[2] + f * w[1] * w[2]))
-    return np.maximum(np.abs(lam), _sym2_norm(uhu, whw, whu))
+    m = 0.5 * (a + b + c - lam)
+    a1, b1, c1 = a - lam, b - lam, c - lam
+    a2, b2, c2 = a - m, b - m, c - m
+    # C is symmetric (its factors commute): its six distinct entries
+    c00 = a1 * a2 + d * d + e * e
+    c11 = d * d + b1 * b2 + f * f
+    c22 = e * e + f * f + c1 * c2
+    c01 = a1 * d + d * b2 + e * f
+    c02 = a1 * e + d * f + e * c2
+    c12 = d * e + b1 * f + f * c2
+    frob = c00 * c00 + c11 * c11 + c22 * c22 + 2.0 * (c01 * c01 + c02 * c02 + c12 * c12)
+    g2 = (m - lam) ** 2
+    den = g2 + np.sqrt(g2 * g2 + 2.0 * frob)
+    # den is 0 only where H = q I, and frob with it
+    t = frob / np.where(den > 0.0, den, 1.0)
+    return np.maximum(np.abs(lam), np.abs(m) + np.sqrt(t))
 
 
 def _hessian_norm(parts: np.ndarray, dim: int) -> np.ndarray:
     """Spectral norm of each node's Hessian from its second partials, shape
-    (K, N) in `_compositions(2, dim)` order; dim >= 2."""
+    (K, *nodes) in `_compositions(2, dim)` order; dim >= 2."""
     h = {}
     for row, beta in zip(parts, _compositions(2, dim)):
         i, j = [axis for axis, b in enumerate(beta) for _ in range(b)]
         h[i, j] = h[j, i] = row
-    if dim == 2:
-        return _sym2_norm(h[0, 0], h[1, 1], h[0, 1])
+    if dim == 2:  # eigenvalues (a+b)/2 +- hypot((a-b)/2, d) of [[a, d], [d, b]]
+        return 0.5 * np.abs(h[0, 0] + h[1, 1]) + np.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
     if dim == 3:
         return _sym3_norm(h[0, 0], h[1, 1], h[2, 2], h[0, 1], h[0, 2], h[1, 2])
     mats = np.stack([np.stack([h[i, j] for j in range(dim)], axis=-1)
@@ -840,7 +834,7 @@ def _hessian_norm(parts: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _derivative_magnitude(parts: np.ndarray, order: int, dim: int) -> np.ndarray:
-    """|grad^order f| at each node from the order-th partials, shape (K, N)."""
+    """|grad^order f| at each node from the order-th partials, shape (K, *nodes)."""
     if len(parts) == 1:
         return np.abs(parts[0])
     # scale each node's partials to at most 1 in size, so no square or
@@ -848,14 +842,15 @@ def _derivative_magnitude(parts: np.ndarray, order: int, dim: int) -> np.ndarray
     scale = np.max(np.abs(parts), axis=0)
     parts = parts / np.where(scale > 0.0, scale, 1.0)
     if order == 1:
-        norm = np.sqrt(np.einsum("kn,kn->n", parts, parts))
+        norm = np.sqrt(np.einsum("k...,k...->...", parts, parts))
     elif order == 2:
         norm = _hessian_norm(parts, dim)
     else:
-        # einsum, not a BLAS product: with K this small, threaded dgemm
-        # took ten times longer on a 2-CPU host
-        weights = _line_weights(order, default_directions(dim))
-        norm = np.max(np.abs(np.einsum("dk,kn->dn", weights, parts)), axis=0)
+        # einsum, not a BLAS product: with K this small, threaded dgemm took
+        # ten times longer on a 2-CPU host; abs in place: a second 4 MB
+        # temporary made a 2-D slab 2.5 times slower
+        lines = np.einsum("dk,k...->d...", _line_weights(order, default_directions(dim)), parts)
+        norm = np.max(np.abs(lines, out=lines), axis=0)
     return scale * norm
 
 
@@ -863,25 +858,23 @@ def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1) -
     """Pointwise magnitude |grad^order f| on a grid, a nonnegative `SampledField`.
 
     The magnitude is the largest order-th directional derivative over
-    unit directions e, |sum_beta (order!/beta!) e^beta d^beta f|, computed
-    from every order-th partial (`partials_batch`) in fixed blocks of
-    nodes.  For order <= 2 it is exact up to roundoff: the Euclidean norm
-    of the gradient, and the spectral norm of the Hessian (closed form up
-    to 3 dimensions, `np.linalg.eigvalsh` beyond).  For order >= 3 in 2
-    or more dimensions it is the maximum over `default_directions`, which
-    can fall below the supremum.
+    unit directions e, |sum_beta (order!/beta!) e^beta d^beta f|, from every
+    order-th partial, slab by slab (`_slabs`): `_partials` on the grid axes,
+    bit for bit `partials_batch` at the nodes.  For order <= 2 it is exact
+    up to roundoff: the gradient's length, and the Hessian's spectral norm
+    (closed form up to 3 dimensions, `np.linalg.eigvalsh` beyond).  For
+    order >= 3 in 2 or more dimensions it is the maximum over
+    `default_directions`, which can fall below the supremum.
     """
     order = f._check_order(order, 1)
     if grid.dim != f.dim:
         raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
     if not f.contains_box(grid.lo, grid.hi):
         raise DomainError(f"grid box {grid.lo}..{grid.hi} is not inside the domain of {f}")
-    flat = grid.flat_points
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        out[block] = _derivative_magnitude(f.partials_batch(flat[block], order), order, grid.dim)
-    return SampledField(grid, out.reshape(grid.points))
+    out = np.empty(grid.points)
+    for slab, cols in _slabs(grid, grid.axes):
+        out[slab] = _derivative_magnitude(f._partials(cols, order), order, grid.dim)
+    return SampledField(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +250,12 @@ class PairSampler:
     max_sep: float
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and float(value).is_integer()):
+                raise ConfigError(f"the sampler {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.count < 1:
             raise ConfigError("need at least one pair")
         if self.seed < 0:

@@ -2,15 +2,16 @@
 
 Each mutant replaces one line of the package: a line whose fault a
 check must catch, in the scans' right sides, the coefficient ladder, the
-difference kernels and binomials, the exact polynomial routes or the box
-containment test that guards the grid reads.  For each mutant the
-harness copies the repository to a temporary directory, applies the
-mutant there, and runs the tier-1 suite on the copy until its first
-failure (pytest -x); a mutant under which every test passes survives.
-The test file named for the mutated module runs first, so a killed
-mutant usually stops within its own module's tests, and a survivor
-takes the whole suite; the harness stays out of tier-1, and
-`tests/test_mutants.py` only checks that every mutant still applies.
+difference kernels and binomials, the exact polynomial routes, the grid
+derivative magnitudes or the box containment test that guards the grid
+reads.  For each mutant the harness copies the repository to a
+temporary directory, applies the mutant there, and runs the tier-1
+suite on the copy until its first failure (pytest -x); a mutant under
+which every test passes survives.  The test file named for the mutated
+module runs first, so a killed mutant usually stops within its own
+module's tests, and a survivor takes the whole suite; the harness stays
+out of tier-1, and `tests/test_mutants.py` only checks that every
+mutant still applies.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 0 2        # the mutants with these indices
@@ -78,6 +79,12 @@ MUTANTS = [
     ("rung cut r < delta", "maximal.py",
      "r <= d * _RADIUS_SLACK",
      "r < d"),
+    ("Hessian norm without its split", "fields.py",
+     "return np.maximum(np.abs(lam), np.abs(m) + np.sqrt(t))",
+     "return np.maximum(np.abs(lam), np.abs(m))"),
+    ("slab columns start one row late", "fields.py",
+     "yield slab, [cols[0][slab], *cols[1:]]",
+     "yield slab, [np.roll(cols[0], -1)[slab], *cols[1:]]"),
 ]
 
 

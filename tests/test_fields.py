@@ -33,7 +33,12 @@ from sobolev_pointwise import (
     sample,
     scan_corpus,
 )
-from sobolev_pointwise.fields import _compositions, _derivative_magnitude, _line_derivatives
+from sobolev_pointwise.fields import (
+    _compositions,
+    _derivative_magnitude,
+    _line_derivatives,
+    _slabs,
+)
 from sobolev_pointwise.verify import Domain, PairSampler, _CoefficientLadder, _rung_config
 
 # Frozen from a 50-digit series evaluation of the corresponding line
@@ -513,13 +518,31 @@ class TestPartialsAndMagnitude:
         raw = rng.standard_normal((2000, dim, dim))
         v = rng.standard_normal((300, dim))
         eye = np.eye(dim)
-        mats = np.concatenate([
+        mats = [
             raw + raw.transpose(0, 2, 1),
             # isotropic plus rank one: a double (or higher) eigenvalue
             rng.standard_normal(300)[:, None, None] * eye
             + rng.standard_normal(300)[:, None, None] * v[:, :, None] * v[:, None, :],
             [2.5 * eye, np.zeros((dim, dim)), np.diag([(-1.0) ** k for k in range(dim)])],
-        ])
+        ]
+        q = rng.standard_normal(300)[:, None, None]
+        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        outer = unit[:, :, None] * unit[:, None, :]
+        sym = raw[:300] + raw[:300].transpose(0, 2, 1)
+        # near-double: q I + eps v v^T with eps / |q| = 1e-4, 1e-8, 1e-12, of either sign
+        mats += [q * eye + r * np.abs(q) * rng.choice([-1.0, 1.0], (300, 1, 1)) * outer
+                 for r in (1e-4, 1e-8, 1e-12)]
+        # q I plus a perturbation p far below |q|
+        mats += [q * eye + r * np.abs(q) * sym for r in (1e-6, 1e-10, 1e-14)]
+        # a near-double pair that holds the norm, over a rotated third eigenvalue
+        rot = np.linalg.qr(rng.standard_normal((300, dim, dim)))[0]
+        for r in (1e-4, 1e-8, 1e-12):
+            diag = np.concatenate([[1.0 + r, 1.0], rng.uniform(-0.5, 0.5, dim - 2)])
+            pair = rot @ (q * diag * eye) @ rot.transpose(0, 2, 1)
+            mats.append(0.5 * (pair + pair.transpose(0, 2, 1)))
+        # rank one, and negative definite
+        mats += [q * outer, -(raw[:300] @ raw[:300].transpose(0, 2, 1)) - 0.1 * eye]
+        mats = np.concatenate(mats)
         ref = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
         got = _derivative_magnitude(_hessian_partials(mats), 2, dim)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
@@ -577,6 +600,21 @@ class TestPartialsAndMagnitude:
             old = _direction_max(f, grid.flat_points, order)
             assert np.all(new >= (1 - 1e-12) * old), f
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("text", ["poly:0", "poly:2*x0 - x1 + 1", "poly:x0^2"])
+    def test_flat_magnitudes_raise_no_floating_point_error(self, text, dim):
+        # zero, constant and rank-one derivatives: no 0/0 in the norms
+        f = parse_field(text, dim)
+        grid = GridSpec.cube(-1.0, 1.0, 9, dim)
+        x0 = np.abs(grid.axes[0]).reshape([-1] + [1] * (dim - 1))
+        want = {"poly:0": (0.0, 0.0, 0.0), "poly:2*x0 - x1 + 1": (math.sqrt(5.0), 0.0, 0.0),
+                "poly:x0^2": (2.0 * x0, 2.0, 0.0)}[text]
+        with np.errstate(all="raise"):
+            for order, value in enumerate(want, 1):
+                got = gradient_magnitude_field(f, grid, order).values
+                np.testing.assert_allclose(got, np.broadcast_to(value, grid.points),
+                                           rtol=1e-15, atol=0)
+
     def test_magnitude_memory_is_blocked(self):
         grid = GridSpec.cube(-1.0, 1.0, 41, 3)  # fresh: node coordinates built inside
         tracemalloc.start()
@@ -586,6 +624,55 @@ class TestPartialsAndMagnitude:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 41 ** 3 * 8
+
+
+# lead axes of 10001 nodes in 1-D and of 201 and 23 rows in 2-D and 3-D:
+# none a whole number of `_NODE_BLOCK` slabs
+SLAB_GRIDS = {1: (10001, 1), 2: (201, 2), 3: (23, 3)}
+
+
+class TestColumnRoute:
+    """The magnitude's partials come from the grid axes shaped to
+    broadcast, slab by slab: bit for bit `partials_batch` at the nodes."""
+
+    @staticmethod
+    def _field_and_grid(kind: str, dim: int):
+        points = SLAB_GRIDS[dim][0]
+        if kind == "pow":  # its box touches the excluded ball at the corner (0.05, ...)
+            return PowerField(0.5, dim), GridSpec.cube(0.05, 1.05, points, dim)
+        if kind == "poly":
+            f = random_polynomial(np.random.default_rng(dim), dim, max_degree=6)
+            return f, GridSpec.cube(-1.3, 1.3, points, dim)
+        f, lo, hi = _float_field(kind, dim)
+        return f, GridSpec.cube(lo, hi, points, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin", "poly"])
+    def test_slab_partials_and_magnitudes_are_the_nodes_bit_for_bit(self, kind, dim):
+        f, grid = self._field_and_grid(kind, dim)
+        flat = grid.flat_points
+        assert len(list(_slabs(grid, grid.axes))) > 1
+        for order in range(5):
+            want = f.partials_batch(flat, order)
+            got = np.concatenate([f._partials(cols, order).reshape(len(want), -1)
+                                  for _, cols in _slabs(grid, grid.axes)], axis=1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
+            if order:
+                mag = gradient_magnitude_field(f, grid, order).values.ravel()
+                assert np.array_equal(mag, _derivative_magnitude(want, order, dim)), order
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_power_field_inside_its_excluded_ball_raises(self, dim):
+        f = PowerField(0.5, dim)
+        with pytest.raises(DomainError):
+            gradient_magnitude_field(f, GridSpec.cube(0.0, 1.0, 11, dim), 1)
+        with pytest.raises(DomainError):
+            f.partials_batch(np.full((1, dim), 0.02), 1)
+        # the column route checks its own points, not only a grid box
+        cols = [np.array([0.02, 0.5]).reshape([-1] + [1] * (dim - 1))]
+        cols += [np.array([0.02]).reshape([1] * dim)] * (dim - 1)
+        with pytest.raises(DomainError):
+            f._partials(cols, 2)
 
 
 class TestParser:

@@ -188,6 +188,20 @@ class TestPairSampler:
         with pytest.raises(ConfigError):
             PairSampler(_domain(grid_1d), 16, -1, 0.05, 0.4)
 
+    @pytest.mark.parametrize("count, seed", [
+        (100.5, 0), (16, 1.5), (16, math.nan), (math.inf, 0), (True, 0), (16, False), ("16", 0)],
+        ids=["float count", "float seed", "nan seed", "inf count", "bool count", "bool seed",
+             "str count"])
+    def test_a_count_or_seed_that_is_not_an_integer_is_rejected(self, grid_1d, count, seed):
+        # once these built a sampler whose draw failed with a numpy TypeError
+        with pytest.raises(ConfigError, match="must be an integer"):
+            PairSampler(_domain(grid_1d), count, seed, 0.05, 0.4)
+
+    def test_an_integral_float_count_and_seed_are_taken_as_integers(self, grid_1d):
+        sampler = PairSampler(_domain(grid_1d), 16.0, np.int64(3), 0.05, 0.4)
+        assert (type(sampler.count), type(sampler.seed)) == (int, int)
+        assert np.array_equal(sampler.draw().x, PairSampler(_domain(grid_1d), 16, 3, 0.05, 0.4).draw().x)
+
     @pytest.mark.parametrize("min_sep, max_sep", [
         (0.05, math.inf), (math.nan, 0.4), (0.05, math.nan), (0.0, 0.4), (0.4, 0.05)])
     def test_separations_must_be_finite_and_ordered(self, grid_1d, min_sep, max_sep):
