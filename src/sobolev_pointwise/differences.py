@@ -252,7 +252,6 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
     order = f._check_order(order, 1)
     x = _as_point(x, f.dim)
     y = _as_point(y, f.dim)
-    f._check_point(x)
     if isinstance(f, PolynomialField):
         # x and y at one dyadic scale, so the direction y - x is exact and
         # s = 1 hits y exactly; the j-th jet term d^j/ds^j / j! at s = 0 is
@@ -335,7 +334,6 @@ def g_integral(f: AnalyticField, x, h, order: int, rule: QuadratureRule | None =
     order = f._check_order(order, 1)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
-    f._check_point(x)
     if isinstance(f, PowerField) and not f.segment_in_domain(x, h, 0.0, float(order)):
         raise DomainError("integration segment crosses the excluded ball at the origin")
     if rule is None:

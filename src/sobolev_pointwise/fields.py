@@ -2,11 +2,11 @@
 
 A field is a smooth function R^n -> R from a small closed-form family
 (polynomials with rational coefficients, Gaussians, radial powers,
-separable sinusoids).  Every field can evaluate itself at a batch of
-points (`value_batch`, of which a single-point `value` is a batch of
-one), give every partial derivative of one order at a batch of points
-(`partials_batch`), differentiate along a line s |-> f(x + s*h) to high
-order (`_line_derivatives`), and rasterize itself onto a regular grid.
+separable sinusoids).  Each kind has its float values (`_values`) and
+partials (`_partials`) on per-axis coordinate columns that broadcast:
+a batch's columns (`value_batch`, `partials_batch`; a point's `value` is
+a batch of one), a grid's axes slab by slab (`_slabs`), and a line's
+x_i + s h_i (`_line_derivatives`, to high order in s).
 Polynomial fields do all scalar work exactly, in integers: every float
 is a dyadic rational, so the coordinates of one call (a point, a line or
 a grid's axes) go to integers at a common scale 2^-K (`_dyadic`), the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,23 @@ def _as_point(x, dim: int) -> np.ndarray:
     if pt.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {pt.shape}")
     return pt
+
+
+def _integer(value, what: str, least: int) -> int:
+    """`value` as an int; a bool, a non-integral or non-finite number, or one
+    below `least` raises `ConfigError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < least):
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _square_sum(cols):
+    """|x|^2 from the coordinate columns, squares added in axis order."""
+    total = cols[0] * cols[0]
+    for col in cols[1:]:
+        total = total + col * col
+    return total
 
 
 def _falling(a: float, k: int) -> float:
@@ -165,7 +183,7 @@ def _line_derivatives(f: "AnalyticField", x: np.ndarray, h: np.ndarray, order: i
     out = np.empty(len(ts))
     for start in range(0, len(ts), _NODE_BLOCK):
         block = slice(start, start + _NODE_BLOCK)
-        parts = f.partials_batch(x + ts[block, None] * h, order)
+        parts = f._partials([xi + ts[block] * hi for xi, hi in zip(x, h)], order)
         # einsum, not a BLAS product (see `_derivative_magnitude`)
         out[block] = np.einsum("dk,kn->dn", weights, parts)[0]
     return out
@@ -178,11 +196,11 @@ def _line_derivatives(f: "AnalyticField", x: np.ndarray, h: np.ndarray, order: i
 class AnalyticField:
     """Base class for the closed-form field family.
 
-    Subclasses provide `dim`, vectorized batch evaluation and vectorized
-    partial derivatives; only `PolynomialField` adds an exact point
-    evaluation of its own.  Derivatives along a line come from the
-    partials (`_line_derivatives`), except a polynomial's, which come from
-    its exact integer line coefficients.
+    Subclasses provide `dim`, their values (`_values`) and partial
+    derivatives (`_partials`) on coordinate columns; only `PolynomialField`
+    adds an exact point evaluation of its own.  Derivatives along a line
+    come from the partials (`_line_derivatives`), except a polynomial's,
+    which come from its exact integer line coefficients.
     """
 
     dim: int
@@ -194,7 +212,9 @@ class AnalyticField:
         return float(self.value_batch(_as_point(x, self.dim)[None])[0])
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The values at points of shape (N, dim), from `_values`."""
+        pts = np.asarray(pts, dtype=float)
+        return self._values([pts[..., i] for i in range(self.dim)])
 
     def partials_batch(self, pts: np.ndarray, order: int) -> np.ndarray:
         """Every order-th partial derivative at points of shape (N, dim).
@@ -205,25 +225,20 @@ class AnalyticField:
         pts = np.asarray(pts, dtype=float)
         return self._partials([pts[..., i] for i in range(self.dim)], order)
 
-    def _partials(self, cols, order: int) -> np.ndarray:
-        """`partials_batch` at the points with coordinate columns `cols`, one
-        per axis, that broadcast together: shape (K, *their broadcast shape)."""
+    def _values(self, cols) -> np.ndarray:
+        """The float values at the points with coordinate columns `cols`, one
+        per axis, that broadcast together: shape their broadcast shape."""
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        _as_point(x, self.dim)
-        return True
+    def _partials(self, cols, order: int) -> np.ndarray:
+        """`partials_batch` at the points with coordinate columns `cols`:
+        shape (K, *their broadcast shape)."""
+        raise NotImplementedError
 
     def contains_box(self, lo, hi) -> bool:
         _as_point(lo, self.dim)
         _as_point(hi, self.dim)
         return True
-
-    def _check_point(self, x) -> np.ndarray:
-        pt = _as_point(x, self.dim)
-        if not self.contains(pt):
-            raise DomainError(f"point {pt.tolist()} outside the domain of {self}")
-        return pt
 
     def _check_order(self, order: int, least: int = 0) -> int:
         if not isinstance(order, (int, np.integer)) or order < least:
@@ -260,9 +275,9 @@ class PolynomialField(AnalyticField):
             if not dims:
                 raise ConfigError("zero polynomial needs an explicit dimension")
             dim = dims.pop()
-        elif dims and dims.pop() != dim:
+        self.dim = _integer(dim, "the dimension", 1)
+        if dims and dims.pop() != self.dim:
             raise ConfigError("exponent tuples do not match the requested dimension")
-        self.dim = int(dim)
         self.terms = tuple(sorted(terms.items(), key=lambda item: (-sum(item[0]), item[0])))
 
     def __eq__(self, other):
@@ -321,10 +336,9 @@ class PolynomialField(AnalyticField):
             powers.append(row)
         return powers
 
-    def value_batch(self, pts: np.ndarray) -> np.ndarray:
+    def _values(self, cols) -> np.ndarray:
         """Float evaluation, monomial by monomial, from `_powers`."""
-        pts = np.asarray(pts, dtype=float)
-        return _monomial_sum(self._powers([pts[..., i] for i in range(self.dim)]), self._float_terms)
+        return _monomial_sum(self._powers(cols), self._float_terms)
 
     def _scaled_line(self, xs: list[int], hs: list[int], scale: int) -> tuple[list[int], int]:
         """Restriction to s |-> (xs + s hs) / 2^scale, exact: (coeffs, den)
@@ -345,7 +359,7 @@ class PolynomialField(AnalyticField):
         return total, self._scaled_den(scale)
 
     def _partials(self, cols, order: int) -> np.ndarray:
-        """Each d^beta f evaluated as `value_batch` evaluates a field: the
+        """Each d^beta f evaluated as `_values` evaluates a field: the
         terms with alpha >= beta become c_alpha prod_i perm(alpha_i, beta_i)
         x^(alpha - beta), rounded once from the exact coefficient, in the
         field's term order, which is also the partial's own sorted order."""
@@ -419,15 +433,13 @@ class GaussianField(AnalyticField):
         if not 0 < a < math.inf:
             raise ConfigError(f"the gaussian width a must be a finite number > 0, got {a!r}")
         self.a = float(a)
-        self.dim = int(dim)
+        self.dim = _integer(dim, "the dimension", 1)
 
-    def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return np.exp(-self.a * (pts * pts).sum(axis=-1))
+    def _values(self, cols) -> np.ndarray:
+        return np.exp(-self.a * _square_sum(cols))
 
     def _partials(self, cols, order: int) -> np.ndarray:
-        # |x|^2 added in axis order, as `value_batch` sums it, so g has its bits
-        g = np.exp(-self.a * sum(col * col for col in cols))
+        g = self._values(cols)
         return _radial_partials(cols, order, [(-self.a) ** k * g for k in range(order + 1)])
 
     def __str__(self):
@@ -449,16 +461,12 @@ class PowerField(AnalyticField):
 
     def __init__(self, alpha: float, dim: int = 1, exclusion: float = 0.05):
         self.alpha = float(alpha)
-        self.dim = int(dim)
+        self.dim = _integer(dim, "the dimension", 1)
         self.exclusion = float(exclusion)
         if not math.isfinite(self.alpha):
             raise ConfigError(f"the power alpha must be finite, got {alpha!r}")
         if not 0 < self.exclusion < math.inf:
             raise ConfigError(f"the exclusion radius must be finite and > 0, got {exclusion!r}")
-
-    def contains(self, x) -> bool:
-        pt = _as_point(x, self.dim)
-        return float(np.dot(pt, pt)) >= self.exclusion ** 2
 
     def contains_box(self, lo, hi) -> bool:
         lo = _as_point(lo, self.dim)
@@ -466,14 +474,16 @@ class PowerField(AnalyticField):
         nearest = np.clip(0.0, lo, hi)
         return float(np.dot(nearest, nearest)) >= self.exclusion ** 2
 
-    def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        # an array even for one point (dim,): a numpy scalar's ** rounds
-        # differently from the array power in about 5% of cases
-        r2 = np.asarray((pts * pts).sum(axis=-1))
+    def _r2(self, cols) -> np.ndarray:
+        """|x|^2 as an array, the one test of the excluded ball (a numpy
+        scalar's ** rounds differently from the array power in ~5% of cases)."""
+        r2 = np.asarray(_square_sum(cols))
         if (r2 < self.exclusion ** 2).any():
             raise DomainError("points fall inside the excluded ball at the origin")
-        return r2 ** (self.alpha / 2.0)
+        return r2
+
+    def _values(self, cols) -> np.ndarray:
+        return self._r2(cols) ** (self.alpha / 2.0)
 
     def segment_in_domain(self, x, h, s0: float, s1: float) -> bool:
         """Whether x + s h stays outside the excluded ball for all s in [s0, s1].
@@ -493,9 +503,7 @@ class PowerField(AnalyticField):
         return r2_min >= self.exclusion ** 2
 
     def _partials(self, cols, order: int) -> np.ndarray:
-        r2 = sum(col * col for col in cols)
-        if np.any(r2 < self.exclusion ** 2):
-            raise DomainError("points fall inside the excluded ball at the origin")
+        r2 = self._r2(cols)
         beta = self.alpha / 2.0
         return _radial_partials(cols, order, [_falling(beta, k) * r2 ** (beta - k)
                                              for k in range(order + 1)])
@@ -516,9 +524,11 @@ class SinusoidField(AnalyticField):
                               f"numbers, got {omegas!r}")
         self.dim = int(self.omegas.size)
 
-    def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return np.sin(self.omegas * pts).prod(axis=-1)
+    def _values(self, cols) -> np.ndarray:
+        out = np.sin(self.omegas[0] * cols[0])
+        for w, col in zip(self.omegas[1:], cols[1:]):
+            out = out * np.sin(w * col)
+        return out
 
     def _partials(self, cols, order: int) -> np.ndarray:
         # per-axis factors w^k sin(w x + k pi/2), multiplied in axis order
@@ -599,11 +609,6 @@ class GridSpec(Box):
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         return tuple(np.linspace(l, h, p) for l, h, p in zip(self.lo, self.hi, self.points))
-
-    @cached_property
-    def flat_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
 
     @cached_property
     def trapezoid_weights(self) -> np.ndarray:
@@ -705,10 +710,9 @@ def _gather(values: np.ndarray, cells, rung: np.ndarray | None = None) -> np.nda
 
 
 def evaluate(f: AnalyticField, x) -> float:
-    """Value of `f` at the point `x` (domain checked): exact, rounded once,
-    for polynomials; for every other kind `value_batch` on that one
-    point, bit for bit."""
-    f._check_point(x)
+    """Value of `f` at the point `x`: exact, rounded once, for polynomials;
+    for every other kind `value_batch` on that one point, bit for bit.  A
+    point outside the domain raises `DomainError`."""
     return f.value(x)
 
 
@@ -724,25 +728,32 @@ def _slabs(grid: GridSpec, axes):
         yield slab, [cols[0][slab], *cols[1:]]
 
 
-def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
-    """Rasterize `f` on `grid`, in one `value_batch` call, or for a
-    polynomial in one integer pass over the grid axes: all at one scale,
-    each node's numerator broadcast from the axis columns by `_scaled_value`
-    and divided once, slab by slab (`_slabs`).
-
-    Read-back at a node reproduces `evaluate` bit for bit.
-    """
+def _check_grid(f: AnalyticField, grid: GridSpec) -> None:
+    """Refuse a grid of another dimension than `f`, or whose box leaves its domain."""
     if grid.dim != f.dim:
         raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
     if not f.contains_box(grid.lo, grid.hi):
         raise DomainError(f"grid box {grid.lo}..{grid.hi} is not inside the domain of {f}")
-    if not isinstance(f, PolynomialField):
-        return SampledField(grid, f.value_batch(grid.flat_points).reshape(grid.points))
-    axes, scale = _dyadic(*grid.axes)
-    den = f._scaled_den(scale)
+
+
+def sample(f: AnalyticField, grid: GridSpec) -> SampledField:
+    """Rasterize `f` on `grid` slab by slab (`_slabs`): a float kind by
+    `_values` on the grid axes, a polynomial by one integer pass, all at
+    one scale, each node's numerator broadcast from the axis columns by
+    `_scaled_value` and divided once.
+
+    Read-back at a node reproduces `evaluate` bit for bit.
+    """
+    _check_grid(f, grid)
+    axes, values = grid.axes, f._values
+    if isinstance(f, PolynomialField):
+        ints, scale = _dyadic(*grid.axes)
+        den = f._scaled_den(scale)
+        axes = [np.array(axis, dtype=object) for axis in ints]
+        values = lambda cols: f._scaled_value(cols, scale) / den
     vals = np.empty(grid.points)
-    for slab, cols in _slabs(grid, [np.array(axis, dtype=object) for axis in axes]):
-        vals[slab] = f._scaled_value(cols, scale) / den
+    for slab, cols in _slabs(grid, axes):
+        vals[slab] = values(cols)
     return SampledField(grid, vals)
 
 
@@ -867,10 +878,7 @@ def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1) -
     `default_directions`, which can fall below the supremum.
     """
     order = f._check_order(order, 1)
-    if grid.dim != f.dim:
-        raise ConfigError(f"grid dimension {grid.dim} does not match field dimension {f.dim}")
-    if not f.contains_box(grid.lo, grid.hi):
-        raise DomainError(f"grid box {grid.lo}..{grid.hi} is not inside the domain of {f}")
+    _check_grid(f, grid)
     out = np.empty(grid.points)
     for slab, cols in _slabs(grid, grid.axes):
         out[slab] = _derivative_magnitude(f._partials(cols, order), order, grid.dim)
@@ -943,12 +951,12 @@ def parse_field(text: str, dim: int | None = None) -> AnalyticField:
             key, _, val = body.partition("=")
             if key.strip() != "a":
                 raise ConfigError(f"gauss fields take a=<float>, got {body!r}")
-            return GaussianField(float(val), dim=dim or 1)
+            return GaussianField(float(val), dim=1 if dim is None else dim)
         if kind == "pow":
             key, _, val = body.partition("=")
             if key.strip() != "alpha":
                 raise ConfigError(f"pow fields take alpha=<float>, got {body!r}")
-            return PowerField(float(val), dim=dim or 1)
+            return PowerField(float(val), dim=1 if dim is None else dim)
         if kind == "sin":
             key, _, val = body.partition("=")
             if key.strip() != "w":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,7 @@ from .fields import (
     _NODE_BLOCK,
     _gather,
     _grid_cells,
+    _integer,
     gradient_magnitude_field,
     random_polynomial,
     sample,
@@ -250,16 +250,8 @@ class PairSampler:
     max_sep: float
 
     def __post_init__(self):
-        for name in ("count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and float(value).is_integer()):
-                raise ConfigError(f"the sampler {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.count < 1:
-            raise ConfigError("need at least one pair")
-        if self.seed < 0:
-            raise ConfigError("the seed must be nonnegative")
+        object.__setattr__(self, "count", _integer(self.count, "the sampler count", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "the sampler seed", 0))
         if not 0 < self.min_sep <= self.max_sep < math.inf:
             raise ConfigError("separations must be finite and satisfy 0 < min_sep <= max_sep")
 
@@ -883,10 +875,8 @@ def identity_suite(draws: int = 200, seed: int = 0, *, binom=binomial) -> dict:
     `binom` argument is the fault-injection hook: replacing it with a
     corrupted table must break the suite.
     """
-    if draws < 1:
-        raise ConfigError("the identity suite needs at least one draw")
-    if seed < 0:
-        raise ConfigError("the seed must be nonnegative")
+    draws = _integer(draws, "the draw count", 1)
+    seed = _integer(seed, "the seed", 0)
     rng = np.random.default_rng(seed)
     results = {
         "lagrange_vs_difference": {"tolerance": 1e-10, "max_residual": 0.0},

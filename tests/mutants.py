@@ -3,8 +3,8 @@
 Each mutant replaces one line of the package: a line whose fault a
 check must catch, in the scans' right sides, the coefficient ladder, the
 difference kernels and binomials, the exact polynomial routes, the grid
-derivative magnitudes or the box containment test that guards the grid
-reads.  For each mutant the harness copies the repository to a
+derivative magnitudes, the box containment test that guards the grid
+reads, or the float values of the power and sinusoid kinds.  For each mutant the harness copies the repository to a
 temporary directory, applies the mutant there, and runs the tier-1
 suite on the copy until its first failure (pytest -x); a mutant under
 which every test passes survives.  The test file named for the mutated
@@ -85,6 +85,12 @@ MUTANTS = [
     ("slab columns start one row late", "fields.py",
      "yield slab, [cols[0][slab], *cols[1:]]",
      "yield slab, [np.roll(cols[0], -1)[slab], *cols[1:]]"),
+    ("power field's excluded ball never tested", "fields.py",
+     "if (r2 < self.exclusion ** 2).any():",
+     "if False and (r2 < self.exclusion ** 2).any():"),
+    ("sinusoid values at omegas[0] only", "fields.py",
+     "out = out * np.sin(w * col)",
+     "out = out * np.sin(self.omegas[0] * col)"),
 ]
 
 

@@ -270,6 +270,9 @@ USAGE_ERRORS = [
     "verify --field sin:w=inf --pairs 100",
     "verify --field gauss:a=inf --pairs 100",
     "verify --field pow:alpha=nan --grid 0.2:1:101 --pairs 100",
+    # a field needs at least one axis
+    "verify --field gauss:a=1 --dim 0",
+    "verify --field pow:alpha=1.5 --grid 0.2:1:101 --dim 0",
 ]
 
 # each non-finite field parameter above, and the name its error line gives it

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from grid_reference import grid_nodes
 from rational_reference import deriv_fraction, line_restriction, value_fraction
 
 from sobolev_pointwise import (
@@ -213,6 +214,24 @@ class TestAnalyticLines:
         assert np.array_equal(batch, scalar)
         assert np.array_equal([f.value_batch(p) for p in pts], scalar)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
+    def test_value_batch_is_the_row_formula_bit_for_bit(self, rng, kind, dim):
+        # the column route against each kind's formula on rows of points
+        f, lo, hi = _float_field(kind, dim)
+        if kind == "gauss":
+            rows = lambda pts: np.exp(-f.a * (pts * pts).sum(-1))
+        elif kind == "pow":
+            rows = lambda pts: np.asarray((pts * pts).sum(-1)) ** (f.alpha / 2)
+        else:
+            rows = lambda pts: np.sin(f.omegas * pts).prod(-1)
+        pts = rng.uniform(lo, hi, size=(5000, dim))
+        assert np.array_equal(f.value_batch(pts).view(np.uint64), rows(pts).view(np.uint64))
+        for p in pts[:500]:
+            got, want = np.asarray(f.value_batch(p)), np.asarray(rows(p))
+            assert got.shape == want.shape == ()
+            assert got.view(np.uint64) == want.view(np.uint64), p
+
 
 def _float_field(kind: str, dim: int):
     """A field of a kind without an exact route, and a box in its domain."""
@@ -231,7 +250,7 @@ class TestGridAndSampling:
         f, lo, hi = (scan_corpus(dim)[0], -1.0, 1.0) if kind == "poly" else _float_field(kind, dim)
         grid = GridSpec.cube(lo, hi, points, dim)
         u = sample(f, grid)
-        flat = grid.flat_points
+        flat = grid_nodes(grid)
         assert np.array_equal(u.values.ravel(), [evaluate(f, p) for p in flat])
         assert np.array_equal(u.at(flat), u.values.ravel())
 
@@ -276,6 +295,20 @@ class TestGridAndSampling:
         # the output plus one slab of integer numerators; one pass over the
         # whole grid peaks near 16 times the output
         assert peak < 6 * 41 ** 3 * 8
+
+    @pytest.mark.parametrize("kind", ["gauss", "pow", "sin"])
+    def test_float_sample_memory_is_slabbed(self, kind):
+        f, lo, hi = _float_field(kind, 3)
+        grid = GridSpec.cube(lo, hi, 61, 3)
+        tracemalloc.start()
+        try:
+            sample(f, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus one slab's temporaries; the grid's nodes as rows
+        # (N, 3) and their squares peak near 7 times the output
+        assert peak < 2 * 61 ** 3 * 8
 
     @pytest.mark.parametrize("lo, hi", [((-1.0, math.nan), (1.0, 1.0)),
                                         ((-1.0, -1.0), (1.0, math.inf)),
@@ -330,7 +363,7 @@ def _gather_points(grid: GridSpec, rng) -> dict:
     """Random points, every node, the far corner, and each node's
     floating-point neighbours on both sides, clipped to the box."""
     lo, hi = np.array(grid.lo), np.array(grid.hi)
-    nodes = grid.flat_points
+    nodes = grid_nodes(grid)
     return {
         "random": rng.uniform(lo, hi, size=(20_000, grid.dim)),
         "nodes": nodes,
@@ -570,7 +603,7 @@ class TestPartialsAndMagnitude:
     def test_gaussian_magnitudes_match_closed_form(self, dim, points):
         a = 1.3
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
-        r2 = np.sum(grid.flat_points ** 2, axis=1).reshape(grid.points)
+        r2 = np.sum(grid_nodes(grid) ** 2, axis=1).reshape(grid.points)
         g = np.exp(-a * r2)
         f = GaussianField(a, dim)
         np.testing.assert_allclose(gradient_magnitude_field(f, grid, 1).values,
@@ -582,7 +615,7 @@ class TestPartialsAndMagnitude:
     def test_sinusoid_gradient_matches_closed_form(self):
         f = SinusoidField((2.0, 1.0, 1.0))
         grid = GridSpec.cube(-1.0, 1.0, 41, 3)
-        x = grid.flat_points
+        x = grid_nodes(grid)
         s, c = np.sin(f.omegas * x), np.cos(f.omegas * x)
         others = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
         ref = np.linalg.norm(f.omegas * c * others, axis=1).reshape(grid.points)
@@ -597,7 +630,7 @@ class TestPartialsAndMagnitude:
         grid = GridSpec.cube(-1.0, 1.0, points, dim)
         for f in scan_corpus(dim):
             new = gradient_magnitude_field(f, grid, order).values.ravel()
-            old = _direction_max(f, grid.flat_points, order)
+            old = _direction_max(f, grid_nodes(grid), order)
             assert np.all(new >= (1 - 1e-12) * old), f
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -650,7 +683,7 @@ class TestColumnRoute:
     @pytest.mark.parametrize("kind", ["gauss", "pow", "sin", "poly"])
     def test_slab_partials_and_magnitudes_are_the_nodes_bit_for_bit(self, kind, dim):
         f, grid = self._field_and_grid(kind, dim)
-        flat = grid.flat_points
+        flat = grid_nodes(grid)
         assert len(list(_slabs(grid, grid.axes))) > 1
         for order in range(5):
             want = f.partials_batch(flat, order)
@@ -699,8 +732,8 @@ class TestParser:
 
 
 class TestNonfiniteParameters:
-    """A field refuses a non-finite parameter when it is made, not after
-    a grid stage has sampled it."""
+    """A field refuses a non-finite parameter, or a dimension that is not
+    an integer >= 1, when it is made, not after a grid stage has sampled it."""
 
     @pytest.mark.parametrize("kind, args, name", [
         (SinusoidField, [(math.inf,)], "frequencies w"),
@@ -716,11 +749,35 @@ class TestNonfiniteParameters:
         with pytest.raises(ConfigError, match=name):
             kind(*args)
 
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianField(1.0, dim=0),
+        lambda: GaussianField(1.0, dim=-2),
+        lambda: GaussianField(1.0, dim=1.7),
+        lambda: GaussianField(1.0, dim=True),
+        lambda: PowerField(1.5, dim=0),
+        lambda: PowerField(1.5, dim=math.nan),
+        lambda: PolynomialField({}, dim=2.5),
+        lambda: PolynomialField({}, dim=0),
+        lambda: PolynomialField({(): 1}),
+        lambda: parse_field("gauss:a=1", dim=0),
+        lambda: parse_field("pow:alpha=1.5", dim=0),
+        lambda: parse_field("poly:1", dim=0),
+    ], ids=["gauss 0", "gauss -2", "gauss 1.7", "gauss True", "pow 0", "pow nan",
+            "poly 2.5", "poly 0", "poly of no axes", "parsed gauss 0", "parsed pow 0",
+            "parsed poly 0"])
+    def test_constructor_refuses_a_dimension_below_one_or_not_whole(self, make):
+        with pytest.raises(ConfigError, match="dimension must be an integer >= 1"):
+            make()
+
     def test_finite_parameters_still_build(self):
-        assert PowerField(1.5, exclusion=0.1).contains([0.5])
+        assert evaluate(PowerField(1.5, exclusion=0.1), [0.5]) == pytest.approx(0.5 ** 1.5)
         assert evaluate(PowerField(2.0), [0.5]) == 0.25
         assert GaussianField(2.0).dim == 1
         assert SinusoidField((2.0, 3.0)).dim == 2
+        # a whole dimension of another type builds as an int
+        for f in (GaussianField(1.0, dim=np.int64(2)), PowerField(1.5, dim=2.0),
+                  PolynomialField({}, dim=np.int32(2))):
+            assert f.dim == 2 and type(f.dim) is int
 
 
 class TestCorpusAndRandomFields:

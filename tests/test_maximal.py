@@ -30,6 +30,7 @@ from sobolev_pointwise import (
     sample,
     segment_ratio_constant,
 )
+from grid_reference import grid_nodes
 from lens_reference import betainc_volume, cap_profile_volume
 from sobolev_pointwise import maximal
 from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets, _node_boxes
@@ -99,7 +100,7 @@ def _ball_average(u, radius):
 def _brute_ball_average(u, radius):
     """Counting-measure ball average by direct enumeration."""
     grid = u.grid
-    pts = grid.flat_points
+    pts = grid_nodes(grid)
     flat = u.values.reshape(-1)
     out = np.empty_like(flat)
     for i, p in enumerate(pts):

@@ -1125,6 +1125,12 @@ class TestIdentitySuite:
         with pytest.raises(ConfigError):
             identity_suite(draws=draws, seed=seed)
 
+    @pytest.mark.parametrize("draws, seed", [(200, 1.5), (200, math.nan), (1.5, 0), (True, 0),
+                                             (200, True), (math.inf, 0), ("200", 0)])
+    def test_a_draw_count_or_seed_not_whole_is_rejected(self, draws, seed):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            identity_suite(draws=draws, seed=seed)
+
     @pytest.mark.parametrize("seed", [389, 685, 844])
     def test_telescoping_roundoff_is_not_a_failure(self, seed):
         # a tolerance of 1e-12 (1 + |difference|) failed these seeds on
