@@ -38,12 +38,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import ConfigError, DegeneratePairError, DomainError, UnsupportedOrderError
+from .exceptions import ConfigError, DegeneratePairError, DomainError
 from .fields import (
     AnalyticField,
     PolynomialField,
     PowerField,
     _as_point,
+    _checked_order,
     _dyadic,
     _line_derivatives,
     evaluate,
@@ -80,9 +81,8 @@ def _node_reader(f, order: int, points, least: int = 0):
     sampled field by its read-back `at`, an analytic one by `value_batch`.
     A single point thus runs the float operations of one row of a batch."""
     sampled = not isinstance(f, AnalyticField)
-    if sampled and not (isinstance(order, (int, np.integer)) and order >= least):
-        raise UnsupportedOrderError(f"the order must be an integer >= {least}, got {order!r}")
-    order, dim = (int(order), f.grid.dim) if sampled else (f._check_order(order, least), f.dim)
+    order = _checked_order(order, least, math.inf if sampled else f.max_order)
+    dim = f.grid.dim if sampled else f.dim
     single = np.ndim(points[0]) < 2
     arrays = [_as_point(p, dim)[None] if single else np.asarray(p, dtype=float) for p in points]
     if any(a.shape != (len(arrays[0]), dim) for a in arrays):
@@ -175,7 +175,7 @@ def telescope_residual(f: AnalyticField, x, h, order: int, *, binom=binomial) ->
     last sum is (-1)^l * forward_difference(f, x, h, l) exactly; this is
     zero in exact arithmetic by Pascal's rule.
     """
-    order = f._check_order(order, 1)
+    order = _checked_order(order, 1, f.max_order)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     return (g_sum(f, x, h, order - 1, binom=binom) - g_sum(f, x + h, h, order - 1, binom=binom)
@@ -249,7 +249,7 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
 
     The jet is sum_{j < order} (1/j!) d^j/ds^j f(x + s (y - x)) at s = 0.
     """
-    order = f._check_order(order, 1)
+    order = _checked_order(order, 1, f.max_order)
     x = _as_point(x, f.dim)
     y = _as_point(y, f.dim)
     if isinstance(f, PolynomialField):
@@ -272,8 +272,6 @@ def taylor_remainder(f: AnalyticField, x, y, order: int) -> float:
 @lru_cache(maxsize=None)
 def _legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights shifted to [0, 1]."""
-    if order < 1:
-        raise ConfigError("quadrature order must be at least 1")
     t, w = leggauss(order)
     return 0.5 * (t + 1.0), 0.5 * w
 
@@ -290,21 +288,23 @@ class QuadratureRule:
     """
 
     kind: str
-    order: int
 
     def __post_init__(self):
         if self.kind not in ("gauss_tensor", "irwin_hall"):
             raise ConfigError(f"unknown quadrature kind {self.kind!r}")
-        if self.order < 1:
-            raise ConfigError("quadrature order must be at least 1")
+
+    @property
+    def order(self) -> int:
+        """Gauss-Legendre points: 8 per cube axis, or 16 per unit panel."""
+        return {"gauss_tensor": 8, "irwin_hall": 16}[self.kind]
 
     @classmethod
-    def gauss_tensor(cls, order: int = 8) -> "QuadratureRule":
-        return cls("gauss_tensor", order)
+    def gauss_tensor(cls) -> "QuadratureRule":
+        return cls("gauss_tensor")
 
     @classmethod
-    def irwin_hall(cls, order: int = 16) -> "QuadratureRule":
-        return cls("irwin_hall", order)
+    def irwin_hall(cls) -> "QuadratureRule":
+        return cls("irwin_hall")
 
 
 def irwin_hall_density(order: int, s) -> np.ndarray:
@@ -331,7 +331,7 @@ def g_integral(f: AnalyticField, x, h, order: int, rule: QuadratureRule | None =
     which reproduces forward_difference(f, x, h, l) for smooth fields.
     The whole segment from x to x + l h must lie inside the domain.
     """
-    order = f._check_order(order, 1)
+    order = _checked_order(order, 1, f.max_order)
     x = _as_point(x, f.dim)
     h = _as_point(h, f.dim)
     if isinstance(f, PowerField) and not f.segment_in_domain(x, h, 0.0, float(order)):

@@ -78,6 +78,16 @@ def _integer(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _checked_order(order, least: int, most) -> int:
+    """`order` as an int; a bool, a non-integer, or an order below `least`
+    or above `most` raises `UnsupportedOrderError`."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < least:
+        raise UnsupportedOrderError(f"the order must be an integer >= {least}, got {order!r}")
+    if order > most:
+        raise UnsupportedOrderError(f"order {order} exceeds supported maximum {most}")
+    return int(order)
+
+
 def _square_sum(cols):
     """|x|^2 from the coordinate columns, squares added in axis order."""
     total = cols[0] * cols[0]
@@ -239,13 +249,6 @@ class AnalyticField:
         _as_point(lo, self.dim)
         _as_point(hi, self.dim)
         return True
-
-    def _check_order(self, order: int, least: int = 0) -> int:
-        if not isinstance(order, (int, np.integer)) or order < least:
-            raise UnsupportedOrderError(f"the order must be an integer >= {least}, got {order!r}")
-        if order > self.max_order:
-            raise UnsupportedOrderError(f"order {order} exceeds supported maximum {self.max_order}")
-        return int(order)
 
 
 class PolynomialField(AnalyticField):
@@ -451,22 +454,20 @@ class GaussianField(AnalyticField):
 class PowerField(AnalyticField):
     """Radial power |x|^alpha on R^n minus a small ball at the origin.
 
-    The ball of radius `exclusion` around the origin is outside the
+    The ball of radius `exclusion` = 0.05 around the origin is outside the
     domain, which keeps all derivative orders bounded on the remainder.
     Orders stop at 8: beyond it the Faa di Bruno sum of `_radial_partials`
     loses more than 1e-12 of its summed absolute terms to cancellation.
     """
 
     max_order = 8
+    exclusion = 0.05
 
-    def __init__(self, alpha: float, dim: int = 1, exclusion: float = 0.05):
+    def __init__(self, alpha: float, dim: int = 1):
         self.alpha = float(alpha)
         self.dim = _integer(dim, "the dimension", 1)
-        self.exclusion = float(exclusion)
         if not math.isfinite(self.alpha):
             raise ConfigError(f"the power alpha must be finite, got {alpha!r}")
-        if not 0 < self.exclusion < math.inf:
-            raise ConfigError(f"the exclusion radius must be finite and > 0, got {exclusion!r}")
 
     def contains_box(self, lo, hi) -> bool:
         lo = _as_point(lo, self.dim)
@@ -877,7 +878,7 @@ def gradient_magnitude_field(f: AnalyticField, grid: GridSpec, order: int = 1) -
     order >= 3 in 2 or more dimensions it is the maximum over
     `default_directions`, which can fall below the supremum.
     """
-    order = f._check_order(order, 1)
+    order = _checked_order(order, 1, f.max_order)
     _check_grid(f, grid)
     out = np.empty(grid.points)
     for slab, cols in _slabs(grid, grid.axes):
@@ -972,17 +973,16 @@ def parse_field(text: str, dim: int | None = None) -> AnalyticField:
     raise ConfigError(f"unknown field kind {kind!r} (expected poly/gauss/pow/sin)")
 
 
-def random_polynomial(rng: np.random.Generator, dim: int, max_degree: int = 6,
-                      max_terms: int = 6,
+def random_polynomial(rng: np.random.Generator, dim: int,
                       exact_degree: int | None = None) -> PolynomialField:
     """Random polynomial with small rational coefficients, for stress draws.
 
-    With `exact_degree` set, the total degree is exactly that value (a
-    top-degree term is forced in).
+    Six term draws of total degree at most 6, or exactly `exact_degree`
+    when that is set (a top-degree term is forced in).
     """
-    top = exact_degree if exact_degree is not None else max_degree
+    top = exact_degree if exact_degree is not None else 6
     quarters: dict[tuple[int, ...], int] = {}  # coefficients in units of 1/4
-    for _ in range(max_terms):
+    for _ in range(6):
         exps = tuple(int(v) for v in rng.integers(0, top + 1, dim))
         if sum(exps) > top:
             continue

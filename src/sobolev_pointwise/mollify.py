@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import ConfigError, EmptyScanError
-from .fields import GridSpec, SampledField
+from .fields import GridSpec, SampledField, _integer
 
 __all__ = [
     "Mollifier",
@@ -55,8 +55,7 @@ class Mollifier:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("mollifier scale must be finite and positive")
-        if self.dim < 1:
-            raise ConfigError("mollifier dimension must be at least 1")
+        object.__setattr__(self, "dim", _integer(self.dim, "the mollifier dimension", 1))
         if self.profile not in ("bump", "gauss"):
             raise ConfigError(f"unknown mollifier profile {self.profile!r}")
 

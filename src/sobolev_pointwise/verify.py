@@ -47,9 +47,11 @@ from .fields import (
     PowerField,
     SampledField,
     _NODE_BLOCK,
+    _checked_order,
     _gather,
     _grid_cells,
     _integer,
+    _square_sum,
     gradient_magnitude_field,
     random_polynomial,
     sample,
@@ -188,11 +190,9 @@ def _step(ends: np.ndarray, dist) -> np.ndarray:
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
-    """Length of each row of v (N, dim): its squared columns summed in order,
-    then one square root; below 8 columns, np.linalg.norm(v, axis=1) bit for bit."""
-    total = v[:, 0] * v[:, 0]
-    for col in v.T[1:]:
-        total += col * col
+    """Length of each row of v (N, dim): `_square_sum` of its columns, then
+    one square root; below 8 columns, np.linalg.norm(v, axis=1) bit for bit."""
+    total = _square_sum(v.T)
     return np.sqrt(total, out=total)
 
 
@@ -254,6 +254,8 @@ class PairSampler:
         object.__setattr__(self, "seed", _integer(self.seed, "the sampler seed", 0))
         if not 0 < self.min_sep <= self.max_sep < math.inf:
             raise ConfigError("separations must be finite and satisfy 0 < min_sep <= max_sep")
+        object.__setattr__(self, "min_sep", float(self.min_sep))
+        object.__setattr__(self, "max_sep", float(self.max_sep))
 
     def draw(self, ends=(math.inf,), margins=(0.0,)) -> PairBatch:
         """`count` admissible pairs under the margin step function (ends,
@@ -412,18 +414,20 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_slack(slack: float) -> float:
-    """The slack, if a finite number >= 0: a NaN or infinite one passes every ratio."""
+    """The float slack, if finite and >= 0: a NaN or infinite one passes every ratio."""
     if not (math.isfinite(slack) and slack >= 0):
         raise ConfigError(f"the slack must be a finite number >= 0, got {slack!r}")
-    return slack
+    return float(slack)
 
 
-def _check_scan(f: AnalyticField, order: int, slack: float) -> None:
+def _check_scan(f: AnalyticField, order: int, slack: float) -> tuple[int, float]:
     """What every scan checks before any work: an order from 1 up to
-    what f supports, and a slack that `_checked_slack` accepts."""
-    if f._check_order(order) < 1:
+    what f supports, and a slack that `_checked_slack` accepts.  Returns
+    them as an int and a float, the values the scan runs on and records."""
+    checked = _checked_order(order, 0, f.max_order)
+    if checked < 1:
         raise ConfigError("the scan needs order >= 1")
-    _checked_slack(slack)
+    return checked, _checked_slack(slack)
 
 
 def _check_hatl_exponent(s: float, order: int) -> None:
@@ -436,6 +440,15 @@ def _check_triebel_exponent(s: float) -> None:
     """The all-node-sum bound needs a finite s > 0."""
     if not 0 < s < math.inf:
         raise ConfigError("the exponent s must be a finite number > 0")
+
+
+def _check_g(g: SampledField, sampler: PairSampler) -> None:
+    """Refuse a g that is negative somewhere, or whose grid does not hold the
+    sampler's outer box, and with it every node x + l h between two endpoints."""
+    if np.any(g.values < 0):
+        raise ValueError("the coefficient field g must be nonnegative")
+    if not g.grid.holds(sampler.domain.outer):
+        raise ConfigError("the grid of g must hold the sampler's outer box")
 
 
 def build_report(params: dict, x: np.ndarray, y: np.ndarray,
@@ -636,17 +649,6 @@ def _all_node_sides(f: AnalyticField, order: int, s: float, g: SampledField,
     return lhs, _row_norm(h) ** s * _node_sum(g.at, pairs.x, h, [1] * (order + 1))
 
 
-def _admissible_steps(order: int, box: Domain,
-                      pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each step h = (y - x) / order is at most 1 long, and
-    whether its nodes x + l h, l = 0..order, all lie in `box`."""
-    h = (pairs.y - pairs.x) / order
-    inside = np.ones(len(h), dtype=bool)
-    for l in range(order + 1):
-        inside &= box.contains(pairs.x + l * h)
-    return _row_norm(h) <= 1.0, inside
-
-
 def _hatl_sides(f: AnalyticField, order: int, s: float, g: SampledField,
                 pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
     """Class-bound sides |f(y) - L(y)| and |x - y|^s * (g(x) + g(y))."""
@@ -696,7 +698,7 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     read back by multilinear interpolation.  A `MaximalConfig` is the
     ladder, used as given.
     """
-    _check_scan(f, order, slack)
+    order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, config)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, boxed=True)
     lhs, rhs = _blockwise(pairs, _main_sides, f, ladder)
@@ -716,25 +718,20 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
                  sampler: PairSampler, *, slack: float = 0.05) -> InequalityReport:
     """Scan |diff_h^order f(x)| <= |h|^s * sum_l g(x + l h) with h = (y - x) / order.
 
-    Pairs whose step exceeds one, or whose nodes leave the grid of g,
-    are skipped and counted in the params.
+    The grid of g must hold the sampler's outer box, and so every node;
+    pairs whose step exceeds one are skipped and counted in the params.
     """
-    _check_scan(f, order, slack)
+    order, slack = _check_scan(f, order, slack)
     _check_triebel_exponent(s)
-    if np.any(g.values < 0):
-        raise ValueError("the coefficient field g must be nonnegative")
+    _check_g(g, sampler)
     pairs = sampler.draw()
-    keep, inside = _blockwise(pairs, _admissible_steps, order, Domain(g.grid))
-    skipped_long = int(np.sum(~keep))
-    skipped_outside = int(np.sum(keep & ~inside))
-    keep &= inside
+    keep = _row_norm((pairs.y - pairs.x) / order) <= 1.0
     if not np.any(keep):
-        raise EmptyScanError("all pairs were skipped (step too long or nodes outside g)")
+        raise EmptyScanError("all pairs were skipped (step longer than one)")
     pairs = PairBatch(pairs.x[keep], pairs.y[keep], pairs.dist[keep], pairs.attempts)
     lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s, g)
     return _scan_report("triebel", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
-                        s=float(s), skipped_long_step=skipped_long,
-                        skipped_outside=skipped_outside)
+                        s=float(s), skipped_long_step=int(np.sum(~keep)))
 
 
 def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
@@ -747,7 +744,7 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     radii make the top field dominate every per-delta field, so zero
     violations here certify the node-discarding step numerically.
     """
-    _check_scan(f, order, slack)
+    order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, None)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config)
     main_ratio, _ = _ratios(*_blockwise(pairs, _main_sides, f, ladder))
@@ -765,12 +762,9 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
 
     The grid of g must hold the sampler's outer box, where the endpoints lie.
     """
-    _check_scan(f, order, slack)
+    order, slack = _check_scan(f, order, slack)
     _check_hatl_exponent(s, order)
-    if np.any(g.values < 0):
-        raise ValueError("the coefficient field g must be nonnegative")
-    if not g.grid.holds(sampler.domain.outer):
-        raise ConfigError("the grid of g must hold the sampler's outer box")
+    _check_g(g, sampler)
     pairs = sampler.draw()
     lhs, rhs = _blockwise(pairs, _hatl_sides, f, order, s, g)
     return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
@@ -801,7 +795,7 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     of one kernel support from the boundary so no contaminated value is
     ever read.
     """
-    _check_scan(f, order, slack)
+    order, slack = _check_scan(f, order, slack)
     phi = Mollifier(epsilon, grid.dim, profile=profile)
     margin_len = phi.margin_length(grid.spacing)
     config = _rung_config(sampler, grid, None)

@@ -4,7 +4,8 @@ Each mutant replaces one line of the package: a line whose fault a
 check must catch, in the scans' right sides, the coefficient ladder, the
 difference kernels and binomials, the exact polynomial routes, the grid
 derivative magnitudes, the box containment test that guards the grid
-reads, or the float values of the power and sinusoid kinds.  For each mutant the harness copies the repository to a
+reads, the float values of the power and sinusoid kinds, or the checks of
+a scan's arguments.  For each mutant the harness copies the repository to a
 temporary directory, applies the mutant there, and runs the tier-1
 suite on the copy until its first failure (pytest -x); a mutant under
 which every test passes survives.  The test file named for the mutated
@@ -91,6 +92,12 @@ MUTANTS = [
     ("sinusoid values at omegas[0] only", "fields.py",
      "out = out * np.sin(w * col)",
      "out = out * np.sin(self.omegas[0] * col)"),
+    ("triebel reads g without its grid check", "verify.py",
+     "_check_triebel_exponent(s)\n    _check_g(g, sampler)",
+     "_check_triebel_exponent(s)"),
+    ("scans run on the order as given", "verify.py",
+     "return checked, _checked_slack(slack)",
+     "return order, _checked_slack(slack)"),
 ]
 
 

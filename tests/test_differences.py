@@ -135,6 +135,15 @@ class TestNodes:
         with pytest.raises(UnsupportedOrderError):
             call(GaussianField(1.0))
 
+    @pytest.mark.parametrize("call", [g_sum, forward_difference, lagrange_interpolant,
+                                      lagrange_remainder])
+    def test_a_bool_order_is_refused_for_analytic_and_sampled_fields(self, call):
+        f = GaussianField(1.0)
+        for field in (f, sample(f, GridSpec.cube(-1.0, 1.0, 21, 1))):
+            with pytest.raises(UnsupportedOrderError, match="order must be an integer"):
+                call(field, (0.1,), (0.4,), True)
+            assert call(field, (0.1,), (0.4,), np.int64(2)) == call(field, (0.1,), (0.4,), 2)
+
     def test_interpolant_reproduces_low_degree(self):
         f = parse_field("poly:x0^3 - 2*x0 + 1")
         y = (0.31,)
@@ -159,6 +168,50 @@ class TestRemainder:
         x, y = (0.0,), (0.5,)
         # the cubic jet of t^4 at 0 is 0, so the remainder is y^4 exactly
         assert taylor_remainder(f, x, y, 4) == 0.5 ** 4
+
+
+def _mp_taylor_remainder(f, x, y, order: int):
+    """f(y) minus its degree order-1 jet along the segment from x, and the
+    sum of the absolute values of f(y) and the jet terms, from the closed
+    form of a Gaussian, power or sinusoid field differentiated with mpmath
+    at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        xs = [mp.mpf(float(v)) for v in x]
+        hs = [mp.mpf(float(b)) - a for a, b in zip(xs, y)]
+
+        def line(s):
+            pt = [a + s * h for a, h in zip(xs, hs)]
+            if isinstance(f, GaussianField):
+                return mp.exp(-mp.mpf(f.a) * mp.fsum(p * p for p in pt))
+            if isinstance(f, PowerField):
+                return mp.fsum(p * p for p in pt) ** (mp.mpf(f.alpha) / 2)
+            return mp.fprod(mp.sin(mp.mpf(float(w)) * p) for w, p in zip(f.omegas, pt))
+
+        terms = [line(1)] + [-mp.diff(line, 0, j) / mp.factorial(j) for j in range(order)]
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+class TestTaylorRemainderOfClosedForms:
+    """The float jet of `taylor_remainder`, which every non-polynomial field
+    takes, against a 40-digit line derivative of the closed form."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gauss", "sin", "pow"])
+    def test_remainder_matches_mpmath(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        if kind == "gauss":
+            f, lo, hi = GaussianField(1.3, dim), -1.0, 1.0
+        elif kind == "sin":
+            f, lo, hi = SinusoidField(rng.uniform(0.5, 3.0, dim)), -1.0, 1.0
+        else:  # a positive-orthant box keeps the segment clear of the excluded ball
+            f, lo, hi = PowerField(1.5, dim), 0.2, 0.9
+        for order in range(1, 6):
+            for _ in range(4):
+                x, y = rng.uniform(lo, hi, dim), rng.uniform(lo, hi, dim)
+                ref, size = _mp_taylor_remainder(f, x, y, order)
+                assert abs(taylor_remainder(f, x, y, order) - ref) <= 1e-14 * size, (x, y, order)
 
 
 class TestBatches:

@@ -67,6 +67,16 @@ class TestMollifier:
         with pytest.raises(ConfigError):
             Mollifier(epsilon, 1)
 
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, True, math.nan, "2"])
+    def test_dimension_must_be_a_whole_number_at_least_one(self, dim):
+        with pytest.raises(ConfigError, match="mollifier dimension must be an integer >= 1"):
+            Mollifier(0.1, dim)
+
+    def test_a_whole_dimension_of_another_type_is_stored_as_an_int(self):
+        for dim in (2.0, np.int64(2)):
+            phi = Mollifier(0.1, dim)
+            assert phi.dim == 2 and type(phi.dim) is int
+
 
 def _interior(v, phi):
     """The nodes farther than the kernel half-width from the walls: the

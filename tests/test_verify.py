@@ -877,15 +877,18 @@ class TestScans:
         with pytest.raises(ConfigError, match="the grid must hold the sampler's outer box"):
             SCANS[name](SinusoidField((2.0,)), 2, grid, sampler, None, 0.05)
 
-    def test_all_node_scans_on_a_sampler_box_wider_than_the_grid_of_g(self):
+    @pytest.mark.parametrize("scan", [hatl_scan, triebel_scan])
+    def test_all_node_scans_refuse_a_sampler_box_wider_than_the_grid_of_g(self, scan,
+                                                                          monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("the scan drew pairs before checking the grid of g")
+
+        monkeypatch.setattr(PairSampler, "draw", draw)
         grid = GridSpec.cube(-1.0, 1.0, 81, 1)
         g = SampledField(grid, np.ones(grid.points))
         sampler = PairSampler(Domain(Box((-1.5,), (1.5,))), 200, 0, 0.05, 0.3)
         with pytest.raises(ConfigError, match="the grid of g must hold the sampler's outer box"):
-            hatl_scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
-        report = triebel_scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
-        assert report.params["skipped_outside"] > 0
-        assert report.n_pairs + report.params["skipped_outside"] == 200
+            scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
 
     def test_mollified_scan_passes(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 150, 3, 0.05, 0.3)
@@ -916,12 +919,13 @@ SCANS = {
 }
 
 
-# a bad slack, then an order below 1 or beyond what the field supports;
-# the lemma1 scan has no order argument
+# a bad slack, then an order below 1, beyond what the field supports, or a
+# bool; the lemma1 scan has no order argument
 BAD_SCAN_ARGUMENTS = (
     [(name, 2, math.nan, ConfigError, "slack") for name in sorted(SCANS)]
     + [(name, order, 0.05, error, "order") for name in sorted(SCANS) if name != "lemma1"
-       for order, error in ((0, ConfigError), (30, UnsupportedOrderError))])
+       for order, error in ((0, ConfigError), (30, UnsupportedOrderError),
+                            (True, UnsupportedOrderError))])
 
 
 class TestScanArguments:
@@ -931,6 +935,26 @@ class TestScanArguments:
         sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.3)
         with pytest.raises(ConfigError, match="exponent s"):
             triebel_scan(SinusoidField((2.0,)), 2, s, g, sampler)
+
+    @pytest.mark.parametrize("name", sorted(set(SCANS) - {"lemma1"}))
+    def test_a_numpy_order_runs_and_is_recorded_as_an_int(self, name, grid_1d):
+        g = SampledField(grid_1d, np.ones(grid_1d.points))
+        sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.3)
+        report = SCANS[name](SinusoidField((2.0,)), np.int64(2), grid_1d, sampler, g, 0.05)
+        order = json.loads(report.to_json())["params"]["order"]
+        assert order == 2 and type(order) is int
+        assert report.to_json() == SCANS[name](SinusoidField((2.0,)), 2, grid_1d, sampler, g,
+                                               0.05).to_json()
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_numpy_float_slack_and_separations_are_recorded_as_floats(self, name, grid_1d):
+        g = SampledField(grid_1d, np.ones(grid_1d.points))
+        sampler = PairSampler(_domain(grid_1d), 50, 0, np.float32(0.05), np.float32(0.3))
+        assert type(sampler.min_sep) is float and type(sampler.max_sep) is float
+        report = SCANS[name](SinusoidField((2.0,)), 2, grid_1d, sampler, g, np.float32(0.05))
+        params = json.loads(report.to_json())["params"]
+        assert params["slack"] == report.slack == float(np.float32(0.05))
+        assert params["sampler"]["max_sep"] == float(np.float32(0.3))
 
     @pytest.mark.parametrize("name, order, slack, error, match", BAD_SCAN_ARGUMENTS)
     def test_refused_before_any_work(self, name, order, slack, error, match, grid_1d,
@@ -959,16 +983,19 @@ class TestBlockedScoring:
         from sobolev_pointwise import verify
 
         f = SinusoidField((2.0,))
+        domain, seps = _domain(grid_1d), (0.05, 0.3)
         if name == "triebel":
-            # g on part of the box, so the node test skips pairs in every block
-            g_grid = GridSpec((-0.6,), (0.7,), (131,))
-            g = SampledField(g_grid, np.full(g_grid.points, 0.1))
+            # separations up to 3.9 on [-2, 2]: order-2 steps beyond 1 long,
+            # which the scan skips, in every block of 7 drawn pairs
+            wide = GridSpec((-2.0,), (2.0,), (201,))
+            domain, seps = _domain(wide), (1.0, 3.9)
+            g = SampledField(wide, np.full(wide.points, 0.1))
         else:
             g = SampledField(grid_1d, np.full(grid_1d.points, 0.3))
 
         def run(block):
             monkeypatch.setattr(verify, "_NODE_BLOCK", block)
-            sampler = PairSampler(_domain(grid_1d), 150, 4, 0.05, 0.3)
+            sampler = PairSampler(domain, 150, 4, *seps)
             return SCANS[name](f, 2, grid_1d, sampler, g, 0.05)
 
         whole, blocked = run(10 ** 6), run(7)
@@ -977,7 +1004,9 @@ class TestBlockedScoring:
         for attr in ("x", "y", "lhs", "rhs", "ratio"):
             assert np.array_equal(getattr(blocked, attr), getattr(whole, attr))
         if name == "triebel":
-            assert 0 < whole.params["skipped_outside"] and whole.n_violations
+            long = PairSampler(domain, 150, 4, *seps).draw().dist > 2.0
+            assert all(long[i:i + 7].any() for i in range(0, 150, 7))
+            assert whole.params["skipped_long_step"] == long.sum() and whole.n_violations
 
     def test_blocks_give_the_bits_of_one_batch_in_3d(self, monkeypatch):
         from sobolev_pointwise import verify
