@@ -9,11 +9,16 @@ maximal function; scaled by the lens ratio it yields the coefficient
 fields used by the inequality scans.
 `ball_averages` averages a whole radius ladder in one pass: one
 cumulative sum along the last grid axis, and one sum per distinct lattice
-ball, each radius on its own node box.  The balls on one node box share
-a run-sum buffer, refilled once per run half-width they use, and a ball
+ball, each radius on its own node box.  The balls on one node box form a
+group that shares a run-sum buffer, refilled once per run half-width
+they use.  Each ball's sums are laid out with that buffer's strides, so
+adding the runs at one lead-axis offset is one contiguous 1-D slice add.
+The geometry of a call (balls, groups, layouts, flat offsets, divisors)
+is planned once per grid shape, spacing, radii and boxes, and a ball
 that stays inside the grid on its box divides by its exact node count.
 `MaximalConfig` is a whole ladder of nested rungs, and
-`local_maximal_function` turns it into one (R, *grid) stack of maxima.
+`local_maximal_function` turns it into one (R, *grid) stack of maxima,
+folding each group into the rung maxima as soon as it is summed.
 Given the box the pairs are drawn in, it builds each rung only on the
 nodes its pairs can reach (`_node_boxes`), which under the "reject"
 boundary is that box shrunk by the rung's delta, and leaves it NaN
@@ -242,7 +247,7 @@ def _ball_offsets(spacings: tuple[float, ...], radius: float):
     return list(zip(map(tuple, q[inside].tolist()), widths.astype(int).tolist()))
 
 
-def _ball_counts(shape: tuple[int, ...], pad_cells: list[int], offsets,
+def _ball_counts(shape: tuple[int, ...], pad_cells, offsets,
                  box: tuple[slice, ...] | None = None) -> np.ndarray:
     """Number of grid nodes in each clipped lattice ball, on the node box
     `box` (one slice per axis; the whole grid by default).
@@ -291,6 +296,151 @@ def _union(boxes) -> tuple[slice, ...]:
                  for axis in zip(*boxes))
 
 
+def _box_key(boxes) -> tuple:
+    """Node boxes as hashable (start, stop) pairs."""
+    return tuple(tuple((s.start, s.stop) for s in box) for box in boxes)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The lattice balls summed on one node box, and their flat layout.
+
+    The run buffer is the box widened by the balls' largest lead offsets
+    W (`run_shape`).  Each ball's sums take the shape `layout`: the box,
+    plus the buffer's 2W rows on each lead axis after the first, so that
+    sums and buffer share their strides and each (ball, offset) add is
+    one contiguous slice of length `span`.  `steps` holds, per run
+    half-width in ascending order, the two cumulative-sum slices whose
+    difference is the run, and its (member, flat offset) adds.
+    `divisors` is a member's exact node count, or None where
+    `_ball_counts` counts it; `radii` maps each radius to its member and
+    its box within the layout.
+    """
+
+    box: tuple[slice, ...]
+    members: tuple[int, ...]
+    run_shape: tuple[int, ...]
+    layout: tuple[int, ...]
+    span: int
+    steps: tuple
+    divisors: tuple
+    radii: tuple
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything a `ball_averages` call needs but the field's values;
+    no array in it is the size of a grid."""
+
+    pad_cells: tuple[int, ...]
+    offsets: tuple
+    csum_shape: tuple[int, ...]
+    grid_rows: tuple[slice, ...]
+    csum_rows: tuple[slice, ...]
+    groups: tuple[_Group, ...]
+    run_size: int
+
+
+@lru_cache(maxsize=32)
+def _ladder_plan(shape, spacings, radii, boxes) -> _Plan:
+    """The lattice balls of `radii` on a grid, grouped by node box
+    (`boxes` as `_box_key` pairs), with their flat layouts; the ladders
+    of one grid and config share it."""
+    boxes = [tuple(slice(a, b) for a, b in box) for box in boxes]
+    pad_cells = tuple(int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings)
+    balls: dict[tuple, int] = {}
+    which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
+    offsets_of = tuple(balls)
+    ball_boxes = [_union(box for box, b in zip(boxes, which) if b == ball)
+                  for ball in range(len(balls))]
+    reach = [_reach(offsets) for offsets in offsets_of]
+    members_of: dict[tuple, list[int]] = {}
+    for b, key in enumerate(_box_key(ball_boxes)):
+        members_of.setdefault(key, []).append(b)
+    wides = {key: [max(reach[b][k] for b in members) for k in range(len(shape) - 1)] + [0]
+             for key, members in members_of.items()}
+    # the cumulative sum holds the lead-axis rows some group's runs read:
+    # its row t is grid row origin + t, zero outside the grid
+    reads = _union([tuple(slice(a - w, b + w) for (a, b), w in zip(key, wides[key]))
+                    for key in members_of])
+    origin = [s.start for s in reads]
+    c_last = pad_cells[-1]
+    csum_shape = tuple(s.stop - s.start for s in reads[:-1]) + (shape[-1] + 2 * c_last + 1,)
+    grid_rows = tuple(slice(max(s.start, 0), min(s.stop, n)) for s, n in zip(reads[:-1], shape))
+    csum_rows = tuple(slice(g.start - o, g.stop - o) for g, o in zip(grid_rows, origin))
+    groups = []
+    for key, members in members_of.items():
+        box, wide = ball_boxes[members[0]], wides[key]
+        nodes = [s.stop - s.start for s in box]
+        run_shape = tuple(n + 2 * w for n, w in zip(nodes, wide))
+        strides = [math.prod(run_shape[k + 1:]) for k in range(len(box))]
+        rows = tuple(slice(s.start - w - o, s.stop + w - o)
+                     for s, w, o in zip(box[:-1], wide, origin))
+        last = box[-1]
+        adds: dict[int, list] = {}
+        for p, b in enumerate(members):
+            for q, width in offsets_of[b]:
+                adds.setdefault(width, []).append(
+                    (p, sum((qi + w) * s for qi, w, s in zip(q, wide, strides))))
+        steps = tuple((rows + (slice(c_last + w + 1 + last.start, c_last + w + 1 + last.stop),),
+                       rows + (slice(c_last - w + last.start, c_last - w + last.stop),),
+                       tuple(adds[w]))
+                      for w in sorted(adds))
+        divisors = tuple(sum(2 * w + 1 for _, w in offsets_of[b])
+                         if all(s.start >= c and s.stop + c <= n
+                                for s, c, n in zip(box, reach[b], shape)) else None
+                         for b in members)
+        groups.append(_Group(
+            box, tuple(members), run_shape, (nodes[0],) + run_shape[1:],
+            sum((n - 1) * s for n, s in zip(nodes, strides)) + 1, steps, divisors,
+            tuple((i, members.index(b), _within(boxes[i], box))
+                  for i, b in enumerate(which) if b in members)))
+    return _Plan(pad_cells, offsets_of, csum_shape, grid_rows, csum_rows, tuple(groups),
+                 max(math.prod(g.run_shape) for g in groups))
+
+
+def _box_groups(u: SampledField, radii, boxes, averages: dict):
+    """Sum the box groups of a `ball_averages` call one at a time: after
+    each, put the averages of its radii into `averages` (by radius
+    index) and yield.  The caller's dict, not a yielded one, holds them,
+    so a caller that pops an average frees it."""
+    values = u.values
+    plan = _ladder_plan(values.shape, u.grid.spacing, tuple(radii), _box_key(boxes))
+    c_last = plan.pad_cells[-1]
+    n_last = values.shape[-1]
+    # the in-grid rows, summed straight into a zero border
+    csum = np.zeros(plan.csum_shape)
+    rows = plan.csum_rows
+    np.cumsum(values[plan.grid_rows], axis=-1,
+              out=csum[rows + (slice(c_last + 1, c_last + 1 + n_last),)])
+    csum[rows + (slice(c_last + 1 + n_last, None),)] = csum[
+        rows + (slice(c_last + n_last, c_last + n_last + 1),)]
+    buffer = np.empty(plan.run_size)
+    for group in plan.groups:
+        run = buffer[:math.prod(group.run_shape)]
+        # one array per ball, not one per group: a ball that a later rung
+        # still needs then keeps only itself alive
+        span = group.span
+        sums = [np.zeros(math.prod(group.layout)) for _ in group.members]
+        heads = [total[:span] for total in sums]
+        for hi, lo, adds in group.steps:
+            np.subtract(csum[hi], csum[lo], out=run.reshape(group.run_shape))
+            for p, off in adds:
+                heads[p] += run[off:off + span]
+        if group is plan.groups[-1]:
+            # the last group divides without the cumulative sum
+            del csum, buffer, run
+        for p, (b, count) in enumerate(zip(group.members, group.divisors)):
+            if count:
+                sums[p] /= count
+            else:
+                sums[p].reshape(group.layout)[_within(group.box, group.box)] /= _ball_counts(
+                    values.shape, plan.pad_cells, plan.offsets[b], group.box)
+        averages.update((i, sums[p].reshape(group.layout)[index]) for i, p, index in group.radii)
+        yield
+        del sums, heads
+
+
 def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
     """Counting-measure averages of u over lattice balls, one per radius,
     each on its node box in `boxes` (a slice per axis; the whole grid by
@@ -298,82 +448,60 @@ def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
 
     Every grid node within Euclidean distance r of the center
     contributes with equal weight; near the grid boundary the ball is
-    clipped to the grid.  The field is padded once, at the largest
-    radius, and summed cumulatively along its last axis, so a ball is a
-    sum of last-axis runs (a summed-area table shared by the whole
-    ladder, after Crow 1984).  A lattice ball is summed only on the
-    smallest box holding the boxes of all its radii.  The balls on one
-    such box share one run-sum buffer: exactly the box on the last axis,
-    and the box widened by their largest lead offsets on the others.  It
-    is filled once per run half-width they use, and each ball adds it,
-    at each of its lead-axis offsets, as whole rows.  A ball whose reach
-    stays inside the grid on its box divides by its node count, the
-    integer sum of its runs 2w + 1; any other by `_ball_counts`.  Its
-    additions always go widths ascending, then in `_ball_offsets` order,
-    so its average depends neither on the other radii of the call nor
-    on the boxes: it is the whole-grid average, sliced.  Radii with the
-    same lattice ball share one array: never update a result in place.
+    clipped to the grid.  The field is summed cumulatively along its
+    last axis once, so a ball is a sum of last-axis runs (a summed-area
+    table shared by the whole ladder, after Crow 1984).  The sum is
+    bordered by zeros: on the last axis as wide as the largest radius,
+    on the others as far as some group's runs read.  A lattice ball is
+    summed only on the smallest box holding the boxes of all its radii,
+    and the balls on one such box form a group.  The group shares one
+    run-sum buffer: exactly the box on the last axis, and the box
+    widened by its balls' largest lead offsets W on the others.  It is
+    filled once per run half-width the group uses.  Each ball's sums
+    keep the buffer's strides: a lead axis after the first carries 2W
+    junk rows, never read.  Adding the buffer at one lead-axis offset
+    is then one contiguous add of a flat slice.  The plan of the call
+    (`_ladder_plan`: balls, groups, layouts, flat offsets and divisors)
+    is cached by grid shape, spacing, radii and boxes, and holds no
+    grid-sized array.  A ball whose reach stays inside the grid on its
+    box divides by its node count, the integer sum of its runs 2w + 1;
+    any other by `_ball_counts`.  Its additions always go widths
+    ascending, then in `_ball_offsets` order, so its average depends
+    neither on the other radii of the call nor on the boxes: it is the
+    whole-grid average, sliced.  Results are views into their group's
+    layout, and radii with the same lattice ball share one: never
+    update a result in place.  A box list that is not one box per
+    radius, each a nonempty slice within the grid per axis, raises
+    `ConfigError`.
     """
     radii = [float(r) for r in radii]
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ConfigError(f"ball radii must be given, finite and positive, got {radii}")
-    values = u.values
-    spacings = u.grid.spacing
-    shape = values.shape
+    boxes = _checked_boxes(boxes, u.values.shape, len(radii))
+    averages: dict[int, np.ndarray] = {}
+    for _ in _box_groups(u, radii, boxes, averages):
+        pass
+    return [averages[i] for i in range(len(radii))]
+
+
+def _checked_boxes(boxes, shape, count: int) -> list[tuple[slice, ...]]:
+    """`count` node boxes, each one nonempty in-grid slice per axis with
+    int bounds, or `ConfigError`."""
     if boxes is None:
-        boxes = [tuple(slice(0, n) for n in shape)] * len(radii)
-    pad_cells = [int(math.floor(max(radii) * _RADIUS_SLACK / sp)) for sp in spacings]
-    balls: dict[tuple, int] = {}
-    which = [balls.setdefault(tuple(_ball_offsets(spacings, r)), len(balls)) for r in radii]
-    ball_boxes = [_union(box for box, b in zip(boxes, which) if b == ball)
-                  for ball in range(len(balls))]
-    offsets_of = list(balls)
-    reach = [_reach(offsets) for offsets in offsets_of]
-    union = _union(ball_boxes)
-    lead = tuple(slice(s.start, s.stop + 2 * c) for s, c in zip(union[:-1], pad_cells))
-    padded = np.pad(values, [(c, c) for c in pad_cells])[lead]
-    csum = np.zeros(padded.shape[:-1] + (padded.shape[-1] + 1,))
-    np.cumsum(padded, axis=-1, out=csum[..., 1:])
-    del padded
-    c_last = pad_cells[-1]
-    sums = [np.zeros([s.stop - s.start for s in box]) for box in ball_boxes]
-    groups: dict[tuple, list[int]] = {}
-    for b, box in enumerate(ball_boxes):
-        groups.setdefault(tuple((s.start, s.stop) for s in box), []).append(b)
-    for members in groups.values():
-        # one buffer refilled per width (a buffer per width would hold a
-        # grid each), cut to the box on the last axis so that each add
-        # reads whole rows: one long inner loop
-        box = ball_boxes[members[0]]
-        wide = [max(reach[b][k] for b in members) for k in range(len(box) - 1)]
-        rows = tuple(slice(s.start - u.start + c - w, s.stop - u.start + c + w)
-                     for s, u, c, w in zip(box[:-1], union, pad_cells, wide))
-        last = box[-1]
-        shifted = {q: tuple(slice(w + qi, w + qi + s.stop - s.start)
-                            for qi, w, s in zip(q, wide, box))
-                   for q in {q for b in members for q, _ in offsets_of[b]}}
-        uses: dict[int, list] = {}
-        for b in members:
-            for q, width in offsets_of[b]:
-                uses.setdefault(width, []).append((b, shifted[q]))
-        run = np.empty([r.stop - r.start for r in rows] + [last.stop - last.start])
-        for width in sorted(uses):
-            np.subtract(csum[rows + (slice(c_last + width + 1 + last.start,
-                                           c_last + width + 1 + last.stop),)],
-                        csum[rows + (slice(c_last - width + last.start,
-                                           c_last - width + last.stop),)], out=run)
-            for b, index in uses[width]:
-                sums[b] += run[index]
-        del run
-    del csum
-    for total, offsets, box, r in zip(sums, offsets_of, ball_boxes, reach):
-        if all(s.start >= c and s.stop + c <= n for s, c, n in zip(box, r, shape)):
-            # the ball stays inside the grid on its box: every node counts
-            # every offset's full run, an exact integer
-            total /= sum(2 * w + 1 for _, w in offsets)
-        else:
-            total /= _ball_counts(shape, pad_cells, offsets, box)
-    return [sums[b][_within(box, ball_boxes[b])] for b, box in zip(which, boxes)]
+        return [tuple(slice(0, n) for n in shape)] * count
+    out = []
+    for box in boxes:
+        if not (isinstance(box, (tuple, list)) and len(box) == len(shape) and all(
+                isinstance(s, slice) and s.step in (None, 1)
+                and all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                        for e in (s.start, s.stop))
+                and 0 <= s.start < s.stop <= n for s, n in zip(box, shape))):
+            raise ConfigError(f"a node box is one nonempty slice per axis within the "
+                              f"grid {shape}, got {box!r}")
+        out.append(tuple(slice(int(s.start), int(s.stop)) for s in box))
+    if len(out) != count:
+        raise ConfigError(f"need one node box per radius: {count} radii, {len(out)} boxes")
+    return out
 
 
 def _node_boxes(grid: GridSpec, outer, margins) -> list[tuple[slice, ...]]:
@@ -410,11 +538,12 @@ def local_maximal_function(u: SampledField, config: MaximalConfig, outer=None) -
     `config`, each on its node box for pairs drawn in the box `outer`
     (`_node_boxes`; the whole grid without `outer`).
 
-    One `ball_averages` call covers every radius, each on the box of the
-    first rung holding it, and each rung extends the previous rung's
-    maximum, cut to its own box, by its new radii.  Returns the
-    (R, *grid) stack, NaN outside each rung's box, so that a read there
-    fails closed.
+    One pass of `ball_averages`' groups covers every radius, each on the
+    box of the first rung holding it.  As soon as the groups of a rung's
+    new radii are summed, the rung extends the previous rung's maximum,
+    cut to its own box, by them, and the sums no later rung reads are
+    freed.  Returns the (R, *grid) stack, NaN outside each rung's box,
+    so that a read there fails closed.
     """
     radii = config.radii
     if np.any(u.values < 0):
@@ -425,15 +554,23 @@ def local_maximal_function(u: SampledField, config: MaximalConfig, outer=None) -
     sizes = config.sizes
     boxes = _node_boxes(u.grid, outer, config.margins)
     # the first rung holding radius i is the count of rungs with at most i radii
-    averages = ball_averages(u, radii, [boxes[sum(n <= i for n in sizes)]
-                                        for i in range(len(radii))])
+    radius_boxes = [boxes[sum(n <= i for n in sizes)] for i in range(len(radii))]
+    starts = [0, *sizes[:-1]]
+    averages: dict[int, np.ndarray] = {}
+    rungs: list[np.ndarray] = []
+    for _ in _box_groups(u, radii, radius_boxes, averages):
+        # each rung extends the previous rung's maximum, cut to its box,
+        # as soon as the groups of its new radii are done
+        for k in range(len(rungs), len(sizes)):
+            if not all(i in averages for i in range(starts[k], sizes[k])):
+                break
+            best = rungs[-1][_within(boxes[k], boxes[k - 1])] if k else None
+            for i in range(starts[k], sizes[k]):
+                avg = averages.pop(i)
+                best = avg if best is None else np.maximum(best, avg)
+            rungs.append(best)
+    # made last, so that no group's sums are alive beside it
     stack = np.full((len(sizes),) + u.values.shape, np.nan)
-    # the first radius is on the first rung, and so on its box
-    best, best_box, done = averages[0], boxes[0], 1
-    for rung, size, box in zip(stack, sizes, boxes):
-        best = best[_within(box, best_box)]
-        for avg in averages[done:size]:
-            best = np.maximum(best, avg)
-        best_box, done = box, size
+    for rung, box, best in zip(stack, boxes, rungs):
         rung[box] = best
     return stack

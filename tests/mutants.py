@@ -98,6 +98,13 @@ MUTANTS = [
     ("scans run on the order as given", "verify.py",
      "return checked, _checked_slack(slack)",
      "return order, _checked_slack(slack)"),
+    ("ladder plans found without the spacing", "maximal.py",
+     "@lru_cache(maxsize=32)",
+     "@lambda build: (lambda plans: lambda shape, spacings, *key: plans.setdefault("
+     "(shape, *key), build(shape, spacings, *key)))({})"),
+    ("inner-axis flat offsets one row off", "maximal.py",
+     "(p, sum((qi + w) * s for qi, w, s in zip(q, wide, strides))))",
+     "(p, sum((qi + w + (k == 1)) * s for k, (qi, w, s) in enumerate(zip(q, wide, strides)))))"),
 ]
 
 

@@ -23,6 +23,7 @@ from sobolev_pointwise import (
     ball_averages,
     ball_volume,
     default_radii,
+    gradient_magnitude_field,
     ladder_config,
     lens_volume,
     local_maximal_function,
@@ -41,9 +42,11 @@ def _pad_cells(spacings, radius):
     return [int(math.floor(radius * _RADIUS_SLACK / sp)) for sp in spacings]
 
 
-def _cumsum_ball_sums(u, radius):
-    """Ball sums added run by run in `_ball_offsets` order, and node
-    counts from cumulative sums of a padded field of ones."""
+def _cumsum_ball_sums(u, radius, widths_first=False):
+    """Ball sums added run by run in `_ball_offsets` order, or with
+    `widths_first` in the order `ball_averages` adds them (widths
+    ascending, then `_ball_offsets` order), and node counts from
+    cumulative sums of a padded field of ones."""
     values = u.values
     spacings = u.grid.spacing
     pad_cells = _pad_cells(spacings, radius)
@@ -57,7 +60,8 @@ def _cumsum_ball_sums(u, radius):
     r_last = pad_cells[-1]
     sums = np.zeros(shape)
     counts = np.zeros(shape)
-    for q, width in _ball_offsets(spacings, radius):
+    offsets = _ball_offsets(spacings, radius)
+    for q, width in sorted(offsets, key=lambda o: o[1]) if widths_first else offsets:
         lead = tuple(slice(c + qi, c + qi + n)
                      for qi, c, n in zip(q, pad_cells[:-1], shape[:-1]))
         hi = lead + (slice(r_last + width + 1, r_last + width + 1 + shape[-1]),)
@@ -392,6 +396,89 @@ class TestBallAverages:
             tracemalloc.stop()
         # one array per ball, the cumulative sum, one run sum and the counts
         assert peak < (balls + 8) * u.values.nbytes
+
+    @pytest.mark.parametrize("boxes", [
+        # more boxes than radii, and fewer
+        [(slice(0, 11),) * 3] * 3,
+        [(slice(0, 11),) * 3],
+        # an empty box, one past the grid, a negative start
+        [(slice(0, 11),) * 3, (slice(0, 11), slice(4, 4), slice(0, 11))],
+        [(slice(0, 11),) * 3, (slice(0, 11), slice(0, 12), slice(0, 11))],
+        [(slice(0, 11),) * 3, (slice(-1, 5), slice(0, 11), slice(0, 11))],
+        # a box with too few axes, one that is not a slice, a stepped one
+        [(slice(0, 11),) * 3, (slice(0, 11),) * 2],
+        [(slice(0, 11),) * 3, (slice(0, 11), 3, slice(0, 11))],
+        [(slice(0, 11),) * 3, (slice(0, 11, 2),) * 3],
+    ])
+    def test_rejects_malformed_boxes(self, boxes, rng):
+        # the boxes were once truncated to the radii, or misread deep inside
+        grid = GridSpec.cube(-1.0, 1.0, 11, 3)
+        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+        with pytest.raises(ConfigError, match="box"):
+            ball_averages(u, (0.25, 0.5), boxes)
+
+    def test_scan3d_ladder_peak_memory(self):
+        # the stack, the cumulative sum, the largest group's sums in its
+        # layout, one run buffer and a few field-sized arrays
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 5000, 1, 0.05, 0.4)
+        config = _rung_config(sampler, grid, None)
+        u = gradient_magnitude_field(parse_field("sin:w=2,1.5,1", dim=3), grid, 2)
+        outer = sampler.domain.outer
+        boxes = _node_boxes(grid, outer, config.margins)
+        # the call below finds this plan in the cache
+        plan = maximal._ladder_plan(grid.points, grid.spacing, config.radii, maximal._box_key(
+            [boxes[sum(n <= i for n in config.sizes)] for i in range(len(config.radii))]))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            local_maximal_function(u, config, outer)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        field = u.values.nbytes
+        bound = (len(config.deltas) * field + math.prod(plan.csum_shape) * 8
+                 + max(len(g.members) * math.prod(g.layout) for g in plan.groups) * 8
+                 + plan.run_size * 8 + 3 * field)
+        assert peak < bound
+
+
+class TestLadderPlan:
+    def test_two_same_shape_grids_and_two_box_lists_in_one_process(self, rng):
+        # a plan found by shape, radii and boxes alone would hand the
+        # third grid the first grid's balls
+        shape = (7, 9, 11)
+        grids = [GridSpec((-1.0, -0.5, 0.0), (1.0, 1.0, 0.7), shape),
+                 GridSpec((-0.75, -0.25, 0.5), (1.25, 1.25, 1.2), shape),
+                 GridSpec((-1.0, -0.5, 0.0), (0.5, 1.5, 1.2), shape)]
+        radii = (0.27, 0.43, 0.71)
+        boxes = [[(slice(1, 6), slice(2, 8), slice(0, 11))] * 3,
+                 [(slice(0, 7), slice(0, 9), slice(3, 9)), (slice(2, 5), slice(1, 8), slice(4, 6)),
+                  (slice(0, 7), slice(4, 9), slice(0, 1))]]
+        for grid in grids:
+            u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
+            expected = []
+            for radius in radii:
+                sums, _ = _cumsum_ball_sums(u, radius, widths_first=True)
+                expected.append(sums / _ball_counts(
+                    shape, _pad_cells(grid.spacing, radius), _ball_offsets(grid.spacing, radius)))
+            for avg, want in zip(ball_averages(u, radii), expected):
+                assert np.array_equal(avg, want)
+            for each in boxes:
+                for avg, want, box in zip(ball_averages(u, radii, each), expected, each):
+                    assert np.array_equal(avg, want[box])
+
+    def test_a_scans_ladders_share_one_plan(self, rng):
+        grid = GridSpec.cube(-1.0, 1.0, 21, 3)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.1, 0.4)
+        config = _rung_config(sampler, grid, None)
+        fields = [SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points)) for _ in range(3)]
+        local_maximal_function(fields[0], config, sampler.domain.outer)
+        before = maximal._ladder_plan.cache_info()
+        for u in fields[1:]:
+            local_maximal_function(u, config, sampler.domain.outer)
+        after = maximal._ladder_plan.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 class TestMaximalFunction:
