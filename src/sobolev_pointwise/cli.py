@@ -15,6 +15,7 @@ defaults; explicit flags win over the file.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,13 +26,7 @@ import numpy as np
 from .differences import binomial
 from .exceptions import ConfigError, DomainError, EmptyScanError, UnsupportedOrderError
 from .fields import Box, GridSpec, SampledField, parse_field, sample
-from .maximal import (
-    MaximalConfig,
-    ball_volume,
-    default_radii,
-    lens_volume,
-    segment_ratio_constant,
-)
+from .maximal import ball_volume, ladder_config, lens_volume, segment_ratio_constant
 from .mollify import Mollifier, default_epsilons, young_check
 from .verify import (
     Domain,
@@ -209,9 +204,8 @@ def _cmd_verify(cfg: dict) -> int:
     if cfg["delta"] is not None:
         if scan == "node_discard":
             raise ConfigError("--delta does not apply to --scan node-discard")
-        delta = cfg["delta"]
-        config = MaximalConfig((delta,), default_radii(delta, max(grid.spacing)),
-                               cfg["boundary"] or "reject")
+        config = dataclasses.replace(ladder_config((cfg["delta"],), max(grid.spacing)),
+                                     boundary=cfg["boundary"] or "reject")
     elif cfg["boundary"] is not None:
         raise ConfigError("--boundary needs --delta")
     if scan in ("lemma1", "main"):

@@ -658,12 +658,9 @@ def _grid_cells(grid: GridSpec, pts) -> tuple[list[np.ndarray], list[np.ndarray]
     (axis[i+1] - axis[i]), as scipy's binary search finds them.
 
     The index comes from (p - lo) / spacing, corrected by one comparison
-    each way against the axis nodes.  A flat array is read as rows of
-    `grid.dim` coordinates.
+    each way against the axis nodes.
     """
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, grid.dim)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"expected points of shape (N, {grid.dim}), got {pts.shape}")
     cells, offsets = [], []

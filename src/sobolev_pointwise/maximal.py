@@ -41,7 +41,6 @@ __all__ = [
     "lens_volume",
     "segment_ratio_constant",
     "MaximalConfig",
-    "default_radii",
     "ladder_config",
     "ball_averages",
     "local_maximal_function",
@@ -190,22 +189,16 @@ class MaximalConfig:
         return deltas if self.boundary == "reject" else np.zeros_like(deltas)
 
 
-def default_radii(delta: float, spacing: float, count: int = 8) -> tuple[float, ...]:
-    """Geometric radius ladder from twice the grid spacing up to delta."""
-    if not (0 < delta < math.inf and spacing > 0):
-        raise ConfigError("delta must be finite, and delta and spacing positive")
-    lo = 2.0 * spacing
-    if lo > delta * _RADIUS_SLACK:
-        raise ConfigError(
-            f"delta {delta:g} is below twice the grid spacing {spacing:g}; refine the grid")
-    if count < 1:
-        raise ConfigError("need at least one radius")
-    ladder = np.geomspace(lo, max(delta, lo), count)
-    out = []
-    for r in ladder:
-        if not out or r > out[-1] * (1.0 + 1e-12):
-            out.append(float(r))
-    return tuple(out)
+def _spread(lo: float, hi: float, count: int) -> list[float]:
+    """`count` values spaced geometrically from min(lo, hi) up to hi, the
+    top one exactly hi, with repeats dropped."""
+    ladder = np.geomspace(min(lo, hi), hi, count)
+    ladder[-1] = hi
+    out = [float(ladder[0])]
+    for v in ladder[1:]:
+        if v > out[-1] * (1.0 + 1e-12):
+            out.append(float(v))
+    return out
 
 
 def ladder_config(deltas, spacing: float) -> MaximalConfig:
@@ -213,13 +206,16 @@ def ladder_config(deltas, spacing: float) -> MaximalConfig:
     geometric radii from twice the grid spacing up to the top delta, plus
     every delta.  A larger delta can only enlarge the maximum; scans rely
     on that when one coefficient field must dominate several pair scales.
+    A delta below twice the grid spacing, where the geometric radii
+    start, is refused.
     """
     deltas = sorted(float(d) for d in deltas)
-    if not deltas:
-        raise ConfigError("need at least one delta")
+    if not deltas or not all(0 < d < math.inf for d in deltas):
+        raise ConfigError("need deltas, each a finite number > 0")
     if 2.0 * spacing > deltas[0] * _RADIUS_SLACK:
-        raise ConfigError(f"delta {deltas[0]:g} is below twice the grid spacing {spacing:g}")
-    return MaximalConfig(deltas, sorted({*default_radii(deltas[-1], spacing, _LADDER_RADII),
+        raise ConfigError(f"delta {deltas[0]:g} is below twice the grid spacing {spacing:g}; "
+                          "refine the grid")
+    return MaximalConfig(deltas, sorted({*_spread(2.0 * spacing, deltas[-1], _LADDER_RADII),
                                          *deltas}))
 
 

@@ -59,7 +59,7 @@ from .fields import (
 )
 from .maximal import (
     MaximalConfig,
-    default_radii,
+    _spread,
     ladder_config,
     local_maximal_function,
     segment_ratio_constant,
@@ -555,23 +555,20 @@ def _rung_config(sampler: PairSampler, grid: GridSpec,
     A given config is used as given, rungs, radii and boundary included.
     Otherwise four deltas spaced geometrically from max(min_sep, twice
     the grid spacing) up to max_sep share one master radius set
-    (`ladder_config`).
+    (`ladder_config`).  When min_sep is at least twice the spacing, the
+    bottom delta is min_sep itself: its rung could only hold pairs
+    exactly min_sep apart, so it is dropped and its radius kept.
     """
     if config is not None:
         if config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):
             raise ConfigError("the config's top delta must cover the largest pair separation")
         return config
     spacing = max(grid.spacing)
-    lo = max(sampler.min_sep, 2.0 * spacing)
-    if lo > sampler.max_sep:
-        raise ConfigError("max_sep is below twice the grid spacing; refine the grid")
-    deltas = np.geomspace(lo, sampler.max_sep, 4)
-    deltas[-1] = sampler.max_sep
-    keep = [deltas[0]]
-    for d in deltas[1:]:
-        if d > keep[-1] * (1.0 + 1e-12):
-            keep.append(float(d))
-    return ladder_config(keep, spacing)
+    config = ladder_config(_spread(max(sampler.min_sep, 2.0 * spacing), sampler.max_sep, 4),
+                           spacing)
+    if sampler.min_sep >= 2.0 * spacing and len(config.deltas) > 1:
+        return MaximalConfig(config.deltas[1:], config.radii, config.boundary)
+    return config
 
 
 def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
@@ -778,7 +775,7 @@ def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> f
     the smallest box side, on the whole grid.
     """
     delta = min(grid.extent) / 4.0
-    config = MaximalConfig((delta,), default_radii(delta, max(grid.spacing)))
+    config = ladder_config((delta,), max(grid.spacing))
     coeff = _CoefficientLadder(f, grid, order, config).all_node()
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 

@@ -105,6 +105,12 @@ MUTANTS = [
     ("inner-axis flat offsets one row off", "maximal.py",
      "(p, sum((qi + w) * s for qi, w, s in zip(q, wide, strides))))",
      "(p, sum((qi + w + (k == 1)) * s for k, (qi, w, s) in enumerate(zip(q, wide, strides)))))"),
+    ("spacing rule at one spacing", "maximal.py",
+     "if 2.0 * spacing > deltas[0] * _RADIUS_SLACK:",
+     "if spacing > deltas[0] * _RADIUS_SLACK:"),
+    ("CLI hatl scan run with s = m", "cli.py",
+     "report = hatl_scan(field, order, s, g, sampler, slack=slack)",
+     "report = hatl_scan(field, order, float(order), g, sampler, slack=slack)"),
 ]
 
 

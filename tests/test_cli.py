@@ -5,12 +5,24 @@ import json
 import pathlib
 import warnings
 
+import jsonschema
 import pytest
 
-from sobolev_pointwise import GridSpec, default_radii
+from sobolev_pointwise import (
+    Domain,
+    GridSpec,
+    PairSampler,
+    all_node_coefficient,
+    hatl_scan,
+    ladder_config,
+    node_discard_check,
+    parse_field,
+)
 from sobolev_pointwise.cli import _build_parser, _own_options, main
 
-CLI_SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sobolev_pointwise" / "cli.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLI_SOURCE = ROOT / "src" / "sobolev_pointwise" / "cli.py"
+SCHEMA_FILE = ROOT / "docs" / "report_schema.json"
 
 
 class TestIdentities:
@@ -116,7 +128,7 @@ class TestVerify:
         assert code == 0
         params = json.loads(out.read_text())["params"]
         spacing = GridSpec.cube(-1.0, 1.0, 161, 1).spacing[0]
-        assert params["radii_master"] == list(default_radii(0.5, spacing))
+        assert params["radii_master"] == list(ladder_config((0.5,), spacing).radii)
         assert params["deltas"] == [0.5]
 
     def test_delta_with_node_discard_exits_two(self, capsys):
@@ -142,6 +154,40 @@ class TestVerify:
                      "--grid", "-1:1:161", "--pairs", "40"])
         assert code == 2
         assert "lemma1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan, extra", [("node-discard", []),
+                                             ("hatl", ["--s", "1.5"]),
+                                             ("hatl", ["--s", "1.5", "--delta", "0.45"])])
+    def test_all_node_scans_write_the_library_report(self, scan, extra, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        code = main(["verify", "--scan", scan, "--m", "2", "--field", "sin:w=2",
+                     "--grid", "-1:1:161", "--pairs", "200", "--seed", "4", *extra,
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        jsonschema.validate(data, json.loads(SCHEMA_FILE.read_text()))
+        f, grid = parse_field("sin:w=2"), GridSpec.cube(-1.0, 1.0, 161, 1)
+        sampler = PairSampler(Domain(grid), 200, 4, 0.05, 0.4)
+        if scan == "node-discard":
+            report = node_discard_check(f, 2, grid, sampler)
+        else:
+            config = ladder_config((0.45,), grid.spacing[0]) if "--delta" in extra else None
+            report = hatl_scan(f, 2, 1.5, all_node_coefficient(f, 2, grid, sampler, config),
+                               sampler)
+        assert data == json.loads(json.dumps(report.to_dict()))
+
+    def test_grid_axes_set_the_dimension_without_dim(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        code = main(["verify", "--scan", "main", "--field", "gauss:a=1",
+                     "--grid", "-1:1:41;-1:1:31", "--pairs", "100", "--out", str(out)])
+        assert code == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["dim"], params["grid"]["points"]) == (2, [41, 31])
+
+    def test_max_sep_below_twice_the_spacing_exits_two(self, capsys):
+        code = main(["verify", "--field", "sin:w=2", "--grid", "-1:1:11", "--max-sep", "0.3"])
+        assert code == 2
+        assert "below twice the grid spacing" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -504,6 +550,12 @@ class TestTriebel:
                      "--m", "2", "--pairs", "80", "--seed", "2", "--g", "zero"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_every_step_longer_than_one_exits_three(self, capsys):
+        code = main(["triebel", "--field", "sin:w=2", "--grid", "-2:2:81", "--m", "1",
+                     "--min-sep", "1.2", "--max-sep", "1.5", "--pairs", "50"])
+        assert code == 3
+        assert "step longer than one" in capsys.readouterr().err
 
 
 class TestModuleEntry:

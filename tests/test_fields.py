@@ -278,6 +278,13 @@ class TestGridAndSampling:
             with pytest.raises(ValueError):
                 u.at(np.array([[pt]]))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_at_takes_points_as_rows_only(self, dim):
+        grid = GridSpec.cube(-1.0, 1.0, 11, dim)
+        u = SampledField(grid, np.zeros(grid.points))
+        with pytest.raises(ValueError, match=rf"expected points of shape \(N, {dim}\)"):
+            u.at(np.full(2 * dim, 0.1))
+
     def test_sampled_field_rejects_nonfinite(self, grid_1d):
         values = np.zeros(grid_1d.points)
         values[3] = np.nan

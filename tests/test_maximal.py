@@ -22,11 +22,11 @@ from sobolev_pointwise import (
     SampledField,
     ball_averages,
     ball_volume,
-    default_radii,
     gradient_magnitude_field,
     ladder_config,
     lens_volume,
     local_maximal_function,
+    main_inequality_scan,
     parse_field,
     sample,
     segment_ratio_constant,
@@ -483,7 +483,7 @@ class TestLadderPlan:
 
 class TestMaximalFunction:
     def _config(self, grid, delta=0.3):
-        return MaximalConfig((delta,), default_radii(delta, grid.spacing[0]))
+        return ladder_config((delta,), grid.spacing[0])
 
     def _maximal(self, u, config):
         return local_maximal_function(u, config)[0]
@@ -575,7 +575,7 @@ class TestLadderConfigs:
         with pytest.raises(ConfigError, match="delta"):
             MaximalConfig((delta,), (0.05,))
         with pytest.raises(ConfigError, match="delta"):
-            default_radii(delta, 0.01)
+            ladder_config((delta,), 0.01)
 
 
 class TestMaximalConfig:
@@ -615,6 +615,47 @@ class TestMaximalConfig:
         with pytest.raises(ConfigError, match="boundary"):
             MaximalConfig((0.1,), (0.05,), "wrap")
 
+
+class TestLadderRecipe:
+    """`ladder_config` is the one recipe: the default scan ladders and the
+    one-rung ladders of `--delta` and `quasinorm_upper` all come from it."""
+
+    def test_one_rung_has_twelve_geometric_radii_up_to_its_delta(self):
+        config = ladder_config((0.5,), 0.0125)
+        assert config.deltas == (0.5,)
+        assert config.radii == tuple(np.geomspace(0.025, 0.5, 12))
+
+    def test_refuses_a_delta_below_twice_the_spacing(self):
+        assert ladder_config((0.02,), 0.01).radii == (0.02,)
+        with pytest.raises(ConfigError, match="below twice the grid spacing .*refine the grid"):
+            ladder_config((0.015, 0.3), 0.01)
+
+    def test_a_default_scan_refuses_max_sep_below_twice_the_spacing(self):
+        grid = GridSpec.cube(-1.0, 1.0, 11, 1)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 10, 0, 0.05, 0.3)
+        with pytest.raises(ConfigError, match="delta 0.3 is below twice the grid spacing"):
+            main_inequality_scan(parse_field("sin:w=2"), 1, grid, sampler)
+
+    def test_default_deltas_start_at_twice_the_spacing_above_min_sep(self):
+        grid = GridSpec.cube(-1.0, 1.0, 41, 3)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
+        config = _rung_config(sampler, grid, None)
+        assert config.deltas == tuple(np.geomspace(0.1, 0.4, 4))
+        assert config == ladder_config(config.deltas, 0.05)
+
+    def test_a_bottom_rung_at_min_sep_is_dropped_and_its_radius_kept(self):
+        grid = GridSpec.cube(-1.0, 1.0, 2001, 1)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
+        config = _rung_config(sampler, grid, None)
+        full = ladder_config(np.geomspace(0.05, 0.4, 4), grid.spacing[0])
+        assert config.deltas == full.deltas[1:] == tuple(np.geomspace(0.05, 0.4, 4)[1:])
+        assert config.radii == full.radii and 0.05 in config.radii
+
+    def test_a_single_default_delta_is_kept(self):
+        grid = GridSpec.cube(-1.0, 1.0, 201, 1)
+        sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.3, 0.3)
+        assert _rung_config(sampler, grid, None).deltas == (0.3,)
+
     def test_margins_are_the_deltas_under_reject_and_zero_under_clip(self):
         deltas, radii = (0.1, 0.2, 0.4), (0.05, 0.1, 0.3, 0.4)
         np.testing.assert_array_equal(MaximalConfig(deltas, radii).margins, deltas)
@@ -643,14 +684,14 @@ class TestOneRungCoefficient:
 
     def test_linear_field_gives_constant(self, grid_1d):
         f = parse_field("poly:3*x0")
-        config = MaximalConfig((0.3,), default_radii(0.3, grid_1d.spacing[0]))
+        config = ladder_config((0.3,), grid_1d.spacing[0])
         a = _CoefficientLadder(f, grid_1d, 1, config).stack[0]
         want = segment_ratio_constant(1) * 3.0
         np.testing.assert_allclose(a, want, rtol=1e-13, atol=0)
 
     def test_gaussian_field_is_positive_and_bounded(self, grid_2d):
         f = GaussianField(1.0, dim=2)
-        config = MaximalConfig((0.3,), default_radii(0.3, grid_2d.spacing[0]))
+        config = ladder_config((0.3,), grid_2d.spacing[0])
         a = _CoefficientLadder(f, grid_2d, 1, config).stack[0]
         grad_max = np.sqrt(2 / math.e) * np.sqrt(2)  # coarse bound on |grad|
         assert np.all(a > 0)

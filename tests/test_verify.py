@@ -890,6 +890,21 @@ class TestScans:
         with pytest.raises(ConfigError, match="the grid of g must hold the sampler's outer box"):
             scan(SinusoidField((2.0,)), 2, 1.0, g, sampler)
 
+    @pytest.mark.parametrize("scan", [hatl_scan, triebel_scan])
+    def test_all_node_scans_refuse_a_negative_g(self, scan, grid_1d):
+        values = np.ones(grid_1d.points)
+        values[100] = -1e-12
+        sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.3)
+        with pytest.raises(ValueError, match="g must be nonnegative"):
+            scan(SinusoidField((2.0,)), 2, 1.0, SampledField(grid_1d, values), sampler)
+
+    def test_triebel_with_every_step_longer_than_one_is_infeasible(self):
+        grid = GridSpec.cube(-2.0, 2.0, 81, 1)
+        g = SampledField(grid, np.ones(grid.points))
+        sampler = PairSampler(_domain(grid), 50, 0, 1.2, 1.5)
+        with pytest.raises(EmptyScanError, match="step longer than one"):
+            triebel_scan(SinusoidField((2.0,)), 1, 1.0, g, sampler)
+
     def test_mollified_scan_passes(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 150, 3, 0.05, 0.3)
         report = mollified_scan(SinusoidField((2.0,)), 1, 0.1, grid_1d, sampler)
