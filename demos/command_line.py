@@ -34,12 +34,12 @@ run("identities", "--draws", "100")
 # precedence.  Reports land in JSON (aggregates plus violating pairs) or
 # CSV (every pair).
 
-out = Path(tempfile.mkdtemp()) / "scan.json"
-run("verify", "--scan", "main", "--m", "2", "--field", "sin:w=2.5",
-    "--grid", "-1:1:201", "--pairs", "1000", "--seed", "9",
-    "--out", str(out))
-
-report = json.loads(out.read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "scan.json"
+    run("verify", "--scan", "main", "--m", "2", "--field", "sin:w=2.5",
+        "--grid", "-1:1:201", "--pairs", "1000", "--seed", "9",
+        "--out", str(out))
+    report = json.loads(out.read_text())
 print("report aggregates:", {k: report[k]
                              for k in ("n_pairs", "n_violations", "max_ratio")})
 

@@ -7,12 +7,13 @@ Averaging a nonnegative grid field over lattice balls of several radii
 and taking the largest average gives a discrete local Hardy-Littlewood
 maximal function; scaled by the lens ratio it yields the coefficient
 fields used by the inequality scans.
-`ball_averages` averages a whole radius ladder in one pass: one
-cumulative sum along the last grid axis, and one sum per distinct lattice
-ball, each radius on its own node box.  The balls on one node box form a
-group that shares a run-sum buffer, refilled once per run half-width
-they use.  Each ball's sums are laid out with that buffer's strides, so
-adding the runs at one lead-axis offset is one contiguous 1-D slice add.
+The ladder kernel `_box_groups` averages a whole radius ladder in one
+pass: one cumulative sum along the last grid axis, and one sum per
+distinct lattice ball, each radius on its own node box.  The balls on
+one node box form a group that shares a run-sum buffer, refilled once
+per run half-width they use.  Each ball's sums are laid out with that
+buffer's strides, so adding the runs at one lead-axis offset is one
+contiguous 1-D slice add.
 The geometry of a call (balls, groups, layouts, flat offsets, divisors)
 is planned once per grid shape, spacing, radii and boxes, and a ball
 that stays inside the grid on its box divides by its exact node count.
@@ -42,7 +43,6 @@ __all__ = [
     "segment_ratio_constant",
     "MaximalConfig",
     "ladder_config",
-    "ball_averages",
     "local_maximal_function",
 ]
 
@@ -244,9 +244,9 @@ def _ball_offsets(spacings: tuple[float, ...], radius: float):
 
 
 def _ball_counts(shape: tuple[int, ...], pad_cells, offsets,
-                 box: tuple[slice, ...] | None = None) -> np.ndarray:
+                 box: tuple[slice, ...]) -> np.ndarray:
     """Number of grid nodes in each clipped lattice ball, on the node box
-    `box` (one slice per axis; the whole grid by default).
+    `box` (one slice per axis).
 
     The count at node (i, j) is the sum over offsets (q, w) of the
     lead-axis in-range indicators prod_k 1[0 <= i_k + q_k < n_k] times
@@ -257,8 +257,6 @@ def _ball_counts(shape: tuple[int, ...], pad_cells, offsets,
     BLAS made a float tensordot here up to 50x slower.  Every term is a
     small integer, so the float counts are exact.
     """
-    if box is None:
-        box = tuple(slice(0, n) for n in shape)
     n_last = shape[-1]
     j = np.arange(box[-1].start, box[-1].stop)
     counts = np.zeros([2 * c + 1 for c in pad_cells[:-1]] + [len(j)])
@@ -325,7 +323,7 @@ class _Group:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything a `ball_averages` call needs but the field's values;
+    """Everything a `_box_groups` call needs but the field's values;
     no array in it is the size of a grid."""
 
     pad_cells: tuple[int, ...]
@@ -396,10 +394,41 @@ def _ladder_plan(shape, spacings, radii, boxes) -> _Plan:
 
 
 def _box_groups(u: SampledField, radii, boxes, averages: dict):
-    """Sum the box groups of a `ball_averages` call one at a time: after
-    each, put the averages of its radii into `averages` (by radius
-    index) and yield.  The caller's dict, not a yielded one, holds them,
-    so a caller that pops an average frees it."""
+    """Counting-measure averages of u over lattice balls, one per radius
+    in `radii`, each on its node box in `boxes` (a slice per axis, one
+    box per radius, within the grid): sum the box groups one at a time,
+    and after each, put the averages of its radii into `averages` (by
+    radius index) and yield.  The caller's dict, not a yielded one,
+    holds them, so a caller that pops an average frees it.
+
+    Every grid node within Euclidean distance r of the center
+    contributes with equal weight; near the grid boundary the ball is
+    clipped to the grid.  The field is summed cumulatively along its
+    last axis once, so a ball is a sum of last-axis runs (a summed-area
+    table shared by the whole ladder, after Crow 1984).  The sum is
+    bordered by zeros: on the last axis as wide as the largest radius,
+    on the others as far as some group's runs read.  A lattice ball is
+    summed only on the smallest box holding the boxes of all its radii,
+    and the balls on one such box form a group.  The group shares one
+    run-sum buffer: exactly the box on the last axis, and the box
+    widened by its balls' largest lead offsets W on the others.  It is
+    filled once per run half-width the group uses.  Each ball's sums
+    keep the buffer's strides: a lead axis after the first carries 2W
+    junk rows, never read.  Adding the buffer at one lead-axis offset
+    is then one contiguous add of a flat slice.  The plan of the call
+    (`_ladder_plan`: balls, groups, layouts, flat offsets and divisors)
+    is cached by grid shape, spacing, radii and boxes, and holds no
+    grid-sized array.  A ball whose reach stays inside the grid on its
+    box divides by its node count, the integer sum of its runs 2w + 1;
+    any other by `_ball_counts`.  Its additions always go widths
+    ascending, then in `_ball_offsets` order, so its average depends
+    neither on the other radii of the call nor on the boxes: it is the
+    whole-grid average, sliced.  Results are views into their group's
+    layout, and radii with the same lattice ball share one: never
+    update a result in place.  The radii and boxes are not checked
+    here: `local_maximal_function` takes them from a `MaximalConfig`
+    and from `_node_boxes`, which clips its boxes to the grid.
+    """
     values = u.values
     plan = _ladder_plan(values.shape, u.grid.spacing, tuple(radii), _box_key(boxes))
     c_last = plan.pad_cells[-1]
@@ -437,69 +466,6 @@ def _box_groups(u: SampledField, radii, boxes, averages: dict):
         del sums, heads
 
 
-def ball_averages(u: SampledField, radii, boxes=None) -> list[np.ndarray]:
-    """Counting-measure averages of u over lattice balls, one per radius,
-    each on its node box in `boxes` (a slice per axis; the whole grid by
-    default).
-
-    Every grid node within Euclidean distance r of the center
-    contributes with equal weight; near the grid boundary the ball is
-    clipped to the grid.  The field is summed cumulatively along its
-    last axis once, so a ball is a sum of last-axis runs (a summed-area
-    table shared by the whole ladder, after Crow 1984).  The sum is
-    bordered by zeros: on the last axis as wide as the largest radius,
-    on the others as far as some group's runs read.  A lattice ball is
-    summed only on the smallest box holding the boxes of all its radii,
-    and the balls on one such box form a group.  The group shares one
-    run-sum buffer: exactly the box on the last axis, and the box
-    widened by its balls' largest lead offsets W on the others.  It is
-    filled once per run half-width the group uses.  Each ball's sums
-    keep the buffer's strides: a lead axis after the first carries 2W
-    junk rows, never read.  Adding the buffer at one lead-axis offset
-    is then one contiguous add of a flat slice.  The plan of the call
-    (`_ladder_plan`: balls, groups, layouts, flat offsets and divisors)
-    is cached by grid shape, spacing, radii and boxes, and holds no
-    grid-sized array.  A ball whose reach stays inside the grid on its
-    box divides by its node count, the integer sum of its runs 2w + 1;
-    any other by `_ball_counts`.  Its additions always go widths
-    ascending, then in `_ball_offsets` order, so its average depends
-    neither on the other radii of the call nor on the boxes: it is the
-    whole-grid average, sliced.  Results are views into their group's
-    layout, and radii with the same lattice ball share one: never
-    update a result in place.  A box list that is not one box per
-    radius, each a nonempty slice within the grid per axis, raises
-    `ConfigError`.
-    """
-    radii = [float(r) for r in radii]
-    if not radii or not all(0 < r < math.inf for r in radii):
-        raise ConfigError(f"ball radii must be given, finite and positive, got {radii}")
-    boxes = _checked_boxes(boxes, u.values.shape, len(radii))
-    averages: dict[int, np.ndarray] = {}
-    for _ in _box_groups(u, radii, boxes, averages):
-        pass
-    return [averages[i] for i in range(len(radii))]
-
-
-def _checked_boxes(boxes, shape, count: int) -> list[tuple[slice, ...]]:
-    """`count` node boxes, each one nonempty in-grid slice per axis with
-    int bounds, or `ConfigError`."""
-    if boxes is None:
-        return [tuple(slice(0, n) for n in shape)] * count
-    out = []
-    for box in boxes:
-        if not (isinstance(box, (tuple, list)) and len(box) == len(shape) and all(
-                isinstance(s, slice) and s.step in (None, 1)
-                and all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
-                        for e in (s.start, s.stop))
-                and 0 <= s.start < s.stop <= n for s, n in zip(box, shape))):
-            raise ConfigError(f"a node box is one nonempty slice per axis within the "
-                              f"grid {shape}, got {box!r}")
-        out.append(tuple(slice(int(s.start), int(s.stop)) for s in box))
-    if len(out) != count:
-        raise ConfigError(f"need one node box per radius: {count} radii, {len(out)} boxes")
-    return out
-
-
 def _node_boxes(grid: GridSpec, outer, margins) -> list[tuple[slice, ...]]:
     """Per rung, the node box (a slice per axis) holding every node that a
     pair drawn for it can touch as a cell corner, or the whole grid
@@ -534,7 +500,7 @@ def local_maximal_function(u: SampledField, config: MaximalConfig, outer=None) -
     `config`, each on its node box for pairs drawn in the box `outer`
     (`_node_boxes`; the whole grid without `outer`).
 
-    One pass of `ball_averages`' groups covers every radius, each on the
+    One pass of `_box_groups` covers every radius, each on the
     box of the first rung holding it.  As soon as the groups of a rung's
     new radii are summed, the rung extends the previous rung's maximum,
     cut to its own box, by them, and the sums no later rung reads are

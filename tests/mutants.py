@@ -111,6 +111,9 @@ MUTANTS = [
     ("CLI hatl scan run with s = m", "cli.py",
      "report = hatl_scan(field, order, s, g, sampler, slack=slack)",
      "report = hatl_scan(field, order, float(order), g, sampler, slack=slack)"),
+    ("given ladder config not held to max_sep", "verify.py",
+     "if config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):",
+     "if False and config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):"),
 ]
 
 

@@ -212,6 +212,13 @@ class TestConfigFile:
         assert main(["verify", "--scan", "lemma1",
                      "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_a_file_that_holds_no_object_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1]))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the config file must hold a JSON object\n")
+
     @pytest.mark.parametrize("command, cfg, key", [
         # each key is an option of another command only
         ("geometry --out {out}", {"format": "csv"}, "format"),
@@ -384,6 +391,22 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "all_node_coefficient", ladder)
         assert main(command.split()) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--grid=-1:x:11"], "cannot parse grid axis '-1:x:11'"),
+        (["verify", "--field", "gauss:a=1", "--grid", "-1:1:11;-1:1:11", "--dim", "3"],
+         "grid has 2 axes but dimension 3 was requested"),
+        (["verify", "--domain", "hole=1,2"], "hole domain must be hole=l0,l1,..:h0,h1,.."),
+        (["verify", "--domain", "ring"], "unknown domain spec 'ring'"),
+        (["mollify", "--eps", "a"], "cannot parse the eps list 'a'"),
+        (["verify", "--delta", "0.2", "--max-sep", "0.4"],
+         "the config's top delta must cover the largest pair separation"),
+    ])
+    def test_unreadable_or_mismatched_input_exits_two_naming_it(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: ") and message in err
 
     @pytest.mark.parametrize("command", [
         "geometry --dim 0",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rational_reference import exact_difference
 
 from sobolev_pointwise import (
+    ConfigError,
     DegeneratePairError,
     GaussianField,
     GridSpec,
@@ -299,6 +300,11 @@ class TestIntegralForm:
             tracemalloc.stop()
         assert got == pytest.approx(forward_difference(f, x, h, 6), rel=1e-8)
         assert peak < 8 * nodes * 8
+
+    def test_tensor_rule_too_large_for_the_order_is_refused(self):
+        # 8^9 nodes exceed the tensor budget of 2e7
+        with pytest.raises(ConfigError, match="too large for l=9"):
+            g_integral(GaussianField(1.0), (0.0,), (0.01,), 9, rule=QuadratureRule.gauss_tensor())
 
 
 class TestIrwinHall:

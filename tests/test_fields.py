@@ -254,6 +254,10 @@ class TestGridAndSampling:
         assert np.array_equal(u.values.ravel(), [evaluate(f, p) for p in flat])
         assert np.array_equal(u.at(flat), u.values.ravel())
 
+    def test_sample_refuses_a_grid_of_another_dimension(self, grid_1d):
+        with pytest.raises(ConfigError, match="grid dimension 1 does not match field dimension 2"):
+            sample(GaussianField(1.0, dim=2), grid_1d)
+
     def test_axes_include_endpoints(self, grid_1d):
         axis = grid_1d.axes[0]
         assert axis[0] == -1.0 and axis[-1] == 1.0

@@ -20,7 +20,6 @@ from sobolev_pointwise import (
     MaximalConfig,
     PairSampler,
     SampledField,
-    ball_averages,
     ball_volume,
     gradient_magnitude_field,
     ladder_config,
@@ -34,8 +33,31 @@ from sobolev_pointwise import (
 from grid_reference import grid_nodes
 from lens_reference import betainc_volume, cap_profile_volume
 from sobolev_pointwise import maximal
-from sobolev_pointwise.maximal import _RADIUS_SLACK, _ball_counts, _ball_offsets, _node_boxes
+from sobolev_pointwise.maximal import (
+    _RADIUS_SLACK,
+    _ball_counts,
+    _ball_offsets,
+    _box_groups,
+    _node_boxes,
+)
 from sobolev_pointwise.verify import _CoefficientLadder, _rung_config
+
+
+def _whole(shape):
+    """The node box of the whole grid."""
+    return tuple(slice(0, n) for n in shape)
+
+
+def ball_averages(u, radii, boxes=None):
+    """Per-radius ball averages of u, each on its node box in `boxes` (the
+    whole grid by default), drained from the ladder kernel `_box_groups`."""
+    radii = [float(r) for r in radii]
+    if boxes is None:
+        boxes = [_whole(u.values.shape)] * len(radii)
+    averages = {}
+    for _ in _box_groups(u, radii, boxes, averages):
+        pass
+    return [averages[i] for i in range(len(radii))]
 
 
 def _pad_cells(spacings, radius):
@@ -44,7 +66,7 @@ def _pad_cells(spacings, radius):
 
 def _cumsum_ball_sums(u, radius, widths_first=False):
     """Ball sums added run by run in `_ball_offsets` order, or with
-    `widths_first` in the order `ball_averages` adds them (widths
+    `widths_first` in the order `_box_groups` adds them (widths
     ascending, then `_ball_offsets` order), and node counts from
     cumulative sums of a padded field of ones."""
     values = u.values
@@ -135,6 +157,10 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ball_volume(2, -1.0)
 
+    def test_negative_dimension_raises(self):
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            ball_volume(-1, 1.0)
+
 
 class TestLensVolume:
     def test_unit_overlap_values(self):
@@ -180,6 +206,15 @@ class TestLensVolume:
         for d in (0.1, 0.5, 1.0, 1.2, 1.4, 1.5, 1.9):
             want = betainc_volume(n, 1.0, d)
             assert abs(lens_volume(n, 1.0, d) - want) <= 1e-13 * want, d
+
+    @pytest.mark.parametrize("dim, radius, distance, message", [
+        (0, 1.0, 0.5, "dimension must be at least 1"),
+        (2, 0.0, 0.5, "radius must be positive"),
+        (2, 1.0, -0.5, "center distance must be nonnegative"),
+    ])
+    def test_out_of_range_input_raises(self, dim, radius, distance, message):
+        with pytest.raises(ValueError, match=message):
+            lens_volume(dim, radius, distance)
 
     @pytest.mark.parametrize("radius, distance", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
@@ -249,7 +284,7 @@ class TestBallAverage:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_bit_identical_to_cumsum_counts(self, grid, rng):
-        # ball_averages lays every ball's counts out at the ladder's
+        # _box_groups lays every ball's counts out at the ladder's
         # largest padding; exact integers either way
         u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
         radii = np.geomspace(min(grid.spacing), 0.9, 7)
@@ -257,7 +292,8 @@ class TestBallAverage:
             _, counts = _cumsum_ball_sums(u, radius)
             offsets = _ball_offsets(grid.spacing, radius)
             for pad in (_pad_cells(grid.spacing, radius), _pad_cells(grid.spacing, radii[-1])):
-                np.testing.assert_array_equal(_ball_counts(grid.points, pad, offsets), counts)
+                np.testing.assert_array_equal(
+                    _ball_counts(grid.points, pad, offsets, _whole(grid.points)), counts)
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_boxed_counts_are_the_whole_grid_counts_sliced(self, grid, rng):
@@ -265,7 +301,7 @@ class TestBallAverage:
         pad = _pad_cells(grid.spacing, radii[-1])
         for radius in radii:
             offsets = _ball_offsets(grid.spacing, radius)
-            whole = _ball_counts(grid.points, pad, offsets)
+            whole = _ball_counts(grid.points, pad, offsets, _whole(grid.points))
             for box in _random_boxes(grid.points, rng):
                 counts = _ball_counts(grid.points, pad, offsets, box)
                 assert np.array_equal(counts, whole[box])
@@ -365,21 +401,6 @@ class TestBallAverages:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_rejects_nonpositive_radius(self, grid_1d):
-        u = SampledField(grid_1d, np.ones(grid_1d.points))
-        with pytest.raises(ConfigError):
-            ball_averages(u, (0.1, 0.0))
-        with pytest.raises(ConfigError):
-            ball_averages(u, (-0.1,))
-
-    @pytest.mark.parametrize("radii", [(math.nan,), (math.inf,), (0.1, math.inf), (math.nan, 0.1)])
-    def test_rejects_nonfinite_radius(self, grid_1d, radii):
-        # a NaN radius once failed converting its pad to an integer, and an
-        # infinite one overflowed
-        u = SampledField(grid_1d, np.ones(grid_1d.points))
-        with pytest.raises(ConfigError, match="finite"):
-            ball_averages(u, radii)
-
     def test_peak_memory_is_one_array_per_ball_plus_a_few(self, rng):
         grid = GridSpec.cube(-1.0, 1.0, 201, 2)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 1, 0, 0.05, 0.4)
@@ -396,26 +417,6 @@ class TestBallAverages:
             tracemalloc.stop()
         # one array per ball, the cumulative sum, one run sum and the counts
         assert peak < (balls + 8) * u.values.nbytes
-
-    @pytest.mark.parametrize("boxes", [
-        # more boxes than radii, and fewer
-        [(slice(0, 11),) * 3] * 3,
-        [(slice(0, 11),) * 3],
-        # an empty box, one past the grid, a negative start
-        [(slice(0, 11),) * 3, (slice(0, 11), slice(4, 4), slice(0, 11))],
-        [(slice(0, 11),) * 3, (slice(0, 11), slice(0, 12), slice(0, 11))],
-        [(slice(0, 11),) * 3, (slice(-1, 5), slice(0, 11), slice(0, 11))],
-        # a box with too few axes, one that is not a slice, a stepped one
-        [(slice(0, 11),) * 3, (slice(0, 11),) * 2],
-        [(slice(0, 11),) * 3, (slice(0, 11), 3, slice(0, 11))],
-        [(slice(0, 11),) * 3, (slice(0, 11, 2),) * 3],
-    ])
-    def test_rejects_malformed_boxes(self, boxes, rng):
-        # the boxes were once truncated to the radii, or misread deep inside
-        grid = GridSpec.cube(-1.0, 1.0, 11, 3)
-        u = SampledField(grid, rng.uniform(0.0, 2.0, size=grid.points))
-        with pytest.raises(ConfigError, match="box"):
-            ball_averages(u, (0.25, 0.5), boxes)
 
     def test_scan3d_ladder_peak_memory(self):
         # the stack, the cumulative sum, the largest group's sums in its
@@ -461,7 +462,8 @@ class TestLadderPlan:
             for radius in radii:
                 sums, _ = _cumsum_ball_sums(u, radius, widths_first=True)
                 expected.append(sums / _ball_counts(
-                    shape, _pad_cells(grid.spacing, radius), _ball_offsets(grid.spacing, radius)))
+                    shape, _pad_cells(grid.spacing, radius), _ball_offsets(grid.spacing, radius),
+                    _whole(shape)))
             for avg, want in zip(ball_averages(u, radii), expected):
                 assert np.array_equal(avg, want)
             for each in boxes:

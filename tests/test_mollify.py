@@ -58,6 +58,10 @@ class TestMollifier:
         with pytest.raises(ConfigError):
             Mollifier(0.05, 1).taps(coarse.spacing)
 
+    def test_spacing_of_another_dimension_is_refused(self, grid_1d):
+        with pytest.raises(ConfigError, match="spacing length does not match"):
+            Mollifier(0.1, 2).taps(grid_1d.spacing)
+
     def test_invalid_profile(self):
         with pytest.raises(ConfigError):
             Mollifier(0.1, 1, profile="box")
@@ -111,6 +115,11 @@ class TestConvolve:
         grid = GridSpec((0.0,), (0.1,), (11,))
         with pytest.raises(ConfigError):
             convolve(SampledField(grid, np.ones(grid.points)), Mollifier(0.1, 1))
+
+    def test_mollifier_of_another_dimension_is_refused(self, grid_1d):
+        u = SampledField(grid_1d, np.ones(grid_1d.points))
+        with pytest.raises(ConfigError, match="mollifier dimension does not match the grid"):
+            convolve(u, Mollifier(0.1, 2))
 
     def test_nonnegative_field_stays_nonnegative(self, grid_2d, rng):
         a = SampledField(grid_2d, rng.uniform(0.0, 2.0, size=grid_2d.points))

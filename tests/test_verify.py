@@ -30,11 +30,11 @@ from sobolev_pointwise import (
     SinusoidField,
     UnsupportedOrderError,
     all_node_coefficient,
-    ball_averages,
     build_report,
     gradient_magnitude_field,
     hatl_scan,
     identity_suite,
+    ladder_config,
     lemma1_scan,
     main_inequality_scan,
     mollified_scan,
@@ -55,6 +55,7 @@ from sobolev_pointwise.verify import (
     _rung_config,
     _step,
 )
+from test_maximal import ball_averages
 
 SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -545,6 +546,10 @@ class TestReports:
             build_report({}, np.zeros((1, 1)), np.ones((1, 1)),
                          np.array([1.0]), np.array([0.0]), slack)
 
+    def test_zero_pairs_is_refused(self):
+        with pytest.raises(EmptyScanError, match="no pairs"):
+            build_report({}, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 0.05)
+
     def test_quantiles_are_order_statistics(self):
         r = self._report()
         observed = r.ratio.tolist()
@@ -970,6 +975,12 @@ class TestScanArguments:
         params = json.loads(report.to_json())["params"]
         assert params["slack"] == report.slack == float(np.float32(0.05))
         assert params["sampler"]["max_sep"] == float(np.float32(0.3))
+
+    def test_a_config_whose_top_delta_misses_the_largest_separation_is_refused(self, grid_1d):
+        sampler = PairSampler(_domain(grid_1d), 50, 0, 0.05, 0.4)
+        config = ladder_config((0.2,), max(grid_1d.spacing))
+        with pytest.raises(ConfigError, match="top delta must cover the largest pair separation"):
+            main_inequality_scan(SinusoidField((2.0,)), 2, grid_1d, sampler, config)
 
     @pytest.mark.parametrize("name, order, slack, error, match", BAD_SCAN_ARGUMENTS)
     def test_refused_before_any_work(self, name, order, slack, error, match, grid_1d,
