@@ -34,6 +34,7 @@ from .verify import (
     _check_hatl_exponent,
     _check_scan,
     _check_triebel_exponent,
+    _json_text,
     all_node_coefficient,
     hatl_scan,
     identity_suite,
@@ -150,11 +151,10 @@ def _sampler(cfg: dict, grid: GridSpec) -> PairSampler:
 
 
 def _write_json(path: str | None, data) -> None:
-    """Write `data` as sorted, indented JSON to `path`, if one was given."""
+    """Write `data` in the reports' JSON format (`_json_text`) to `path`, if one was given."""
     if path:
         with open(path, "w") as handle:
-            json.dump(data, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(data))
         print(f"report written to {path}")
 
 
@@ -420,8 +420,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         cfg = vars(args)
         if args.dump_config:
-            print(json.dumps({key: cfg[key] for key in _own_options(command)},
-                             sort_keys=True, indent=2))
+            print(_json_text({key: cfg[key] for key in _own_options(command)}), end="")
         code = _COMMANDS[args.command](cfg)
     except EmptyScanError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

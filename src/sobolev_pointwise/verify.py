@@ -1,14 +1,16 @@
 """Inequality scans over sampled point pairs, and the exact-identity suite.
 
 A scan draws admissible point pairs from a domain as one `PairBatch`
-and scores it through one pipeline: `_blockwise` hands each block of
-pairs, itself a `PairBatch` of views, to a side function, which returns
-the pointwise left-hand side (an interpolation remainder or finite
-difference of the field, from `differences.lagrange_remainder` or
-`forward_difference`) and the right-hand side.  The ladder scans read
-their coefficients only from the stack of their `_CoefficientLadder`,
-built from one `MaximalConfig`; the others take a coefficient field g.
-`_scan_report` reports the ratio distribution: any pair with
+and scores it through one pipeline, `_blockwise` -> `_Scored` ->
+`build_report`.  `_blockwise` hands each block of pairs, itself a
+`PairBatch` of views, to a side function, which returns the pointwise
+left-hand side (an interpolation remainder or finite difference of the
+field, from `differences.lagrange_remainder` or `forward_difference`)
+and the right-hand side; the pairs and both sides make one `_Scored`.
+The ladder scans read their coefficients only from the stack of their
+`_CoefficientLadder`, built from one `MaximalConfig`; the others take a
+coefficient field g.  `build_report` is the one reducer: it gives the
+ratio distribution and the verdict, under which any pair with
 lhs > (1 + slack) * rhs counts as a violation.  All randomness flows
 from one seeded generator, so reports are byte-for-byte reproducible.
 
@@ -334,13 +336,29 @@ class PairSampler:
 # reports
 
 
+def _json_text(data) -> str:
+    """The one JSON format of reports and configs: sorted keys, indent 2,
+    one trailing newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class _Scored:
+    """Scored pairs, in draw order: each pair's left and right side."""
+
+    pairs: PairBatch
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
 @dataclass
 class InequalityReport:
     """Ratio statistics of one scan, plus the raw per-pair arrays.
 
     The JSON form carries parameters, counts, the maximum ratio, the
     50/90/99 percent quantiles, the slack, and the records of the 100
-    worst violations.  Per-pair arrays stay on the object for CSV export.
+    worst violations.  Per-pair arrays, the verdict mask `violation`
+    among them, stay on the object for CSV export.
     """
 
     params: dict
@@ -356,6 +374,7 @@ class InequalityReport:
     lhs: np.ndarray = field(repr=False, default=None)
     rhs: np.ndarray = field(repr=False, default=None)
     ratio: np.ndarray = field(repr=False, default=None)
+    violation: np.ndarray = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -374,7 +393,7 @@ class InequalityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_dict())
 
     def write_json(self, path) -> None:
         with open(path, "w") as handle:
@@ -392,25 +411,8 @@ class InequalityReport:
                 row += [repr(float(v)) for v in self.y[i]]
                 row += [repr(float(self.lhs[i])), repr(float(self.rhs[i])),
                         repr(float(self.ratio[i]))]
-                row.append(str(int(self.ratio[i] > 1.0 + self.slack)))
+                row.append(str(int(self.violation[i])))
                 handle.write(",".join(row) + "\n")
-
-
-def _ratios(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair ratios lhs / rhs that fail closed, and the non-finite mask.
-
-    Ratios: lhs / rhs where rhs > 0; exactly 0 when both sides vanish;
-    +inf when rhs vanishes but lhs does not, and +inf when either side
-    is not finite, so that a NaN or infinity can never pass.
-    """
-    nonfinite = ~(np.isfinite(lhs) & np.isfinite(rhs))
-    ratio = np.zeros_like(lhs)
-    pos = rhs > 0
-    with np.errstate(invalid="ignore"):
-        np.divide(lhs, rhs, out=ratio, where=pos)
-    ratio[~pos & (lhs > 0)] = math.inf
-    ratio[nonfinite] = math.inf
-    return ratio, nonfinite
 
 
 def _checked_slack(slack: float) -> float:
@@ -451,24 +453,31 @@ def _check_g(g: SampledField, sampler: PairSampler) -> None:
         raise ConfigError("the grid of g must hold the sampler's outer box")
 
 
-def build_report(params: dict, x: np.ndarray, y: np.ndarray,
-                 lhs: np.ndarray, rhs: np.ndarray, slack: float) -> InequalityReport:
-    """Assemble a report from per-pair arrays.
+def build_report(params: dict, scored: _Scored, slack: float) -> InequalityReport:
+    """Reduce scored pairs to a report: the one place where ratios, the
+    verdict and the violation records are made.
 
-    Ratios follow `_ratios`: an infinite ratio (vanishing right side
-    under a nonzero left side, or a non-finite side) is always a
-    violation and is reported distinctly in the violation records;
-    `n_nonfinite` counts the pairs with a non-finite side.  Records are
-    kept for the `_VIOLATION_RECORDS` largest ratios only, ties going to
-    the earlier draw, and listed in draw order; `n_violations` counts
-    them all.  The slack must pass `_checked_slack`.
+    Ratios fail closed: lhs / rhs where rhs > 0; exactly 0 when both
+    sides vanish; +inf when rhs vanishes but lhs does not, and +inf when
+    either side is not finite, so that a NaN or infinity can never pass.
+    A pair is a violation when its ratio exceeds 1 + slack, so an
+    infinite ratio always is, and is reported distinctly in the
+    violation records; `n_nonfinite` counts the pairs with a non-finite
+    side.  Records are kept for the `_VIOLATION_RECORDS` largest ratios
+    only, ties going to the earlier draw, and listed in draw order;
+    `n_violations` counts them all.  The slack must pass `_checked_slack`.
     """
     _checked_slack(slack)
+    x, y, lhs, rhs = scored.pairs.x, scored.pairs.y, scored.lhs, scored.rhs
     if len(x) == 0:
         raise EmptyScanError("no pairs to report on")
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    ratio, nonfinite = _ratios(lhs, rhs)
+    nonfinite = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    ratio = np.zeros_like(lhs)
+    pos = rhs > 0
+    with np.errstate(invalid="ignore"):
+        np.divide(lhs, rhs, out=ratio, where=pos)
+    ratio[~pos & (lhs > 0)] = math.inf
+    ratio[nonfinite] = math.inf
     mask = ratio > 1.0 + slack
     bad = np.flatnonzero(mask)
     violations = []
@@ -492,7 +501,7 @@ def build_report(params: dict, x: np.ndarray, y: np.ndarray,
         quantiles={"p50": float(q50), "p90": float(q90), "p99": float(q99)},
         slack=float(slack),
         violations=violations,
-        x=x, y=y, lhs=lhs, rhs=rhs, ratio=ratio,
+        x=x, y=y, lhs=lhs, rhs=rhs, ratio=ratio, violation=mask,
     )
 
 
@@ -607,27 +616,22 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
     return ladder, pairs, {"deltas": list(config.deltas), "boundary": config.boundary}
 
 
-def _blockwise(pairs: PairBatch, side, *args) -> tuple[np.ndarray, ...]:
-    """Row-local sides of `pairs` (at least one), scored on consecutive
-    blocks of `_NODE_BLOCK` pairs.
+def _blockwise(pairs: PairBatch, side, *args) -> _Scored:
+    """`pairs` scored on consecutive blocks of `_NODE_BLOCK` pairs.
 
     `side(*args, block)` scores `block`, a `PairBatch` of views on the
-    block's pairs, and returns a tuple of arrays with one entry per
-    pair; each goes into one preallocated array over all pairs.  Every
-    per-pair operation is row-local, so the blocks give the bits of one
-    whole batch, with temporaries the size of a block.
+    block's pairs, and returns its (lhs, rhs), one float per pair; each
+    goes into one preallocated array over all pairs.  Every per-pair
+    operation is row-local, so the blocks give the bits of one whole
+    batch, with temporaries the size of a block.
     """
     n = len(pairs.dist)
-    outs = None
+    lhs, rhs = np.empty(n), np.empty(n)
     for start in range(0, n, _NODE_BLOCK):
         rows = slice(start, start + _NODE_BLOCK)
-        parts = side(*args, PairBatch(pairs.x[rows], pairs.y[rows], pairs.dist[rows],
-                                      pairs.attempts))
-        if outs is None:
-            outs = tuple(np.empty(n, dtype=part.dtype) for part in parts)
-        for out, part in zip(outs, parts):
-            out[rows] = part
-    return outs
+        lhs[rows], rhs[rows] = side(*args, PairBatch(pairs.x[rows], pairs.y[rows],
+                                                     pairs.dist[rows], pairs.attempts))
+    return _Scored(pairs, lhs, rhs)
 
 
 def _main_sides(f: AnalyticField, ladder: _CoefficientLadder,
@@ -663,9 +667,9 @@ def _mollified_sides(f_eps: SampledField, ladder: _CoefficientLadder,
 
 
 def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
-                 sampler: PairSampler, slack: float, pairs: PairBatch,
-                 lhs: np.ndarray, rhs: np.ndarray, **extra) -> InequalityReport:
-    """Report of one scan on `pairs`: the params every scan carries, plus `extra`."""
+                 sampler: PairSampler, slack: float, scored: _Scored,
+                 **extra) -> InequalityReport:
+    """Report of one scan on `scored`: the params every scan carries, plus `extra`."""
     params = {
         "scan": name,
         "field": str(f),
@@ -674,10 +678,10 @@ def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
         "grid": {"lo": list(grid.lo), "hi": list(grid.hi), "points": list(grid.points)},
         "sampler": sampler.to_dict(),
         "slack": slack,
-        "attempts": pairs.attempts,
+        "attempts": scored.pairs.attempts,
         **extra,
     }
-    return build_report(params, pairs.x, pairs.y, lhs, rhs, slack)
+    return build_report(params, scored, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +702,9 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, config)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, boxed=True)
-    lhs, rhs = _blockwise(pairs, _main_sides, f, ladder)
     name = "lemma1" if order == 1 else "main_inequality"
-    return _scan_report(name, f, order, grid, sampler, slack, pairs, lhs, rhs,
+    return _scan_report(name, f, order, grid, sampler, slack,
+                        _blockwise(pairs, _main_sides, f, ladder),
                         radii_master=list(config.radii),
                         constant=segment_ratio_constant(grid.dim), **params)
 
@@ -726,8 +730,8 @@ def triebel_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     if not np.any(keep):
         raise EmptyScanError("all pairs were skipped (step longer than one)")
     pairs = PairBatch(pairs.x[keep], pairs.y[keep], pairs.dist[keep], pairs.attempts)
-    lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s, g)
-    return _scan_report("triebel", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
+    return _scan_report("triebel", f, order, g.grid, sampler, slack,
+                        _blockwise(pairs, _all_node_sides, f, order, s, g),
                         s=float(s), skipped_long_step=int(np.sum(~keep)))
 
 
@@ -744,12 +748,11 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, None)
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config)
-    main_ratio, _ = _ratios(*_blockwise(pairs, _main_sides, f, ladder))
-    lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())
-    return _scan_report("node_discard", f, order, grid, sampler, slack, pairs, lhs, rhs,
-                        g_scale=float(order) ** order,
-                        main_max_ratio=float(np.max(main_ratio)),
-                        main_violations=int(np.sum(main_ratio > 1.0 + slack)), **params)
+    main = build_report({}, _blockwise(pairs, _main_sides, f, ladder), slack)
+    return _scan_report("node_discard", f, order, grid, sampler, slack,
+                        _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node()),
+                        g_scale=float(order) ** order, main_max_ratio=main.max_ratio,
+                        main_violations=main.n_violations, **params)
 
 
 def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
@@ -763,9 +766,8 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     _check_hatl_exponent(s, order)
     _check_g(g, sampler)
     pairs = sampler.draw()
-    lhs, rhs = _blockwise(pairs, _hatl_sides, f, order, s, g)
-    return _scan_report("hatl", f, order, g.grid, sampler, slack, pairs, lhs, rhs,
-                        s=float(s))
+    return _scan_report("hatl", f, order, g.grid, sampler, slack,
+                        _blockwise(pairs, _hatl_sides, f, order, s, g), s=float(s))
 
 
 def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> float:
@@ -802,8 +804,8 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, margin_len)
     for rung in ladder.stack:
         rung[...] = convolve(SampledField(grid, rung), phi).values
-    lhs, rhs = _blockwise(pairs, _mollified_sides, convolve(sample(f, grid), phi), ladder)
-    return _scan_report("mollified", f, order, grid, sampler, slack, pairs, lhs, rhs,
+    scored = _blockwise(pairs, _mollified_sides, convolve(sample(f, grid), phi), ladder)
+    return _scan_report("mollified", f, order, grid, sampler, slack, scored,
                         epsilon=float(epsilon), profile=profile,
                         kernel_margin=float(margin_len), **params)
 

@@ -1,13 +1,14 @@
 """One-line mutants of the package, and the harness that runs them.
 
 Each mutant replaces one line of the package: a line whose fault a
-check must catch, in the scans' right sides, the coefficient ladder, the
-difference kernels and binomials, the exact polynomial routes, the grid
-derivative magnitudes, the box containment test that guards the grid
-reads, the float values of the power and sinusoid kinds, or the checks of
-a scan's arguments.  For each mutant the harness copies the repository to a
-temporary directory, applies the mutant there, and runs the tier-1
-suite on the copy until its first failure (pytest -x); a mutant under
+check must catch, in the scans' right sides, the verdict rule, the
+coefficient ladder, the difference kernels and binomials, the exact
+polynomial routes, the grid derivative magnitudes, the box containment
+test that guards the grid reads, the float values of the power and
+sinusoid kinds, or the checks of a scan's arguments.  For each mutant
+the harness copies the repository to a temporary directory, applies the
+mutant there, and runs the tier-1 suite on the copy until its first
+failure (pytest -x); a mutant under
 which every test passes survives.  The test file named for the mutated
 module runs first, so a killed mutant usually stops within its own
 module's tests, and a survivor takes the whole suite; the harness stays
@@ -45,14 +46,14 @@ MUTANTS = [
      "rung[...] = convolve(SampledField(grid, rung), phi).values",
      "rung[...] = SampledField(grid, rung).values"),
     ("node-discard rhs with |h|^(m-1)", "verify.py",
-     "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())",
-     "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, order - 1, ladder.all_node())"),
+     "_blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())",
+     "_blockwise(pairs, _all_node_sides, f, order, order - 1, ladder.all_node())"),
     ("hatl rhs x 2", "verify.py",
      "return lhs, pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))",
      "return lhs, 2 * pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))"),
     ("triebel rhs with |h|^(s/2)", "verify.py",
-     "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s, g)",
-     "lhs, rhs = _blockwise(pairs, _all_node_sides, f, order, s / 2, g)"),
+     "_blockwise(pairs, _all_node_sides, f, order, s, g)",
+     "_blockwise(pairs, _all_node_sides, f, order, s / 2, g)"),
     ("partial coefficient without its perm", "fields.py",
      "coeff = c.numerator * math.prod(map(math.perm, exps, beta)) / c.denominator",
      "coeff = c.numerator / c.denominator"),
@@ -114,6 +115,12 @@ MUTANTS = [
     ("given ladder config not held to max_sep", "verify.py",
      "if config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):",
      "if False and config.deltas[-1] < sampler.max_sep * (1.0 - 1e-12):"),
+    ("verdict fails a ratio equal to 1 + slack", "verify.py",
+     "mask = ratio > 1.0 + slack",
+     "mask = ratio >= 1.0 + slack"),
+    ("verdict slack counted twice", "verify.py",
+     "mask = ratio > 1.0 + slack",
+     "mask = ratio > 1.0 + 2.0 * slack"),
 ]
 
 

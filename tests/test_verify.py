@@ -50,6 +50,7 @@ from sobolev_pointwise.verify import (
     _SAMPLE_BATCH,
     PairBatch,
     _CoefficientLadder,
+    _Scored,
     _piece,
     _row_norm,
     _rung_config,
@@ -62,6 +63,12 @@ SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "report_schema.j
 
 def _domain(grid):
     return Domain(Box.of_grid(grid))
+
+
+def _report_of(params, x, y, lhs, rhs, slack):
+    """`build_report` of the pairs (x, y) scored with the sides lhs and rhs."""
+    pairs = PairBatch(x, y, np.linalg.norm(y - x, axis=1), len(x))
+    return build_report(params, _Scored(pairs, lhs, rhs), slack)
 
 
 class TestDomain:
@@ -524,7 +531,7 @@ class TestReports:
         y = np.array([[0.5], [0.6], [0.7]])
         lhs = np.array([1.0, 0.0, 3.0])
         rhs = np.array([2.0, 0.0, 2.0])
-        return build_report({"scan": "unit"}, x, y, lhs, rhs, slack=0.05)
+        return _report_of({"scan": "unit"}, x, y, lhs, rhs, slack=0.05)
 
     def test_ratio_rules(self):
         r = self._report()
@@ -532,9 +539,28 @@ class TestReports:
         assert r.n_violations == 1
         assert not r.passed
 
+    @pytest.mark.parametrize("lhs, verdicts", [
+        ([1.05], [0]),
+        ([1.05, math.nextafter(1.05, math.inf), 1.08], [0, 1, 1]),
+    ])
+    def test_a_ratio_of_exactly_one_plus_slack_passes(self, lhs, verdicts, tmp_path):
+        # the rule is ratio > 1 + slack: 1.05 sits on it, the next float above
+        # fails, and 1.08 fails, which a slack counted twice would pass
+        assert 1.0 + 0.05 == 1.05
+        x = np.arange(len(lhs), dtype=float)[:, None]
+        r = _report_of({}, x, x + 0.5, np.array(lhs), np.ones(len(lhs)), 0.05)
+        assert r.ratio.tolist() == lhs
+        assert r.violation.tolist() == [bool(v) for v in verdicts]
+        assert r.n_violations == sum(verdicts)
+        assert r.passed == (sum(verdicts) == 0)
+        r.write_csv(tmp_path / "report.csv")
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert rows[0].endswith(",violation")
+        assert [int(row.rsplit(",", 1)[1]) for row in rows[1:]] == verdicts
+
     def test_zero_rhs_with_positive_lhs_is_infinite(self):
-        r = build_report({}, np.zeros((1, 1)), np.ones((1, 1)),
-                         np.array([1.0]), np.array([0.0]), 0.05)
+        r = _report_of({}, np.zeros((1, 1)), np.ones((1, 1)),
+                       np.array([1.0]), np.array([0.0]), 0.05)
         assert math.isinf(r.max_ratio)
         assert r.n_violations == 1
 
@@ -543,12 +569,12 @@ class TestReports:
         # the zero-coefficient control has infinite ratios, which a NaN or
         # infinite slack would let through
         with pytest.raises(ConfigError):
-            build_report({}, np.zeros((1, 1)), np.ones((1, 1)),
-                         np.array([1.0]), np.array([0.0]), slack)
+            _report_of({}, np.zeros((1, 1)), np.ones((1, 1)),
+                       np.array([1.0]), np.array([0.0]), slack)
 
     def test_zero_pairs_is_refused(self):
         with pytest.raises(EmptyScanError, match="no pairs"):
-            build_report({}, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 0.05)
+            _report_of({}, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 0.05)
 
     def test_quantiles_are_order_statistics(self):
         r = self._report()
@@ -568,8 +594,8 @@ class TestReports:
         assert loaded["params"]["scan"] == "unit"
 
     def test_json_serializes_infinity_tokens(self, tmp_path):
-        r = build_report({}, np.zeros((1, 1)), np.ones((1, 1)),
-                         np.array([1.0]), np.array([0.0]), 0.05)
+        r = _report_of({}, np.zeros((1, 1)), np.ones((1, 1)),
+                       np.array([1.0]), np.array([0.0]), 0.05)
         text = r.to_json()
         assert "Infinity" in text
         assert json.loads(text)["max_ratio"] == math.inf
@@ -591,7 +617,7 @@ class TestReports:
     def test_nonfinite_side_is_a_violation(self, lhs, rhs):
         x = np.array([[0.0], [0.1]])
         y = np.array([[0.5], [0.6]])
-        r = build_report({}, x, y, np.array([lhs, 0.1]), np.array([rhs, 1.0]), 0.05)
+        r = _report_of({}, x, y, np.array([lhs, 0.1]), np.array([rhs, 1.0]), 0.05)
         assert not r.passed
         assert r.n_violations == 1 and r.n_nonfinite == 1
         assert math.isinf(r.max_ratio)
@@ -606,7 +632,7 @@ class TestReports:
         lhs = np.where(np.isinf(ratios), 1.0, ratios)
         rhs = np.where(np.isinf(ratios), 0.0, 1.0)
         monkeypatch.setattr(verify, "_VIOLATION_RECORDS", 4)
-        r = build_report({}, x, y, lhs, rhs, 0.05)
+        r = _report_of({}, x, y, lhs, rhs, 0.05)
         assert r.n_violations == 8
         # the two infinities, then of the three tied 5.0 the first two drawn
         assert [v["x"][0] for v in r.violations] == [1.0, 2.0, 4.0, 6.0]
@@ -770,7 +796,7 @@ class TestNodeBoxes:
         assert ladder.delta_index(np.array([top]))[0] == len(ladder.deltas) - 1
         lhs = np.abs(f.value_batch(y) - f.value_batch(x))
         rhs = ladder.endpoint_rhs(PairBatch(x, y, np.array([top]), 1))
-        report = build_report({}, x, y, lhs, rhs, 0.05)
+        report = _report_of({}, x, y, lhs, rhs, 0.05)
         assert report.n_nonfinite == 1
         assert report.n_violations == 1
 
@@ -785,6 +811,23 @@ class TestNodeBoxes:
 
 
 class TestScans:
+    @pytest.mark.parametrize("spec, dim, points, order", [
+        ("sin:w=3", 1, 401, 2),
+        ("sin:w=3,2", 2, 61, 2),
+        ("gauss:a=1", 3, 21, 1),
+        ("gauss:a=100", 1, 2001, 1),
+    ])
+    def test_node_discard_main_statistics_are_the_main_scans(self, spec, dim, points, order):
+        # the boxed ladder of the main scan is the whole-grid ladder of
+        # node-discard, sliced, so the two agree bit for bit, verdict or not
+        grid = GridSpec.cube(-1.0, 1.0, points, dim)
+        f = parse_field(spec, dim=dim)
+        sampler = PairSampler(_domain(grid), 3000, 4, 0.05, 0.4)
+        main = main_inequality_scan(f, order, grid, sampler, None)
+        params = node_discard_check(f, order, grid, sampler).params
+        assert params["main_max_ratio"] == main.max_ratio
+        assert params["main_violations"] == main.n_violations
+
     def test_lemma1_on_smooth_field(self, grid_1d):
         sampler = PairSampler(_domain(grid_1d), 300, 1, 0.05, 0.4)
         report = lemma1_scan(SinusoidField((2.5,)), grid_1d, sampler)
