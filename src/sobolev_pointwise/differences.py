@@ -117,14 +117,17 @@ def _line_coordinate(base: np.ndarray, step: np.ndarray, y: np.ndarray) -> np.nd
 def _lagrange_sum(value_at, base: np.ndarray, step: np.ndarray, y: np.ndarray,
                   count: int) -> np.ndarray:
     """Float interpolant sum_j L_j(s) v(base + j step), j < count, at the
-    `_line_coordinate` s of y, node by node."""
+    `_line_coordinate` s of y, node by node.  Each weight multiplies in
+    (s - i) / (j - i) over i != j from the left, the shifts s - i formed
+    once."""
     s = _line_coordinate(base, step, y)
+    shifts = [s - i for i in range(count)]
     total = 0.0
     for j in range(count):
         w = 1.0
-        for i in range(count):
-            if i != j:
-                w = w * (s - i) / (j - i)
+        for n, i in enumerate([i for i in range(count) if i != j]):
+            # 1.0 * (s - i) is exact, so the first factor skips the product
+            w = (w * shifts[i] if n else shifts[i]) / (j - i)
         total += value_at(base + j * step) * w
     return total
 

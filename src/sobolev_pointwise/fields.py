@@ -658,7 +658,10 @@ def _grid_cells(grid: GridSpec, pts) -> tuple[list[np.ndarray], list[np.ndarray]
     (axis[i+1] - axis[i]), as scipy's binary search finds them.
 
     The index comes from (p - lo) / spacing, corrected by one comparison
-    each way against the axis nodes.
+    each way against the axis nodes.  The upward step reads `guard`, the
+    upper nodes with the last set to +inf, so a point in the last cell
+    (the top node included) never steps past it.  A NaN fails the box
+    test, since `min` and `max` propagate it.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
@@ -666,15 +669,16 @@ def _grid_cells(grid: GridSpec, pts) -> tuple[list[np.ndarray], list[np.ndarray]
     cells, offsets = [], []
     for k, (axis, lo, sp) in enumerate(zip(grid.axes, grid.lo, grid.spacing)):
         p = pts[:, k]
-        if not np.all((axis[0] <= p) & (p <= axis[-1])):
+        if len(p) and not (axis[0] <= p.min() and p.max() <= axis[-1]):
             raise ValueError(f"a point lies outside the grid box on axis {k}")
-        last = len(axis) - 2
-        i = np.minimum(((p - lo) / sp).astype(np.intp), last)
-        i -= axis[i] > p
-        i += (i < last) & (axis[i + 1] <= p)
-        below = axis[i]
+        upper = axis[1:]
+        guard = np.append(upper[:-1], math.inf)
+        i = np.minimum(((p - lo) / sp).astype(np.intp), len(upper) - 1)
+        i -= axis.take(i) > p
+        i += guard.take(i) <= p
+        below = axis.take(i)
         cells.append(i)
-        offsets.append((p - below) / (axis[i + 1] - below))
+        offsets.append((p - below) / (upper.take(i) - below))
     return cells, offsets
 
 
@@ -692,14 +696,17 @@ def _gather(values: np.ndarray, cells, rung: np.ndarray | None = None) -> np.nda
     lower = [1 - y for y in upper]
     flat = values.ravel()
     strides = [math.prod(values.shape[k + 1:]) for k in range(values.ndim)][-dim:]
-    base = sum(i * st for i, st in zip(index, strides))
+    base = index[-1]
+    for i, st in zip(index[:-1], strides):
+        base = base + i * st
     if rung is not None:
         base = base + rung * math.prod(values.shape[1:])
     out = np.zeros(len(base))
     for corner in itertools.product((0, 1), repeat=dim):
-        v = flat[base + sum(c * st for c, st in zip(corner, strides))]
+        shift = sum(c * st for c, st in zip(corner, strides))
+        v = flat.take(base + shift if shift else base)
         w = [hi if c else lo for c, lo, hi in zip(corner, lower, upper)]
-        out += v * w[0] * w[1] if dim == 2 else v * math.prod(w)
+        out += v * w[0] * w[1] if dim == 2 else v * math.prod(w[1:], start=w[0])
     return out
 
 

@@ -121,6 +121,12 @@ MUTANTS = [
     ("verdict slack counted twice", "verify.py",
      "mask = ratio > 1.0 + slack",
      "mask = ratio > 1.0 + 2.0 * slack"),
+    ("p90 selection index one high", "verify.py",
+     "k = int((len(work) - 1) * q)",
+     "k = int((len(work) - 1) * q) + (q == 0.9)"),
+    ("cell guard tops out at the top node", "fields.py",
+     "guard = np.append(upper[:-1], math.inf)",
+     "guard = np.append(upper[:-1], upper[-1])"),
 ]
 
 

@@ -370,6 +370,11 @@ GATHER_GRIDS = [
 ]
 
 
+def _uneven_grid(dim: int) -> GridSpec:
+    """The leading `dim` axes of the last gather grid: unequal spacings and bounds."""
+    return GridSpec((-0.3, 0.1, -2.0)[:dim], (1.7, 2.9, 0.5)[:dim], (7, 9, 11)[:dim])
+
+
 def _gather_points(grid: GridSpec, rng) -> dict:
     """Random points, every node, the far corner, and each node's
     floating-point neighbours on both sides, clipped to the box."""
@@ -396,6 +401,31 @@ class TestGridGather:
         ref = RegularGridInterpolator(grid.axes, u.values, bounds_error=True)
         for name, pts in _gather_points(grid, rng).items():
             assert np.array_equal(u.at(pts), ref(pts)), name
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_an_empty_batch_reads_back_empty(self, dim):
+        grid = GridSpec.cube(-1.0, 1.0, 11, dim)
+        out = SampledField(grid, np.ones(grid.points)).at(np.zeros((0, dim)))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["nan", "above hi", "below lo"])
+    def test_one_bad_point_in_a_batch_raises(self, dim, bad):
+        grid = _uneven_grid(dim)
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(grid.lo, grid.hi, size=(1000, dim))
+        pts[617, dim - 1] = {"nan": math.nan,
+                             "above hi": np.nextafter(grid.hi[-1], math.inf),
+                             "below lo": np.nextafter(grid.lo[-1], -math.inf)}[bad]
+        with pytest.raises(ValueError, match=f"outside the grid box on axis {dim - 1}"):
+            SampledField(grid, np.ones(grid.points)).at(pts)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bottom_and_top_nodes_read_back_their_values(self, dim):
+        grid = _uneven_grid(dim)
+        values = np.random.default_rng(dim).standard_normal(grid.points)
+        out = SampledField(grid, values).at(np.array([grid.lo, grid.hi]))
+        assert out.tolist() == [values[(0,) * dim], values[(-1,) * dim]]
 
     def test_endpoint_rhs_is_the_per_rung_masked_read_back(self):
         from scipy.interpolate import RegularGridInterpolator

@@ -30,7 +30,6 @@ from sobolev_pointwise import (
     SinusoidField,
     UnsupportedOrderError,
     all_node_coefficient,
-    build_report,
     gradient_magnitude_field,
     hatl_scan,
     identity_suite,
@@ -55,6 +54,7 @@ from sobolev_pointwise.verify import (
     _row_norm,
     _rung_config,
     _step,
+    build_report,
 )
 from test_maximal import ball_averages
 
@@ -583,6 +583,27 @@ class TestReports:
         for key in ("p50", "p90", "p99"):
             assert r.quantiles[key] in observed
         assert r.quantiles["p99"] <= r.max_ratio
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 100, 100_001])
+    @pytest.mark.parametrize("kind", ["spread", "ties", "infinities"])
+    def test_order_statistics_are_numpys_lower_quantiles_bit_for_bit(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "spread":
+            lhs, rhs = rng.random(n), rng.random(n) + 0.1
+        elif kind == "ties":
+            # a few distinct ratios, zero among them
+            lhs, rhs = rng.integers(0, 3, n).astype(float), np.full(n, 2.0)
+        else:
+            # zeros, finite ratios, rhs = 0 < lhs, and non-finite sides
+            lhs = rng.choice([0.0, 0.5, 1.0, 3.0, math.nan, math.inf], n)
+            rhs = rng.choice([0.0, 0.25, 1.0, 4.0, math.inf], n)
+        x = rng.random((n, 1))
+        r = _report_of({}, x, x + 0.5, lhs, rhs, 0.05)
+        expected = np.quantile(r.ratio, [0.5, 0.9, 0.99], method="lower")
+        assert not np.isnan(r.ratio).any()
+        assert [float(r.quantiles[key]).hex() for key in ("p50", "p90", "p99")] == \
+            [float(v).hex() for v in expected]
+        assert float(r.max_ratio).hex() == float(np.max(r.ratio)).hex()
 
     def test_json_round_trip_and_schema(self, tmp_path):
         r = self._report()
