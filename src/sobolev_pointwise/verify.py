@@ -4,15 +4,20 @@ A scan draws admissible point pairs from a domain as one `PairBatch`
 and scores it through one pipeline, `_blockwise` -> `_Scored` ->
 `build_report`.  `_blockwise` hands each block of pairs, itself a
 `PairBatch` of views, to a side function, which returns the pointwise
-left-hand side (an interpolation remainder or finite difference of the
-field, from `differences.lagrange_remainder` or `forward_difference`)
-and the right-hand side; the pairs and both sides make one `_Scored`.
-The ladder scans read their coefficients only from the stack of their
-`_CoefficientLadder`, built from one `MaximalConfig`; the others take a
-coefficient field g.  `build_report` is the one reducer: it gives the
-ratio distribution and the verdict, under which any pair with
-lhs > (1 + slack) * rhs counts as a violation.  All randomness flows
-from one seeded generator, so reports are byte-for-byte reproducible.
+left-hand side and the right-hand side; the pairs and both sides make
+one `_Scored`.  Every two-endpoint bound |f(y) - L(y)| <= |x - y|^s
+(a(x) + a(y)) -- the main and lemma1 scans, the main pass of the
+node-discard check, the hatl class bound and the mollified scan -- is
+scored by `_endpoint_sides`: the remainder from
+`differences.lagrange_remainder`, and a read back from an (R, *grid)
+coefficient stack at each pair's rung.  The ladder scans build that
+stack with `_coefficient_stack` from one `MaximalConfig`; hatl's
+supplied g is a stack of one rung.  The all-node sum bounds score the
+`forward_difference` of the field against a sum of g over the nodes.
+`build_report` is the one reducer: it gives the ratio distribution and
+the verdict, under which any pair with lhs > (1 + slack) * rhs counts
+as a violation.  All randomness flows from one seeded generator, so
+reports are byte-for-byte reproducible.
 
 The identity suite exercises the algebraic layer instead, through the
 same `differences` functions: interpolation remainder versus forward
@@ -261,9 +266,9 @@ class PairSampler:
     def draw(self, ends=(math.inf,), margins=(0.0,)) -> PairBatch:
         """`count` admissible pairs under the margin step function (ends,
         margins); by default one piece with margin 0.  Each batch of 8192
-        proposals is tested whole, axis by axis, into one mask and one copy-out:
-        about 0.4 ms in 1-D and 1.0 ms in 3-D on a 2-vCPU Xeon, over a third
-        of it drawing random numbers.
+        proposals is tested whole, axis by axis, into one mask and one copy-out;
+        a 3-D batch costs about 2.6 times a 1-D one, over a third of it
+        drawing random numbers.
         """
         ends = np.asarray(ends, dtype=float)
         margins = np.asarray(margins, dtype=float)
@@ -415,10 +420,11 @@ class InequalityReport:
 
 
 def _checked_slack(slack: float) -> float:
-    """The float slack, if finite and >= 0: a NaN or infinite one passes every ratio."""
+    """The float slack, if finite and >= 0, with -0.0 taken as 0.0: a NaN
+    or infinite one passes every ratio."""
     if not (math.isfinite(slack) and slack >= 0):
         raise ConfigError(f"the slack must be a finite number >= 0, got {slack!r}")
-    return float(slack)
+    return float(slack) + 0.0
 
 
 def _check_scan(f: AnalyticField, order: int, slack: float) -> tuple[int, float]:
@@ -471,7 +477,7 @@ def build_report(params: dict, scored: _Scored, slack: float) -> InequalityRepor
     maximum is that of the tail above the last.  The slack must pass
     `_checked_slack`.
     """
-    _checked_slack(slack)
+    slack = _checked_slack(slack)
     x, y, lhs, rhs = scored.pairs.x, scored.pairs.y, scored.lhs, scored.rhs
     if len(x) == 0:
         raise EmptyScanError("no pairs to report on")
@@ -507,62 +513,36 @@ def build_report(params: dict, scored: _Scored, slack: float) -> InequalityRepor
         n_nonfinite=int(np.count_nonzero(nonfinite)),
         max_ratio=float(work[start:].max()),
         quantiles=quantiles,
-        slack=float(slack),
+        slack=slack,
         violations=violations,
         x=x, y=y, lhs=lhs, rhs=rhs, ratio=ratio, violation=mask,
     )
 
 
 # ---------------------------------------------------------------------------
-# coefficient ladders shared by the scans
+# coefficient stacks shared by the scans
 
 
-class _CoefficientLadder:
-    """Maximal coefficient fields on a delta ladder, with their read-back.
+def _coefficient_stack(f: AnalyticField, grid: GridSpec, order: int,
+                       config: MaximalConfig, outer: Box | None = None) -> np.ndarray:
+    """Maximal coefficient fields on the delta ladder of `config`, as one
+    (R, *grid) stack.
 
     The rungs of the `MaximalConfig` nest, so the fields are monotone in
-    delta; each pair then uses the smallest ladder delta at or above its
-    separation.  The rungs are `local_maximal_function` of
-    |grad^order f|, scaled in place by the lens ratio C(n): one
-    (R, *grid) `stack`, the only source of coefficients, which
-    `coefficient_at` gathers from with the rung as leading index.  A
-    scan may transform the rungs in place (the mollified scan convolves
-    them).
-
-    Given the sampler's `outer` box, each rung is built only on the
-    nodes its pairs can touch; `stack` is NaN outside a rung's box, so a
-    read there fails closed.  Without `outer` every rung covers the
-    whole grid.
+    delta.  Each rung is `local_maximal_function` of |grad^order f|,
+    scaled in place by the lens ratio C(n).  Given the sampler's `outer`
+    box, each rung is built only on the nodes its pairs can touch; the
+    stack is NaN outside a rung's box, so a read there fails closed.
+    Without `outer` every rung covers the whole grid.
     """
+    stack = local_maximal_function(gradient_magnitude_field(f, grid, order), config, outer)
+    stack *= segment_ratio_constant(grid.dim)
+    return stack
 
-    def __init__(self, f: AnalyticField, grid: GridSpec, order: int,
-                 config: MaximalConfig, outer: Box | None = None):
-        self.grid = grid
-        self.order = order
-        self.deltas = np.asarray(config.deltas)
-        self.stack = local_maximal_function(gradient_magnitude_field(f, grid, order), config,
-                                            outer)
-        self.stack *= segment_ratio_constant(grid.dim)
 
-    def all_node(self) -> SampledField:
-        """The all-node coefficient order^order * a at the top delta."""
-        return SampledField(self.grid, float(self.order) ** self.order * self.stack[-1])
-
-    def delta_index(self, dist: np.ndarray) -> np.ndarray:
-        if np.any(dist > self.deltas[-1] * (1.0 + 1e-9)):
-            raise ConfigError("pair separation exceeds the largest ladder delta")
-        return _step(self.deltas, dist)
-
-    def coefficient_at(self, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Rung idx[i]'s coefficient at pts[i], read back from `stack` as
-        `SampledField.at` would."""
-        return _gather(self.stack, _grid_cells(self.grid, pts), idx)
-
-    def endpoint_rhs(self, pairs: PairBatch) -> np.ndarray:
-        """Two-endpoint right side |x - y|^order * (a(x) + a(y)) at each pair's rung."""
-        idx = self.delta_index(pairs.dist)
-        return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)
-                                           + self.coefficient_at(idx, pairs.y))
+def _all_node(stack: np.ndarray, grid: GridSpec, order: int) -> SampledField:
+    """The all-node coefficient order^order * a at the stack's top delta."""
+    return SampledField(grid, float(order) ** order * stack[-1])
 
 
 def _rung_config(sampler: PairSampler, grid: GridSpec,
@@ -601,7 +581,7 @@ def all_node_coefficient(f: AnalyticField, order: int, grid: GridSpec,
     """
     config = _rung_config(sampler, grid, config)
     top = MaximalConfig(config.deltas[-1:], config.radii, config.boundary)
-    return _CoefficientLadder(f, grid, order, top).all_node()
+    return _all_node(_coefficient_stack(f, grid, order, top), grid, order)
 
 
 def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSampler,
@@ -609,19 +589,18 @@ def _ladder_pairs(f: AnalyticField, order: int, grid: GridSpec, sampler: PairSam
     """Shared start of the ladder scans.
 
     Refuses a sampler whose outer box the grid does not hold, before any
-    work: the ladder is read at the pairs' endpoints.  Builds the
-    coefficient ladder of `config`, on the sampler's node boxes when
-    `boxed` (for scans that read the ladder only at pair endpoints), and
+    work: the stack is read at the pairs' endpoints.  Builds the
+    coefficient stack of `config`, on the sampler's node boxes when
+    `boxed` (for scans that read the stack only at pair endpoints), and
     draws pairs kept their rung's margin plus `margin` from the walls.
-    Returns the ladder, the pairs, and the report params every ladder
+    Returns the stack, the pairs, and the report params every ladder
     scan carries.
     """
     if not grid.holds(sampler.domain.outer):
         raise ConfigError("the grid must hold the sampler's outer box")
-    ladder = _CoefficientLadder(f, grid, order, config,
-                                sampler.domain.outer if boxed else None)
+    stack = _coefficient_stack(f, grid, order, config, sampler.domain.outer if boxed else None)
     pairs = sampler.draw(config.deltas, config.margins + margin)
-    return ladder, pairs, {"deltas": list(config.deltas), "boundary": config.boundary}
+    return stack, pairs, {"deltas": list(config.deltas), "boundary": config.boundary}
 
 
 def _blockwise(pairs: PairBatch, side, *args) -> _Scored:
@@ -642,11 +621,20 @@ def _blockwise(pairs: PairBatch, side, *args) -> _Scored:
     return _Scored(pairs, lhs, rhs)
 
 
-def _main_sides(f: AnalyticField, ladder: _CoefficientLadder,
-                pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Main-scan sides |f(y) - L(y)| and |x - y|^order * (a(x) + a(y))."""
-    lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, ladder.order))
-    return lhs, ladder.endpoint_rhs(pairs)
+def _endpoint_sides(f, order: int, s: float, stack: np.ndarray, grid: GridSpec, ends,
+                    pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Two-endpoint sides |f(y) - L(y)| and |x - y|^s * (a(x) + a(y)).
+
+    f is an analytic or a sampled field.  a is read back from the
+    (R, *grid) coefficient `stack` at each pair's rung: its piece under
+    the step `ends` the pairs were drawn with, the smallest end at or
+    above its separation.  A single coefficient field is a one-rung
+    stack under the one end +inf.
+    """
+    lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, order))
+    rung = _step(ends, pairs.dist)
+    a_x, a_y = (_gather(stack, _grid_cells(grid, p), rung) for p in (pairs.x, pairs.y))
+    return lhs, pairs.dist ** s * (a_x + a_y)
 
 
 def _all_node_sides(f: AnalyticField, order: int, s: float, g: SampledField,
@@ -656,22 +644,6 @@ def _all_node_sides(f: AnalyticField, order: int, s: float, g: SampledField,
     h = (pairs.y - pairs.x) / order
     lhs = np.abs(forward_difference(f, pairs.x, h, order))
     return lhs, _row_norm(h) ** s * _node_sum(g.at, pairs.x, h, [1] * (order + 1))
-
-
-def _hatl_sides(f: AnalyticField, order: int, s: float, g: SampledField,
-                pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Class-bound sides |f(y) - L(y)| and |x - y|^s * (g(x) + g(y))."""
-    lhs = np.abs(lagrange_remainder(f, pairs.x, pairs.y, order))
-    return lhs, pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))
-
-
-def _mollified_sides(f_eps: SampledField, ladder: _CoefficientLadder,
-                     pairs: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Mollified sides |diff_h^order f_eps(x)|, h = (y - x) / order, and
-    |x - y|^order * (a(x) + a(y)) on the convolved ladder."""
-    h = (pairs.y - pairs.x) / ladder.order
-    lhs = np.abs(forward_difference(f_eps, pairs.x, h, ladder.order))
-    return lhs, ladder.endpoint_rhs(pairs)
 
 
 def _scan_report(name: str, f: AnalyticField, order: int, grid: GridSpec,
@@ -709,10 +681,11 @@ def main_inequality_scan(f: AnalyticField, order: int, grid: GridSpec,
     """
     order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, config)
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, boxed=True)
+    stack, pairs, params = _ladder_pairs(f, order, grid, sampler, config, boxed=True)
     name = "lemma1" if order == 1 else "main_inequality"
     return _scan_report(name, f, order, grid, sampler, slack,
-                        _blockwise(pairs, _main_sides, f, ladder),
+                        _blockwise(pairs, _endpoint_sides, f, order, order, stack, grid,
+                                   config.deltas),
                         radii_master=list(config.radii),
                         constant=segment_ratio_constant(grid.dim), **params)
 
@@ -755,10 +728,12 @@ def node_discard_check(f: AnalyticField, order: int, grid: GridSpec,
     """
     order, slack = _check_scan(f, order, slack)
     config = _rung_config(sampler, grid, None)
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config)
-    main = build_report({}, _blockwise(pairs, _main_sides, f, ladder), slack)
+    stack, pairs, params = _ladder_pairs(f, order, grid, sampler, config)
+    main = build_report({}, _blockwise(pairs, _endpoint_sides, f, order, order, stack, grid,
+                                       config.deltas), slack)
+    g = _all_node(stack, grid, order)
     return _scan_report("node_discard", f, order, grid, sampler, slack,
-                        _blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node()),
+                        _blockwise(pairs, _all_node_sides, f, order, order, g),
                         g_scale=float(order) ** order, main_max_ratio=main.max_ratio,
                         main_violations=main.n_violations, **params)
 
@@ -775,18 +750,19 @@ def hatl_scan(f: AnalyticField, order: int, s: float, g: SampledField,
     _check_g(g, sampler)
     pairs = sampler.draw()
     return _scan_report("hatl", f, order, g.grid, sampler, slack,
-                        _blockwise(pairs, _hatl_sides, f, order, s, g), s=float(s))
+                        _blockwise(pairs, _endpoint_sides, f, order, s, g.values[None], g.grid,
+                                   (math.inf,)), s=float(s))
 
 
 def quasinorm_upper(f: AnalyticField, order: int, p: float, grid: GridSpec) -> float:
     """Upper bound ||f||_p + ||order^order * a||_p for the class quasinorm.
 
-    `a` is the one-rung coefficient ladder at scale delta = a quarter of
+    `a` is the one-rung coefficient stack at scale delta = a quarter of
     the smallest box side, on the whole grid.
     """
     delta = min(grid.extent) / 4.0
     config = ladder_config((delta,), max(grid.spacing))
-    coeff = _CoefficientLadder(f, grid, order, config).all_node()
+    coeff = _all_node(_coefficient_stack(f, grid, order, config), grid, order)
     return lp_norm(sample(f, grid), p) + lp_norm(coeff, p)
 
 
@@ -795,12 +771,11 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
                    profile: str = "bump") -> InequalityReport:
     """Main scan for the mollified field and mollified coefficients.
 
-    The field and each rung of a whole-grid coefficient ladder are
-    convolved with the same kernel, the rungs in place in the ladder's
-    `stack`; differences of the smoothed field come from multilinear
-    interpolation of the convolved samples.  Pairs keep an extra margin
-    of one kernel support from the boundary so no contaminated value is
-    ever read.
+    The field and each rung of a whole-grid coefficient stack are
+    convolved with the same kernel, the rungs in place; the remainder of
+    the smoothed field reads its values by multilinear interpolation of
+    the convolved samples.  Pairs keep an extra margin of one kernel support
+    from the boundary so no contaminated value is ever read.
     """
     order, slack = _check_scan(f, order, slack)
     phi = Mollifier(epsilon, grid.dim, profile=profile)
@@ -809,10 +784,11 @@ def mollified_scan(f: AnalyticField, order: int, epsilon: float, grid: GridSpec,
     if not phi.leaves_room(grid, config.deltas[-1]):
         raise EmptyScanError(
             "the interior eroded by the kernel support and the ladder delta is empty")
-    ladder, pairs, params = _ladder_pairs(f, order, grid, sampler, config, margin_len)
-    for rung in ladder.stack:
+    stack, pairs, params = _ladder_pairs(f, order, grid, sampler, config, margin_len)
+    for rung in stack:
         rung[...] = convolve(SampledField(grid, rung), phi).values
-    scored = _blockwise(pairs, _mollified_sides, convolve(sample(f, grid), phi), ladder)
+    scored = _blockwise(pairs, _endpoint_sides, convolve(sample(f, grid), phi), order, order,
+                        stack, grid, config.deltas)
     return _scan_report("mollified", f, order, grid, sampler, slack, scored,
                         epsilon=float(epsilon), profile=profile,
                         kernel_margin=float(margin_len), **params)

@@ -1,11 +1,11 @@
 """One-line mutants of the package, and the harness that runs them.
 
 Each mutant replaces one line of the package: a line whose fault a
-check must catch, in the scans' right sides, the verdict rule, the
-coefficient ladder, the difference kernels and binomials, the exact
-polynomial routes, the grid derivative magnitudes, the box containment
-test that guards the grid reads, the float values of the power and
-sinusoid kinds, or the checks of a scan's arguments.  For each mutant
+check must catch, in the scans' right sides and the rung they read, the
+verdict rule, the coefficient ladder, the difference kernels and
+binomials, the exact polynomial routes, the grid derivative magnitudes,
+the box containment test that guards the grid reads, the float values
+of the power and sinusoid kinds, or the checks of a scan's arguments.  For each mutant
 the harness copies the repository to a temporary directory, applies the
 mutant there, and runs the tier-1 suite on the copy until its first
 failure (pytest -x); a mutant under
@@ -37,20 +37,23 @@ PACKAGE = Path("src") / "sobolev_pointwise"
 # text occurs exactly once under src/
 MUTANTS = [
     ("endpoint rhs x 1.5", "verify.py",
-     "return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)",
-     "return 1.5 * pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)"),
+     "return lhs, pairs.dist ** s * (a_x + a_y)",
+     "return lhs, 1.5 * pairs.dist ** s * (a_x + a_y)"),
     ("endpoint rhs x 1/4", "verify.py",
-     "return pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)",
-     "return 0.25 * pairs.dist ** self.order * (self.coefficient_at(idx, pairs.x)"),
+     "return lhs, pairs.dist ** s * (a_x + a_y)",
+     "return lhs, 0.25 * pairs.dist ** s * (a_x + a_y)"),
+    ("coefficient read one rung up", "verify.py",
+     "rung = _step(ends, pairs.dist)",
+     "rung = np.minimum(_step(ends, pairs.dist) + 1, len(ends) - 1)"),
     ("mollified rungs left unconvolved", "verify.py",
      "rung[...] = convolve(SampledField(grid, rung), phi).values",
      "rung[...] = SampledField(grid, rung).values"),
     ("node-discard rhs with |h|^(m-1)", "verify.py",
-     "_blockwise(pairs, _all_node_sides, f, order, order, ladder.all_node())",
-     "_blockwise(pairs, _all_node_sides, f, order, order - 1, ladder.all_node())"),
+     "_blockwise(pairs, _all_node_sides, f, order, order, g)",
+     "_blockwise(pairs, _all_node_sides, f, order, order - 1, g)"),
     ("hatl rhs x 2", "verify.py",
-     "return lhs, pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))",
-     "return lhs, 2 * pairs.dist ** s * (g.at(pairs.x) + g.at(pairs.y))"),
+     "_endpoint_sides, f, order, s, g.values[None], g.grid,",
+     "_endpoint_sides, f, order, s, 2 * g.values[None], g.grid,"),
     ("triebel rhs with |h|^(s/2)", "verify.py",
      "_blockwise(pairs, _all_node_sides, f, order, s, g)",
      "_blockwise(pairs, _all_node_sides, f, order, s / 2, g)"),

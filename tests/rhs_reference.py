@@ -1,4 +1,4 @@
-"""The main and mollified scans' right sides, recomputed from their definitions.
+"""The main, mollified and hatl scans' right sides, recomputed from their definitions.
 
 A pair at separation d belongs to the smallest ladder delta at or above
 d, and that rung's radii are the master radii up to its delta.  At a
@@ -11,6 +11,9 @@ the right side is |y - x|^m (a(x) + a(y)).
 
 The mollified scan's rung values are those node means convolved with
 the kernel's lattice taps, with zero off the grid, before the blend.
+The hatl scan has no rungs: its coefficient is the supplied g, blended
+from g's node values the same way, and the right side is
+|y - x|^s (g(x) + g(y)).
 
 Every node set is enumerated here directly: nothing is taken from the
 package's ladder (its ball sums and counts, node boxes or gather) or
@@ -46,11 +49,17 @@ def _cell(axis, p):
     return i, (p - axis[i]) / (axis[i + 1] - axis[i])
 
 
-def _endpoint_rhs(order, grid, report, coefficient, count):
-    """|y - x|^m (a(x) + a(y)) for the report's first `count` pairs, with
+def _smallest_delta_at_or_above(deltas):
+    """The ladder's rung rule: a pair at separation d reads the rung of
+    the smallest delta at or above d."""
+    return lambda d: min(k for k, delta in enumerate(deltas) if delta >= d)
+
+
+def _endpoint_rhs(s, grid, report, coefficient, rung_of, count):
+    """|y - x|^s (a(x) + a(y)) for the report's first `count` pairs, with
     a(p) the multilinear blend of `coefficient(node, rung)` over the
-    corners of p's cell, at the pair's rung."""
-    deltas = report.params["deltas"]
+    corners of p's cell, at the rung `rung_of(d)` of the pair's
+    separation d."""
 
     def at(point, rung):
         cells = [_cell(axis, p) for axis, p in zip(grid.axes, point)]
@@ -63,8 +72,8 @@ def _endpoint_rhs(order, grid, report, coefficient, count):
     out = []
     for x, y in zip(report.x[:count], report.y[:count]):
         d = float(np.linalg.norm(y - x))
-        rung = min(k for k, delta in enumerate(deltas) if delta >= d)
-        out.append(d ** order * (at(x, rung) + at(y, rung)))
+        rung = rung_of(d)
+        out.append(d ** s * (at(x, rung) + at(y, rung)))
     return np.array(out)
 
 
@@ -88,7 +97,8 @@ def main_rhs(f, order, grid, report, count=30):
     """The right sides of the main scan report's first `count` pairs."""
     coefficient = _rung_means(f, order, grid, report.params["deltas"],
                               report.params["radii_master"])
-    return _endpoint_rhs(order, grid, report, coefficient, count)
+    return _endpoint_rhs(order, grid, report, coefficient,
+                         _smallest_delta_at_or_above(report.params["deltas"]), count)
 
 
 def mollified_rhs(f, order, grid, report, master, count=30):
@@ -111,4 +121,12 @@ def mollified_rhs(f, order, grid, report, master, count=30):
             cache[node, rung] = total
         return cache[node, rung]
 
-    return _endpoint_rhs(order, grid, report, coefficient, count)
+    return _endpoint_rhs(order, grid, report, coefficient,
+                         _smallest_delta_at_or_above(report.params["deltas"]), count)
+
+
+def hatl_rhs(report, g, s, count=30):
+    """The right sides of the hatl scan report's first `count` pairs:
+    |y - x|^s (g(x) + g(y)), with g read from its node values."""
+    return _endpoint_rhs(s, g.grid, report, lambda node, rung: float(g.values[node]),
+                         lambda d: 0, count)

@@ -435,6 +435,14 @@ class TestUsageErrors:
                      "--m", "2", "--pairs", "80", "--seed", "2", "--slack", "0"])
         assert code == 0
 
+    def test_negative_zero_slack_reports_as_zero(self, tmp_path, capsys):
+        reports = {}
+        for slack in ("0", "-0"):
+            reports[slack] = tmp_path / f"slack{slack}.json"
+            assert main(["verify", "--slack", slack, "--pairs", "50",
+                         "--out", str(reports[slack])]) == 0
+        assert reports["-0"].read_bytes() == reports["0"].read_bytes()
+
 
 def _reads(tree: ast.Module, name: str) -> set[str]:
     """Keys that function `name` reads as cfg["<key>"], in its own body or

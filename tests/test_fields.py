@@ -40,7 +40,13 @@ from sobolev_pointwise.fields import (
     _line_derivatives,
     _slabs,
 )
-from sobolev_pointwise.verify import Domain, PairSampler, _CoefficientLadder, _rung_config
+from sobolev_pointwise.verify import (
+    Domain,
+    PairSampler,
+    _coefficient_stack,
+    _endpoint_sides,
+    _rung_config,
+)
 
 # Frozen from a 50-digit series evaluation of the corresponding line
 # functions (fourth, third, and third derivative respectively).
@@ -433,21 +439,24 @@ class TestGridGather:
         grid = GridSpec.cube(-1.0, 1.0, 21, 3)
         sampler = PairSampler(Domain(Box.of_grid(grid)), 3000, 4, 0.1, 0.8)
         config = _rung_config(sampler, grid, None)
-        ladder = _CoefficientLadder(GaussianField(1.3, 3), grid, 2, config)
+        f = GaussianField(1.3, 3)
+        stack = _coefficient_stack(f, grid, 2, config)
         pairs = sampler.draw(config.deltas, config.margins)
-        idx = ladder.delta_index(pairs.dist)
+        # each pair's rung is the smallest delta at or above its separation
+        idx = np.minimum(np.searchsorted(config.deltas, pairs.dist), len(config.deltas) - 1)
         assert len(set(idx.tolist())) > 1
 
         def per_rung(pts):
             out = np.empty(len(pts))
-            for i, rung in enumerate(ladder.stack):
+            for i, rung in enumerate(stack):
                 mask = idx == i
                 ref = RegularGridInterpolator(grid.axes, rung, bounds_error=True)
                 out[mask] = ref(pts[mask])
             return out
 
         expected = pairs.dist ** 2 * (per_rung(pairs.x) + per_rung(pairs.y))
-        assert np.array_equal(ladder.endpoint_rhs(pairs), expected)
+        assert np.array_equal(_endpoint_sides(f, 2, 2, stack, grid, config.deltas, pairs)[1],
+                              expected)
 
 
 class TestDirectionsAndGradient:

@@ -40,7 +40,7 @@ from sobolev_pointwise.maximal import (
     _box_groups,
     _node_boxes,
 )
-from sobolev_pointwise.verify import _CoefficientLadder, _rung_config
+from sobolev_pointwise.verify import _coefficient_stack, _rung_config
 
 
 def _whole(shape):
@@ -363,10 +363,10 @@ class TestBallAverages:
         monkeypatch.setattr(maximal, "_ball_counts", refuse)
         f = parse_field("sin:w=2,1.5,1", dim=3)
         config = _rung_config(sampler, grid, None)
-        ladder = _CoefficientLadder(f, grid, 2, config, sampler.domain.outer)
+        stack = _coefficient_stack(f, grid, 2, config, sampler.domain.outer)
         assert len(config.deltas) == 4
         top_box = _node_boxes(grid, sampler.domain.outer, config.margins)[-1]
-        assert np.isfinite(ladder.stack[-1][top_box]).all()
+        assert np.isfinite(stack[-1][top_box]).all()
 
     @pytest.mark.parametrize("grid", [GridSpec.cube(-1.0, 1.0, 31, 2),
                                       GridSpec((-1.0, -0.5), (1.0, 1.5), (25, 31)),
@@ -687,14 +687,14 @@ class TestOneRungCoefficient:
     def test_linear_field_gives_constant(self, grid_1d):
         f = parse_field("poly:3*x0")
         config = ladder_config((0.3,), grid_1d.spacing[0])
-        a = _CoefficientLadder(f, grid_1d, 1, config).stack[0]
+        a = _coefficient_stack(f, grid_1d, 1, config)[0]
         want = segment_ratio_constant(1) * 3.0
         np.testing.assert_allclose(a, want, rtol=1e-13, atol=0)
 
     def test_gaussian_field_is_positive_and_bounded(self, grid_2d):
         f = GaussianField(1.0, dim=2)
         config = ladder_config((0.3,), grid_2d.spacing[0])
-        a = _CoefficientLadder(f, grid_2d, 1, config).stack[0]
+        a = _coefficient_stack(f, grid_2d, 1, config)[0]
         grad_max = np.sqrt(2 / math.e) * np.sqrt(2)  # coarse bound on |grad|
         assert np.all(a > 0)
         assert np.all(a <= segment_ratio_constant(2) * grad_max + 1e-12)

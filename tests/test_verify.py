@@ -44,11 +44,13 @@ from sobolev_pointwise import (
     segment_ratio_constant,
     triebel_scan,
 )
+from sobolev_pointwise.fields import _gather, _grid_cells
 from sobolev_pointwise.maximal import _node_boxes
 from sobolev_pointwise.verify import (
     _SAMPLE_BATCH,
     PairBatch,
-    _CoefficientLadder,
+    _coefficient_stack,
+    _endpoint_sides,
     _Scored,
     _piece,
     _row_norm,
@@ -465,13 +467,17 @@ class TestSamplerLaw:
         config = _rung_config(sampler, grid, None)
         if boundary == "clip":
             config = MaximalConfig((max_sep,), config.radii, "clip")
-        ladder = _CoefficientLadder(SinusoidField((1.0,) * dim), grid, 1, config)
-        batch = sampler.draw(config.deltas, config.margins + extra)
+        deltas = np.asarray(config.deltas)
+        batch = sampler.draw(deltas, config.margins + extra)
+
+        def rung_of(d):
+            # the smallest delta at or above d
+            return np.minimum(np.searchsorted(deltas, d), len(deltas) - 1)
 
         def margin_of(d):
             if boundary == "clip":
                 return np.full_like(d, extra)
-            return ladder.deltas[ladder.delta_index(d)] + extra
+            return deltas[rung_of(d)] + extra
 
         ref_x, ref_y = _reference_pairs(domain, count, 12, min_sep, max_sep, margin_of)
         ref_dist = np.linalg.norm(ref_y - ref_x, axis=1)
@@ -483,8 +489,8 @@ class TestSamplerLaw:
         for new, ref in samples:
             assert stats.ks_2samp(new, ref).pvalue > 1e-3
         # rung occupancy of the kept pairs, as a 2 x R contingency table
-        rungs = len(ladder.deltas)
-        table = np.array([np.bincount(ladder.delta_index(d), minlength=rungs)
+        rungs = len(deltas)
+        table = np.array([np.bincount(rung_of(d), minlength=rungs)
                           for d in (batch.dist, ref_dist)])
         table = table[:, table.sum(axis=0) > 0]
         if table.shape[1] > 1:
@@ -701,12 +707,12 @@ class TestCoefficientLadder:
         sampler = PairSampler(_domain(grid), 10, 0, 0.05, 0.4)
         config = _rung_config(sampler, grid, None)
         f = SinusoidField((1.5,) * dim)
-        ladder = _CoefficientLadder(f, grid, order, config)
-        assert len(ladder.stack) == len(config.deltas) > 1
+        stack = _coefficient_stack(f, grid, order, config)
+        assert len(stack) == len(config.deltas) > 1
         gradient = gradient_magnitude_field(f, grid, order)
         scale = segment_ratio_constant(dim)
         prev = None
-        for size, rung in zip(config.sizes, ladder.stack):
+        for size, rung in zip(config.sizes, stack):
             best = functools.reduce(np.maximum, ball_averages(gradient, config.radii[:size]))
             np.testing.assert_array_equal(rung, scale * best)
             if prev is not None:
@@ -767,10 +773,10 @@ class TestNodeBoxes:
         sampler = PairSampler(Domain(outer), 2000, 3, 0.05, max_sep)
         config = self._config(grid, sampler, boundary)
         f = SinusoidField((1.5, 1.0, 2.0)[:grid.dim])
-        full = _CoefficientLadder(f, grid, 2, config)
-        boxed = _CoefficientLadder(f, grid, 2, config, outer)
+        full = _coefficient_stack(f, grid, 2, config)
+        boxed = _coefficient_stack(f, grid, 2, config, outer)
         boxes = _node_boxes(grid, outer, config.margins)
-        for rung, box, whole in zip(boxed.stack, boxes, full.stack):
+        for rung, box, whole in zip(boxed, boxes, full):
             assert np.array_equal(rung[box], whole[box])
             assert np.isfinite(rung).sum() == rung[box].size
         for box, inner in zip(boxes, boxes[1:]):
@@ -779,18 +785,18 @@ class TestNodeBoxes:
         if boundary == "reject" and not np.all(room):
             return
         pairs = sampler.draw(config.deltas, config.margins)
-        rhs = boxed.endpoint_rhs(pairs)
+        _, rhs = _endpoint_sides(f, 2, 2, boxed, grid, config.deltas, pairs)
         assert np.all(np.isfinite(rhs))
-        assert np.array_equal(rhs, full.endpoint_rhs(pairs))
+        assert np.array_equal(rhs, _endpoint_sides(f, 2, 2, full, grid, config.deltas, pairs)[1])
 
     @pytest.mark.parametrize("grid, outer, max_sep, boundary", list(_boxed_cases()))
     def test_admissible_extremes_and_nodes_read_finite_values(self, grid, outer, max_sep,
                                                               boundary):
         sampler = PairSampler(Domain(outer), 10, 0, 0.05, max_sep)
         config = self._config(grid, sampler, boundary)
-        ladder = _CoefficientLadder(GaussianField(1.0, grid.dim), grid, 1, config, outer)
+        stack = _coefficient_stack(GaussianField(1.0, grid.dim), grid, 1, config, outer)
         lo, hi = np.asarray(outer.lo), np.asarray(outer.hi)
-        for r, delta in enumerate(ladder.deltas):
+        for r, delta in enumerate(config.deltas):
             margin = delta if boundary == "reject" else 0.0
             a, b = np.maximum(lo + margin, grid.lo), np.minimum(hi - margin, grid.hi)
             if np.any(a > b):
@@ -801,22 +807,23 @@ class TestNodeBoxes:
                     if np.any((ax >= p) & (ax <= q)) else np.array([p, q])
                     for ax, p, q in zip(grid.axes, a, b)]
             pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-            values = ladder.coefficient_at(np.full(len(pts), r), pts)
+            values = _gather(stack, _grid_cells(grid, pts), np.full(len(pts), r))
             assert np.all(np.isfinite(values)), (r, pts[~np.isfinite(values)])
 
     def test_a_read_outside_the_box_is_a_nonfinite_violation(self):
         grid = GridSpec.cube(-1.0, 1.0, 41, 2)
         sampler = PairSampler(_domain(grid), 100, 0, 0.05, 0.4)
         f = SinusoidField((1.5, 1.0))
-        ladder = _CoefficientLadder(f, grid, 1, _rung_config(sampler, grid, None),
-                                    sampler.domain.outer)
-        top = float(ladder.deltas[-1])
+        config = _rung_config(sampler, grid, None)
+        stack = _coefficient_stack(f, grid, 1, config, sampler.domain.outer)
+        top = float(config.deltas[-1])
         # on the wall, so a top-rung pair (kept delta from the walls) never reads here
         x = np.array([[-1.0, 0.0]])
         y = x + [[top, 0.0]]
-        assert ladder.delta_index(np.array([top]))[0] == len(ladder.deltas) - 1
-        lhs = np.abs(f.value_batch(y) - f.value_batch(x))
-        rhs = ladder.endpoint_rhs(PairBatch(x, y, np.array([top]), 1))
+        assert _step(config.deltas, np.array([top]))[0] == len(config.deltas) - 1
+        lhs, rhs = _endpoint_sides(f, 1, 1, stack, grid, config.deltas,
+                                   PairBatch(x, y, np.array([top]), 1))
+        assert lhs[0] == abs(f.value_batch(y) - f.value_batch(x))[0]
         report = _report_of({}, x, y, lhs, rhs, 0.05)
         assert report.n_nonfinite == 1
         assert report.n_violations == 1
@@ -825,9 +832,9 @@ class TestNodeBoxes:
         grid = GridSpec.cube(-1.0, 1.0, 21, 2)
         sampler = PairSampler(_domain(grid), 200, 0, 0.05, 0.4)
         f = SinusoidField((1.5, 1.0))
-        full = _CoefficientLadder(f, grid, 2, _rung_config(sampler, grid, None))
+        full = _coefficient_stack(f, grid, 2, _rung_config(sampler, grid, None))
         g = all_node_coefficient(f, 2, grid, sampler)
-        assert np.array_equal(g.values, 4.0 * full.stack[-1])
+        assert np.array_equal(g.values, 4.0 * full[-1])
         assert node_discard_check(f, 2, grid, sampler).n_nonfinite == 0
 
 
@@ -1329,5 +1336,23 @@ class TestMollifiedRhsOracle:
         assert len(report.params["deltas"]) > 1
         master = _rung_config(sampler, grid, None).radii
         want = rhs_reference.mollified_rhs(f, order, grid, report, master)
+        assert len(want) == 30
+        np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
+
+
+class TestHatlRhsOracle:
+    """The hatl scan's right side against `rhs_reference`, which blends
+    the supplied g from its node values with its own corner loop."""
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("kind", sorted(TestMainRhsOracle.FIELDS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rhs_matches_the_definition(self, dim, kind, s):
+        grid = TestMainRhsOracle.GRIDS[dim]
+        sampler = PairSampler(_domain(grid), 200, 5 + dim, 0.05, 0.6 if dim == 3 else 0.4)
+        f = TestMainRhsOracle.FIELDS[kind](dim)
+        g = all_node_coefficient(f, 2, grid, sampler)
+        report = hatl_scan(f, 2, s, g, sampler)
+        want = rhs_reference.hatl_rhs(report, g, s)
         assert len(want) == 30
         np.testing.assert_allclose(report.rhs[:30], want, rtol=1e-12, atol=0)
